@@ -66,11 +66,12 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out = np.empty_like(raw, dtype=np.float64)
-    flags = np.zeros(raw.shape[0], dtype=bool)
-    for s in range(raw.shape[0]):
-        out[s], flags[s] = normalize_scores(raw[s])
-    return out, flags
+    """:func:`normalize_scores` on every row of a (n, p) array at once."""
+    mags = np.abs(np.asarray(raw, dtype=np.float64))
+    totals = mags.sum(axis=1, keepdims=True)
+    degenerate = totals <= 0.0
+    out = np.where(degenerate, 1.0 / mags.shape[1], mags / np.where(degenerate, 1.0, totals))
+    return out, degenerate[:, 0]
 
 
 def _batches(n: int, batch_size: int):

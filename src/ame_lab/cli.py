@@ -48,6 +48,10 @@ COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
 PROTOCOLS = ("masking", "mge_quality", "recall", "timing")
 
+# AmeConfig fields a stored model must share with the run's config
+ARCHITECTURE_FIELDS = ("feature_partition", "task", "num_classes", "expert_hidden",
+                       "gate_hidden", "aux_hidden")
+
 DEFAULT_ALPHAS = [round(0.01 * i, 2) for i in range(11)]  # 0, 0.01, ..., 0.1
 
 
@@ -196,10 +200,10 @@ def _load_model_for(cfg: RunConfig):
     if not Path(cfg.model_path).exists():
         raise ConfigError(f"model_path: {cfg.model_path} does not exist")
     model = load_model(cfg.model_path)
-    if model.config.feature_partition != cfg.model.feature_partition:
-        raise ConfigError(
-            "model_path: stored feature partition "
-            f"{model.config.feature_partition} != configured {cfg.model.feature_partition}")
+    for name in ARCHITECTURE_FIELDS:
+        stored, configured = getattr(model.config, name), getattr(cfg.model, name)
+        if stored != configured:
+            raise ConfigError(f"model_path: stored {name} {stored!r} != configured {configured!r}")
     return model
 
 

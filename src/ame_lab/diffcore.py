@@ -298,28 +298,50 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
 
 
+def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """p stacked affine maps in one einsum, output (n, p, out).
+
+    weights is (p, out, in) and bias (p, out). x is either (n, in), read by
+    every map, or (n, p, in), whose slice i map i reads. Each output element
+    sums over `in` in the same fixed order as :func:`linear`, so the stack
+    reproduces p separate `linear` calls and stays batch-independent.
+    """
+    spec = "nk" if x.ndim == 2 else "npk"
+    if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
+            or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
+        raise DimensionError(
+            f"batched_linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
+    out = np.einsum(f"{spec},pak->npa", x.data, weights.data, optimize=False) + bias.data
+
+    def back(g):
+        gx = np.einsum(f"npa,pak->{spec}", g, weights.data, optimize=False)
+        gw = np.einsum(f"npa,{spec}->pak", g, x.data, optimize=False)
+        return (gx, gw, g.sum(axis=0))
+
+    return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
+
+
 class DenseLayer:
-    """Fully connected layer: activation(x @ W^T + b)."""
+    """Fully connected layer: activation(x @ W^T + b).
+
+    W is (out, in), or (p, out, in) for p stacked layers (see
+    :func:`batched_linear`). A `mask`, a fixed array broadcasting to W's
+    shape, multiplies W on every call: entries it zeroes neither act nor
+    receive gradient.
+    """
 
     def __init__(self, weights: Tensor, bias: Tensor, activation: str = "identity",
-                 name: str = ""):
+                 name: str = "", mask: np.ndarray | None = None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
-        if weights.ndim != 2 or bias.ndim != 1 or weights.shape[0] != bias.shape[0]:
+        if weights.ndim not in (2, 3) or bias.shape != weights.shape[:-1]:
             raise DimensionError(
                 f"layer weights {weights.shape} and bias {bias.shape} are inconsistent")
         self.weights = weights
         self.bias = bias
         self.activation = activation
         self.name = name
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+        self.mask = mask
 
     def __call__(self, x: Tensor) -> Tensor:
         return forward_dense(self, x)
@@ -341,7 +363,8 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
 
 def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
     """Run one dense layer. Softmax activation normalizes the last axis."""
-    pre = linear(x, layer.weights, layer.bias)
+    weights = layer.weights if layer.mask is None else layer.weights * layer.mask
+    pre = (linear if weights.ndim == 2 else batched_linear)(x, weights, layer.bias)
     if layer.activation == "identity":
         return pre
     if layer.activation == "tanh":

@@ -47,18 +47,20 @@ def _per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
     return per_sample_mae(y_hat, y_true)
 
 
-def aux_errors(output: AmeOutput, y_true, task: str) -> tuple[list[Tensor], Tensor]:
-    """Per-sample auxiliary errors (eps without expert i, eps with all).
+def aux_errors(output: AmeOutput, y_true, task: str) -> tuple[Tensor, Tensor]:
+    """Per-sample auxiliary errors: eps without expert i, (n, p), and eps
+    with all, (n,).
 
     Uses the task's auxiliary loss: MAE for regression, categorical
     cross-entropy for classification. Entries stay on the tape so the
     auxiliary predictors can be trained from them.
     """
-    if not isinstance(y_true, Tensor):
-        y_true = Tensor(y_true)
-    eps_excl = [_per_sample_error(y_aux, y_true, task) for y_aux in output.y_aux_excl]
-    eps_all = _per_sample_error(output.y_aux_all, y_true, task)
-    return eps_excl, eps_all
+    y = y_true.data if isinstance(y_true, Tensor) else np.asarray(y_true, dtype=np.float64)
+    n, p, out = output.y_aux_excl.shape
+    # one row per (sample, probe), sample-major as the reshape lays them out
+    eps_excl = _per_sample_error(output.y_aux_excl.reshape(n * p, out),
+                                 Tensor(np.repeat(y, p, axis=0)), task).reshape(n, p)
+    return eps_excl, _per_sample_error(output.y_aux_all, Tensor(y), task)
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
@@ -92,7 +94,7 @@ def omega_targets(delta_eps: np.ndarray) -> np.ndarray:
 def granger_targets(output: AmeOutput, y_true, task: str) -> GrangerTargets:
     """Detached target computation for a batch (reporting and training)."""
     eps_excl_t, eps_all_t = aux_errors(output, y_true, task)
-    eps_excl = np.stack([t.data for t in eps_excl_t], axis=1)
+    eps_excl = eps_excl_t.data.copy()
     eps_all = eps_all_t.data.copy()
     delta = delta_epsilon(eps_excl, eps_all)
     return GrangerTargets(eps_excl=eps_excl, eps_all=eps_all,
@@ -138,16 +140,14 @@ def mge_loss(omega: np.ndarray, a: Tensor) -> Tensor:
     return (entropy - cross).mean()
 
 
-def mge_loss_differentiable(delta_rows: list[Tensor], a: Tensor) -> Tensor:
+def mge_loss_differentiable(delta: Tensor, a: Tensor) -> Tensor:
     """MGE with gradients also flowing into the targets (detach_targets=False).
 
-    delta_rows are per-expert (n,) tensors still on the tape. Rows whose
-    clamped deltas all vanish blend to the uniform target, mirroring
+    delta is the (n, p) matrix eps_excl - eps_all, still on the tape. Rows
+    whose clamped deltas all vanish blend to the uniform target, mirroring
     :func:`omega_targets`.
     """
-    n = delta_rows[0].shape[0]
-    p = len(delta_rows)
-    delta = concat([d.reshape(n, 1) for d in delta_rows], axis=1)
+    p = delta.shape[1]
     clamped = delta.relu()
     totals = clamped.sum(axis=1, keepdims=True)
     live = (totals.data > OMEGA_FLOOR).astype(np.float64)
@@ -157,13 +157,15 @@ def mge_loss_differentiable(delta_rows: list[Tensor], a: Tensor) -> Tensor:
     return kl.mean()
 
 
-def total_loss(main: Tensor, mge: Tensor | None, aux_losses: list[Tensor],
+def total_loss(main: Tensor, mge: Tensor | None, aux_losses: Tensor | None,
                alpha: float, beta: float) -> Tensor:
     """Blend (1-alpha)*main + alpha*mge + beta*mean(aux_losses).
 
-    The beta term gives the auxiliary predictors their training signal; it
-    is reported separately in logs so the two-way blend stays visible.
-    With alpha == 0 the MGE tensor may be omitted entirely.
+    aux_losses holds one mean error per auxiliary probe, shape (k,). The
+    beta term gives the auxiliary predictors their training signal; it is
+    reported separately in logs so the two-way blend stays visible. With
+    alpha == 0 the MGE tensor may be omitted entirely, and with beta == 0
+    the auxiliary losses.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -174,11 +176,8 @@ def total_loss(main: Tensor, mge: Tensor | None, aux_losses: list[Tensor],
         if mge is None:
             raise ValueError("alpha > 0 requires an MGE term")
         loss = loss + mge * alpha
-    if beta > 0.0 and aux_losses:
-        aux_sum = aux_losses[0]
-        for term in aux_losses[1:]:
-            aux_sum = aux_sum + term
-        loss = loss + aux_sum * (beta / len(aux_losses))
+    if beta > 0.0 and aux_losses is not None:
+        loss = loss + aux_losses.sum() * (beta / aux_losses.size)
     return loss
 
 
@@ -205,10 +204,12 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
     main = _per_sample_error(output.y, y_true, cfg.task).mean()
 
     eps_excl_t, eps_all_t = aux_errors(output, y_true, cfg.task)
-    aux_losses = [t.mean() for t in eps_excl_t] + [eps_all_t.mean()]
-    aux_mean = float(np.mean([t.item() for t in aux_losses]))
+    n = eps_all_t.shape[0]
+    eps_all_col = eps_all_t.reshape(n, 1)
+    aux_losses = concat([eps_excl_t, eps_all_col], axis=1).mean(axis=0)  # one per probe
+    aux_mean = float(np.mean(aux_losses.data))
 
-    eps_excl = np.stack([t.data for t in eps_excl_t], axis=1)
+    eps_excl = eps_excl_t.data.copy()
     delta = delta_epsilon(eps_excl, eps_all_t.data)
     omega = omega_targets(delta)
     targets = GrangerTargets(eps_excl=eps_excl, eps_all=eps_all_t.data.copy(),
@@ -220,8 +221,7 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
         if cfg.detach_targets:
             mge_term = mge_loss(omega, output.a)
         else:
-            delta_rows = [e - eps_all_t for e in eps_excl_t]
-            mge_term = mge_loss_differentiable(delta_rows, output.a)
+            mge_term = mge_loss_differentiable(eps_excl_t - eps_all_col, output.a)
     total = total_loss(main, mge_term, aux_losses, cfg.alpha, cfg.aux_weight)
     return BatchLosses(total=total, main=main, mge_value=mge_value,
                        aux_mean=aux_mean, targets=targets)

@@ -10,6 +10,10 @@ the prediction and doubles as the per-sample feature-importance read-out.
 Auxiliary predictors (one per expert, reading everything except that
 expert's state, plus one reading everything) provide the error estimates
 the Granger-causal objective is built from.
+
+Experts, heads, gates and exclusion probes are each one stack of layers
+over a leading expert axis (`diffcore.batched_linear`), so a forward pass
+costs the same number of ops whatever the number of experts.
 """
 
 from __future__ import annotations
@@ -20,14 +24,9 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .diffcore import (
-    DenseLayer,
-    Tensor,
-    concat,
-    init_dense,
-    softmax,
-    take_columns,
-)
+from .diffcore import DenseLayer, Tensor, concat, softmax, take_columns
+
+MODEL_FORMAT = 2  # model.json layout: 1 = per-expert lists, 2 = stacked
 
 
 class ConfigError(ValueError):
@@ -81,9 +80,7 @@ class AmeConfig:
         if overlaps:
             raise ConfigError(
                 f"feature_partition groups overlap on indices {sorted(overlaps)}")
-        covered = set(seen)
-        expected = set(range(max(covered) + 1))
-        missing = sorted(expected - covered)
+        missing = sorted(set(range(max(seen) + 1)) - set(seen))
         if missing:
             raise ConfigError(f"feature_partition leaves indices {missing} uncovered")
         if not self.expert_hidden or any(w < 1 for w in self.expert_hidden):
@@ -125,24 +122,8 @@ class AmeConfig:
         return cls(**raw)
 
 
-class Gate:
-    """One attentive gating network: projection layer plus context vector."""
-
-    def __init__(self, projection: DenseLayer, context: Tensor):
-        self.projection = projection
-        self.context = context
-
-    def logit(self, h_all: Tensor) -> Tensor:
-        """Similarity of the projected combined state to the context, shape (n, 1)."""
-        u = self.projection(h_all)
-        return (u * self.context).sum(axis=1, keepdims=True)
-
-    def parameters(self) -> list[Tensor]:
-        return self.projection.parameters() + [self.context]
-
-
 class Mlp:
-    """Plain stack of dense layers."""
+    """Plain stack of dense layers; iterating yields the layers."""
 
     def __init__(self, layers: list[DenseLayer]):
         self.layers = layers
@@ -152,17 +133,25 @@ class Mlp:
             x = layer(x)
         return x
 
+    def __iter__(self):
+        return iter(self.layers)
+
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
-def _init_mlp(rng, in_dim, hidden, out_dim, hidden_act, out_act, name) -> Mlp:
+def _zero_mlp(name, stack, dims, hidden_act, out_act, mask=None, head="head") -> Mlp:
+    """All-zero layers `name.hidden_k`, then `name.<head>`, from dims[k] to dims[k+1];
+    `stack` is () for one network or (p,) for p stacked ones."""
     layers = []
-    prev = in_dim
-    for k, width in enumerate(hidden):
-        layers.append(init_dense(rng, prev, width, hidden_act, name=f"{name}.hidden_{k}"))
-        prev = width
-    layers.append(init_dense(rng, prev, out_dim, out_act, name=f"{name}.head"))
+    for k in range(len(dims) - 1):
+        last = k == len(dims) - 2
+        label = f"{name}.{head}" if last else f"{name}.hidden_{k}"
+        shape = (*stack, dims[k + 1], dims[k])
+        layers.append(DenseLayer(
+            Tensor(np.zeros(shape), requires_grad=True, name=f"{label}.weights"),
+            Tensor(np.zeros(shape[:-1]), requires_grad=True, name=f"{label}.bias"),
+            out_act if last else hidden_act, name=label, mask=None if k else mask))
     return Mlp(layers)
 
 
@@ -170,59 +159,48 @@ def _init_mlp(rng, in_dim, hidden, out_dim, hidden_act, out_act, name) -> Mlp:
 class AmeOutput:
     """Per-batch forward results; all fields are tape tensors.
 
-    y is the post-head prediction ((n, 1) regression values or (n, k)
-    class probabilities); `combined` is the attention-weighted sum of
-    contributions before the task head.
+    y is the prediction ((n, 1) values or (n, k) class probabilities) and
+    `combined` the attention-weighted contributions before the task head;
+    h is (n, p, h), c and y_aux_excl (n, p, out): experts on axis 1.
     """
 
     y: Tensor
     a: Tensor
-    c: list[Tensor]
-    h: list[Tensor]
+    c: Tensor
+    h: Tensor
     h_all: Tensor
     combined: Tensor
-    y_aux_excl: list[Tensor]
+    y_aux_excl: Tensor
     y_aux_all: Tensor
 
 
 class AmeModel:
-    """Built model: experts, gates, and auxiliary predictors."""
+    """Built model: stacked experts, heads, gates and exclusion probes, plus
+    the probe that reads all experts."""
 
-    def __init__(self, config: AmeConfig, experts: list[Mlp], heads: list[DenseLayer],
-                 gates: list[Gate], aux_excl: list[Mlp], aux_all: Mlp):
+    def __init__(self, config: AmeConfig, experts: Mlp, heads: Mlp, gate_projection: DenseLayer,
+                 gate_context: Tensor, aux_excl: Mlp, aux_all: Mlp, group_index: np.ndarray):
         self.config = config
-        self.experts = experts          # hidden stacks, one per feature group
-        self.heads = heads              # per-expert contribution heads
-        self.gates = gates
-        self.aux_excl = aux_excl
+        self.experts = experts          # hidden stacks over the feature groups
+        self.heads = heads              # contribution heads: one stacked layer
+        self.gate_projection = gate_projection
+        self.gate_context = gate_context
+        self.aux_excl = aux_excl        # first layer masked off expert i's block
         self.aux_all = aux_all
+        self.group_index = group_index  # (p, g_max) input columns; n_features pads
         self.forward_passes = 0
         self.backward_passes = 0
 
-    @property
-    def n_experts(self) -> int:
-        return self.config.n_experts
-
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for expert, head in zip(self.experts, self.heads):
-            params.extend(expert.parameters())
-            params.extend(head.parameters())
-        for gate in self.gates:
-            params.extend(gate.parameters())
-        for aux in self.aux_excl:
-            params.extend(aux.parameters())
-        params.extend(self.aux_all.parameters())
-        return params
+        return self.main_parameters() + self.aux_parameters()
 
     def aux_parameters(self) -> list[Tensor]:
-        params = [p for aux in self.aux_excl for p in aux.parameters()]
-        return params + self.aux_all.parameters()
+        return self.aux_excl.parameters() + self.aux_all.parameters()
 
     def main_parameters(self) -> list[Tensor]:
         """Experts, heads, and gates; the sub-networks the prediction reads."""
-        aux_ids = {id(p) for p in self.aux_parameters()}
-        return [p for p in self.parameters() if id(p) not in aux_ids]
+        return (self.experts.parameters() + self.heads.parameters()
+                + self.gate_projection.parameters() + [self.gate_context])
 
     def reset_pass_counts(self) -> None:
         self.forward_passes = 0
@@ -232,63 +210,85 @@ class AmeModel:
         self.backward_passes += 1
 
 
+def _zero_model(config: AmeConfig) -> AmeModel:
+    """The stacked architecture with every parameter zero."""
+    p, out, h = config.n_experts, config.out_dim, config.expert_hidden[-1]
+    width = p * (h + out)
+    group_index = np.full((p, max(map(len, config.feature_partition))), config.n_features)
+    probe_mask = np.ones((p, 1, width))
+    for i, group in enumerate(config.feature_partition):
+        group_index[i, :len(group)] = group
+        probe_mask[i, :, i * (h + out):(i + 1) * (h + out)] = 0.0
+    head_act = "softmax" if config.task == "classification" else "identity"
+    aux_dims = [width, *config.aux_hidden, out]
+    experts = _zero_mlp("experts", (p,), [group_index.shape[1], *config.expert_hidden, out],
+                        "tanh", "identity")
+    return AmeModel(
+        config, Mlp(experts.layers[:-1]), Mlp(experts.layers[-1:]),
+        _zero_mlp("gates", (p,), [width, config.gate_hidden], None, "tanh",
+                  head="projection").layers[0],
+        Tensor(np.zeros((p, config.gate_hidden)), requires_grad=True, name="gates.context"),
+        _zero_mlp("aux_excl", (p,), aux_dims, "relu", head_act, mask=probe_mask),
+        _zero_mlp("aux_all", (), aux_dims, "relu", head_act), group_index)
+
+
+def _list_layout(model: AmeModel):
+    """Format-1 (per-expert list) parameters in initialization order, as (name,
+    shape, target, columns): the values fill `columns` of the last axis of
+    `target`, expert i's slice of a stacked parameter. A single-expert probe
+    read a constant zero through one weight column; it maps to no column."""
+    cfg = model.config
+    block = cfg.expert_hidden[-1] + cfg.out_dim
+    for prefix, stack in (("expert", model.experts.parameters() + model.heads.parameters()),
+                          ("gate", model.gate_projection.parameters() + [model.gate_context]),
+                          ("aux_excl", model.aux_excl.parameters())):
+        for i in range(cfg.n_experts):
+            for t in stack:
+                columns = slice(None)
+                if t.name == "experts.hidden_0.weights":
+                    columns = slice(0, len(cfg.feature_partition[i]))
+                elif t.name == "aux_excl.hidden_0.weights":
+                    columns = np.r_[0:i * block, (i + 1) * block:t.shape[-1]]
+                width = max(np.arange(t.shape[-1])[columns].size, 1)
+                yield (f"{prefix}_{i}.{t.name.split('.', 1)[1]}", (*t.shape[1:-1], width),
+                       t.data[i], columns)
+    for t in model.aux_all.parameters():
+        yield t.name, t.shape, t.data, slice(None)
+
+
 def build_ame(config: AmeConfig) -> AmeModel:
     """Assemble a model with independently initialized sub-networks.
 
-    Initialization order is fixed (experts, heads, gates, auxiliaries) so a
-    seed fully determines every parameter. Context vectors are Gaussian
-    scaled by 1/sqrt(gate_hidden), keeping initial attention near uniform.
+    Parameters are drawn expert by expert in the fixed format-1 order
+    (experts, heads, gates, auxiliaries), so a seed fully determines every
+    parameter: Glorot-uniform weights, zero biases, and context vectors
+    Gaussian/sqrt(gate_hidden), keeping initial attention near uniform.
+    Padded columns and masked probe blocks stay zero.
     """
     config.validate()
+    model = _zero_model(config)
     rng = np.random.default_rng(config.seed)
-    out_dim = config.out_dim
-    head_act = "softmax" if config.task == "classification" else "identity"
-
-    experts, heads = [], []
-    for i, group in enumerate(config.feature_partition):
-        stack = []
-        prev = len(group)
-        for k, width in enumerate(config.expert_hidden):
-            stack.append(init_dense(rng, prev, width, "tanh", name=f"expert_{i}.hidden_{k}"))
-            prev = width
-        experts.append(Mlp(stack))
-        heads.append(init_dense(rng, prev, out_dim, "identity", name=f"expert_{i}.head"))
-
-    h_dim = config.expert_hidden[-1]
-    h_all_dim = config.n_experts * (h_dim + out_dim)
-
-    gates = []
-    for i in range(config.n_experts):
-        proj = init_dense(rng, h_all_dim, config.gate_hidden, "tanh", name=f"gate_{i}.projection")
-        context = Tensor(rng.normal(size=config.gate_hidden) / np.sqrt(config.gate_hidden),
-                         requires_grad=True, name=f"gate_{i}.context")
-        gates.append(Gate(proj, context))
-
-    aux_excl = []
-    excl_dim = h_all_dim - (h_dim + out_dim)
-    for i in range(config.n_experts):
-        aux_excl.append(_init_mlp(rng, max(excl_dim, 1), config.aux_hidden, out_dim,
-                                  "relu", head_act, name=f"aux_excl_{i}"))
-    aux_all = _init_mlp(rng, h_all_dim, config.aux_hidden, out_dim,
-                        "relu", head_act, name="aux_all")
-    return AmeModel(config, experts, heads, gates, aux_excl, aux_all)
+    for name, shape, target, columns in _list_layout(model):
+        if name.endswith(".weights"):
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            target[..., columns] = rng.uniform(-limit, limit, size=shape)
+        elif name.endswith(".context"):
+            target[..., columns] = rng.normal(size=shape) / np.sqrt(shape[0])
+    return model
 
 
-def combined_state(h: list[Tensor], c: list[Tensor]) -> Tensor:
-    """Interleave hidden states and contributions: (h1, c1, ..., hp, cp)."""
-    if len(h) != len(c):
-        raise ValueError(f"got {len(h)} hidden states but {len(c)} contributions")
-    parts: list[Tensor] = []
-    for hi, ci in zip(h, c):
-        parts.append(hi)
-        parts.append(ci)
-    return concat(parts, axis=1)
+def combined_state(h: Tensor, c: Tensor) -> Tensor:
+    """Interleave hidden states (n, p, h) and contributions (n, p, out) into
+    (h1, c1, ..., hp, cp), shape (n, p*(h+out))."""
+    if h.shape[:2] != c.shape[:2]:
+        raise ValueError(f"hidden states {h.shape} and contributions {c.shape} differ in n or p")
+    return concat([h, c], axis=2).reshape(h.shape[0], -1)
 
 
-def attention(gates: list[Gate], h_all: Tensor) -> Tensor:
-    """Attention vector over experts, shape (n, p), rows on the simplex."""
-    logits = concat([gate.logit(h_all) for gate in gates], axis=1)
-    return softmax(logits, axis=1)
+def attention(projection: DenseLayer, context: Tensor, h_all: Tensor) -> Tensor:
+    """Attention vector over experts, shape (n, p), rows on the simplex: gate
+    i scores its projection of h_all against its context vector, context[i]."""
+    return softmax((projection(h_all) * context).sum(axis=2), axis=1)
 
 
 def forward(model: AmeModel, x) -> AmeOutput:
@@ -300,46 +300,22 @@ def forward(model: AmeModel, x) -> AmeOutput:
         raise ConfigError(
             f"input shape {x.shape} does not provide {cfg.n_features} features")
     model.forward_passes += 1
+    n = x.shape[0]
 
-    h_list, c_list = [], []
-    for group, expert, head in zip(cfg.feature_partition, model.experts, model.heads):
-        hi = expert(take_columns(x, group))
-        h_list.append(hi)
-        c_list.append(head(hi))
-
-    h_all = combined_state(h_list, c_list)
-    a = attention(model.gates, h_all)
-
-    combined = take_columns(a, [0]) * c_list[0]
-    for i in range(1, cfg.n_experts):
-        combined = combined + take_columns(a, [i]) * c_list[i]
+    # (n, p, g_max) expert inputs; padding reads the appended zero column
+    groups = take_columns(concat([x, Tensor(np.zeros((n, 1)))], axis=1), model.group_index)
+    h = model.experts(groups)
+    c = model.heads(h)
+    h_all = combined_state(h, c)
+    a = attention(model.gate_projection, model.gate_context, h_all)
+    combined = (a.reshape(n, cfg.n_experts, 1) * c).sum(axis=1)
     y = softmax(combined, axis=1) if cfg.task == "classification" else combined
 
-    # Granger probes. Excluding expert i removes both its hidden state and
+    # Granger probes. Probe i's mask removes both expert i's hidden state and
     # its contribution, so the probe sees zero information from that expert.
-    if cfg.aux_grads_to_experts:
-        h_aux = h_list
-        c_aux = c_list
-        h_all_aux = h_all
-    else:
-        h_aux = [hi.detach() for hi in h_list]
-        c_aux = [ci.detach() for ci in c_list]
-        h_all_aux = combined_state(h_aux, c_aux)
-
-    y_aux_excl = []
-    for i in range(cfg.n_experts):
-        kept_h = [h_aux[j] for j in range(cfg.n_experts) if j != i]
-        kept_c = [c_aux[j] for j in range(cfg.n_experts) if j != i]
-        if kept_h:
-            excl_in = combined_state(kept_h, kept_c)
-        else:
-            # single-expert model: the probe gets a constant zero input
-            excl_in = Tensor(np.zeros((x.shape[0], 1)))
-        y_aux_excl.append(model.aux_excl[i](excl_in))
-    y_aux_all = model.aux_all(h_all_aux)
-
-    return AmeOutput(y=y, a=a, c=c_list, h=h_list, h_all=h_all,
-                     combined=combined, y_aux_excl=y_aux_excl, y_aux_all=y_aux_all)
+    h_aux = h_all if cfg.aux_grads_to_experts else h_all.detach()
+    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined,
+                     y_aux_excl=model.aux_excl(h_aux), y_aux_all=model.aux_all(h_aux))
 
 
 def importance(output: AmeOutput) -> np.ndarray:
@@ -349,31 +325,53 @@ def importance(output: AmeOutput) -> np.ndarray:
 
 # -- serialization ---------------------------------------------------------
 
-def _named_parameters(model: AmeModel) -> list[tuple[str, Tensor]]:
-    return [(p.name, p) for p in model.parameters()]
-
-
 def model_to_dict(model: AmeModel) -> dict:
-    return {
-        "config": model.config.to_dict(),
-        "seed": model.config.seed,
-        "params": {
-            name: {"shape": list(p.shape), "values": p.data.reshape(-1).tolist()}
-            for name, p in _named_parameters(model)
-        },
-    }
+    params = {p.name: {"shape": list(p.shape), "values": p.data.reshape(-1).tolist()}
+              for p in model.parameters()}
+    return {"format": MODEL_FORMAT, "config": model.config.to_dict(),
+            "seed": model.config.seed, "params": params}
+
+
+def _stored_values(params: dict, name: str, shape: tuple) -> np.ndarray:
+    try:
+        stored = list(params[name]["shape"])
+        values = np.asarray(params[name]["values"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"parameter {name}: malformed entry ({exc!r})") from None
+    if stored != list(shape) or values.size != int(np.prod(shape)):
+        raise ConfigError(f"parameter {name}: stored shape {stored} != built shape {list(shape)}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"parameter {name}: non-finite value")
+    return values.reshape(shape)
 
 
 def model_from_dict(raw: dict) -> AmeModel:
-    config = AmeConfig.from_dict(raw["config"])
-    model = build_ame(config)
+    """Rebuild a model from a format-2 document, or from a format-1 one (per-
+    expert lists, no `format` field), which fills the stacks slice by slice."""
+    if not (isinstance(raw, dict) and isinstance(raw.get("config"), dict)
+            and isinstance(raw.get("params"), dict)):
+        raise ConfigError("model document needs 'config' and 'params' objects")
+    fmt = raw.get("format", 1)
+    if fmt not in (1, MODEL_FORMAT):
+        raise ConfigError(f"model format {fmt!r} is unknown; expected 1 or {MODEL_FORMAT}")
+    model = _zero_model(AmeConfig.from_dict(raw["config"]))
     params = raw["params"]
-    for name, p in _named_parameters(model):
-        entry = params[name]
-        if tuple(entry["shape"]) != p.shape:
-            raise ConfigError(
-                f"parameter {name}: stored shape {entry['shape']} != built shape {list(p.shape)}")
-        p.data = np.asarray(entry["values"], dtype=np.float64).reshape(p.shape)
+    layout = list(_list_layout(model)) if fmt == 1 else [
+        (p.name, p.shape, p.data, slice(None)) for p in model.parameters()]
+    expected = [name for name, *_ in layout]
+    missing = [name for name in expected if name not in params]
+    extra = sorted(set(params) - set(expected))
+    if missing or extra:
+        raise ConfigError(f"parameter {(missing + extra)[0]}: " + (
+            "missing from the model document" if missing else "not part of this architecture"))
+    for name, shape, target, columns in layout:
+        target[..., columns] = _stored_values(params, name, shape)
+    pad = (model.group_index == model.config.n_features)[:, None, :]
+    for layer, zero in ((model.experts.layers[0], pad),
+                        (model.aux_excl.layers[0], model.aux_excl.layers[0].mask == 0)):
+        if np.any((layer.weights.data != 0.0) & zero):
+            raise ConfigError(f"parameter {layer.weights.name}: non-zero entry in a padded "
+                              "column or masked probe block")
     return model
 
 

@@ -121,7 +121,7 @@ class TestCriterion1Gradients:
             from ame_lab.diffcore import per_sample_mae
             main = per_sample_mae(out.y, yt).mean()
             eps_excl, eps_all = aux_errors(out, yt, "regression")
-            aux = [t.mean() for t in eps_excl] + [eps_all.mean()]
+            aux = Tensor(np.append(eps_excl.data.mean(axis=0), eps_all.data.mean()))
             mge = mge_loss(frozen_omega, out.a)
             return total_loss(main, mge, aux, 0.5, 1.0).item()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ame_lab.attribution import (
     ProbeConfig,
+    _normalize_rows,
     explain_ame,
     explain_occlusion,
     explain_saliency,
@@ -26,11 +27,10 @@ def two_group_model(task="regression", seed=0, silence_second_expert=False,
                     aux_hidden=[3], task=task, num_classes=2, seed=seed, batch_size=8)
     model = build_ame(cfg)
     if silence_second_expert:
-        model.heads[1].weights.data[:] = 0.0
-        model.heads[1].bias.data[:] = 0.0
+        model.heads.layers[0].weights.data[1] = 0.0
+        model.heads.layers[0].bias.data[1] = 0.0
     if freeze_gates:
-        for gate in model.gates:
-            gate.projection.weights.data[:] = 0.0  # logits constant in the input
+        model.gate_projection.weights.data[:] = 0.0  # logits constant in the input
     return model
 
 
@@ -62,6 +62,18 @@ class TestNormalizeScores:
         scaled, flag_b = normalize_scores(k * raw)
         assert flag_a == flag_b
         np.testing.assert_allclose(base, scaled, atol=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 3, 9, 40])
+    def test_row_batch_equals_per_row_normalize(self, p):
+        rng = np.random.default_rng(p)
+        raw = rng.normal(size=(12, p)) * rng.choice([1e-300, 1.0, 1e300], size=(12, 1))
+        raw[[2, 7]] = 0.0  # all-zero rows fall back to uniform
+        rows, flags = _normalize_rows(raw)
+        for s in range(raw.shape[0]):
+            expected, degenerate = normalize_scores(raw[s])
+            np.testing.assert_array_equal(rows[s], expected)
+            assert flags[s] == degenerate
+        assert flags[[2, 7]].all()
 
 
 class TestExplainAme:
@@ -95,8 +107,8 @@ class TestExplainSaliency:
 
     def test_constant_model_degenerates_to_uniform(self):
         model = two_group_model(silence_second_expert=True)
-        model.heads[0].weights.data[:] = 0.0
-        model.heads[0].bias.data[:] = 0.0
+        model.heads.layers[0].weights.data[0] = 0.0
+        model.heads.layers[0].bias.data[0] = 0.0
         report = explain_saliency(model, np.random.default_rng(2).normal(size=(4, 2)))
         np.testing.assert_allclose(report.per_sample, np.full((4, 2), 0.5))
         assert report.degenerate.all()

@@ -195,6 +195,30 @@ class TestExplainCommand:
         assert code == 2
         assert "partition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, stored", [("task", "regression"), ("num_classes", 3),
+                                               ("expert_hidden", [3]), ("gate_hidden", 5),
+                                               ("aux_hidden", [5])])
+    def test_architecture_mismatch_rejected(self, tmp_path, capsys, field, stored):
+        from ame_lab.model import AmeConfig, build_ame, save_model
+        model_path = tmp_path / "model.json"
+        save_model(build_ame(AmeConfig(**{**base_config(tmp_path)["model"], field: stored})),
+                   model_path)
+        cfg = base_config(tmp_path, model_path=str(model_path))
+        code = main(["explain", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert f"stored {field}" in capsys.readouterr().err
+
+    def test_model_file_missing_a_parameter_is_a_config_error(self, tmp_path, capsys):
+        from ame_lab.model import AmeConfig, build_ame, model_to_dict
+        doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
+        del doc["params"]["gates.context"]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        cfg = base_config(tmp_path, model_path=str(model_path))
+        code = main(["explain", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "config error: parameter gates.context" in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_rows_carry_seed_and_hash(self, tmp_path):

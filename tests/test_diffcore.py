@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ame_lab.diffcore import (
     DenseLayer,
+    batched_linear,
     DimensionError,
     GradientError,
     Optimizer,
@@ -287,3 +288,43 @@ class TestBatchEquivalence:
         for i in range(32):
             row = linear(Tensor(x[i:i + 1]), w, b).data
             np.testing.assert_array_equal(row[0], full[i])
+
+
+class TestBatchedLinear:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_stack_reproduces_separate_linear_calls_bitwise(self, shared):
+        rng = np.random.default_rng(6)
+        w = Tensor(rng.normal(size=(5, 3, 11)))
+        b = Tensor(rng.normal(size=(5, 3)))
+        x = rng.normal(size=(9, 11) if shared else (9, 5, 11))
+        out = batched_linear(Tensor(x), w, b).data
+        assert out.shape == (9, 5, 3)
+        for i in range(5):
+            xi = x if shared else x[:, i]
+            np.testing.assert_array_equal(
+                out[:, i], linear(Tensor(xi), Tensor(w.data[i]), Tensor(b.data[i])).data)
+        for n in range(9):
+            np.testing.assert_array_equal(batched_linear(Tensor(x[n:n + 1]), w, b).data[0], out[n])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_masked_stacked_layer_matches_finite_differences(self, shared):
+        rng = np.random.default_rng(7)
+        mask = (rng.random(size=(4, 1, 6)) > 0.3).astype(float)
+        layer = DenseLayer(Tensor(rng.normal(size=(4, 2, 6)), requires_grad=True),
+                           Tensor(rng.normal(size=(4, 2)), requires_grad=True), "tanh", mask=mask)
+        x = Tensor(rng.normal(size=(3, 6) if shared else (3, 4, 6)), requires_grad=True)
+        params = [layer.weights, layer.bias, x]
+
+        def loss():
+            return (forward_dense(layer, x) * forward_dense(layer, x)).sum()
+
+        loss().backward()
+        analytic = [p.grad.copy() for p in params]
+        numeric = finite_difference_grads(lambda: loss().item(), params)
+        assert max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric)) <= 1e-6
+        assert not np.any(analytic[0][np.broadcast_to(mask == 0, (4, 2, 6))])
+
+    def test_mismatched_stack_rejected(self):
+        with pytest.raises(DimensionError, match="batched_linear"):
+            batched_linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 1, 4))),
+                           Tensor(np.zeros((5, 1))))

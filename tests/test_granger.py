@@ -28,8 +28,8 @@ from ame_lab.model import AmeConfig, AmeOutput, build_ame, forward
 def fake_output(y, a, y_aux_excl, y_aux_all):
     """AmeOutput with only the fields the objective reads."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
-    return AmeOutput(y=Tensor(y), a=Tensor(a), c=[], h=[], h_all=dummy,
-                     combined=dummy, y_aux_excl=[Tensor(v) for v in y_aux_excl],
+    return AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h=dummy, h_all=dummy,
+                     combined=dummy, y_aux_excl=Tensor(np.stack(y_aux_excl, axis=1)),
                      y_aux_all=Tensor(y_aux_all))
 
 
@@ -50,7 +50,7 @@ class TestAuxErrors:
         y = np.array([[1.0], [2.0]])
         out = fake_output(y, [[0.5, 0.5], [0.5, 0.5]], [y.copy(), y.copy()], y + 0.25)
         eps_excl_t, eps_all_t = aux_errors(out, y, "regression")
-        eps_excl = np.stack([t.data for t in eps_excl_t], axis=1)
+        eps_excl = eps_excl_t.data
         delta = delta_epsilon(eps_excl, eps_all_t.data)
         np.testing.assert_array_equal(eps_excl, np.zeros((2, 2)))
         np.testing.assert_allclose(delta, -0.25 * np.ones((2, 2)))
@@ -157,19 +157,19 @@ class TestMgeLoss:
 class TestTotalLoss:
     def test_alpha_endpoints(self):
         main, mge = Tensor(0.4), Tensor(0.2)
-        assert total_loss(main, mge, [], 0.0, 0.0).item() == 0.4
-        np.testing.assert_allclose(total_loss(main, mge, [], 1.0, 0.0).item(), 0.2)
+        assert total_loss(main, mge, None, 0.0, 0.0).item() == 0.4
+        np.testing.assert_allclose(total_loss(main, mge, None, 1.0, 0.0).item(), 0.2)
 
     def test_midpoint_blend(self):
         np.testing.assert_allclose(
-            total_loss(Tensor(0.4), Tensor(0.2), [], 0.5, 0.0).item(), 0.3)
+            total_loss(Tensor(0.4), Tensor(0.2), None, 0.5, 0.0).item(), 0.3)
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            total_loss(Tensor(0.1), Tensor(0.1), [], 1.2, 0.0)
+            total_loss(Tensor(0.1), Tensor(0.1), None, 1.2, 0.0)
 
     def test_aux_term_is_scaled_mean(self):
-        aux = [Tensor(0.3), Tensor(0.6), Tensor(0.9)]
+        aux = Tensor([0.3, 0.6, 0.9])
         out = total_loss(Tensor(0.0), None, aux, 0.0, 2.0)
         np.testing.assert_allclose(out.item(), 2.0 * 0.6)
 
@@ -177,7 +177,7 @@ class TestTotalLoss:
         # the blend must be a straight line in alpha for fixed terms
         main, mge = Tensor(0.8), Tensor(0.3)
         alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
-        values = [total_loss(main, mge, [], a, 0.0).item() for a in alphas]
+        values = [total_loss(main, mge, None, a, 0.0).item() for a in alphas]
         slopes = np.diff(values) / np.diff(alphas)
         np.testing.assert_allclose(slopes, 0.3 - 0.8, atol=1e-12)
 
@@ -196,7 +196,7 @@ class TestDetachedTargets:
             assert p.grad is None or not np.any(p.grad)
         # while the gates do receive signal
         assert any(p.grad is not None and np.any(p.grad)
-                   for gate in model.gates for p in gate.parameters())
+                   for p in model.gate_projection.parameters() + [model.gate_context])
 
     def test_differentiable_targets_flag_reaches_aux(self):
         cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[4],

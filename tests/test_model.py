@@ -1,11 +1,21 @@
 """Tests for the mixture architecture: building, attention, forward, IO."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ame_lab.diffcore import Tensor
+from ame_lab.diffcore import (
+    Tensor,
+    clear_grads,
+    finite_difference_grads,
+    per_sample_cross_entropy,
+    per_sample_mae,
+    relative_gradient_error,
+)
+from ame_lab.granger import aux_errors, batch_losses, mge_loss, total_loss
 from ame_lab.model import (
     AmeConfig,
     ConfigError,
@@ -20,6 +30,8 @@ from ame_lab.model import (
     model_to_dict,
     save_model,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(**overrides):
@@ -47,9 +59,10 @@ class TestConfigValidation:
     def test_six_groups_build_six_experts_and_seven_probes(self):
         cfg = AmeConfig(feature_partition=[[i] for i in range(6)], seed=1)
         model = build_ame(cfg)
-        assert len(model.experts) == 6
-        assert len(model.gates) == 6
-        assert len(model.aux_excl) + 1 == 7
+        stacks = [model.experts.layers[0].weights, model.heads.layers[0].weights,
+                  model.gate_projection.weights, model.gate_context]
+        assert [t.shape[0] for t in stacks] == [6] * 4
+        assert model.aux_excl.layers[0].weights.shape[0] + 1 == 7
 
     def test_alpha_range_checked(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -66,32 +79,31 @@ class TestConfigValidation:
 
 class TestCombinedState:
     def test_interleaves_in_expert_order(self):
-        h = [Tensor([[1.0]]), Tensor([[2.0]])]
-        c = [Tensor([[3.0]]), Tensor([[4.0]])]
+        h = Tensor([[[1.0], [2.0]]])
+        c = Tensor([[[3.0], [4.0]]])
         np.testing.assert_array_equal(combined_state(h, c).data, [[1.0, 3.0, 2.0, 4.0]])
 
     def test_single_expert(self):
-        out = combined_state([Tensor([[5.0]])], [Tensor([[6.0]])])
+        out = combined_state(Tensor([[[5.0]]]), Tensor([[[6.0]]]))
         np.testing.assert_array_equal(out.data, [[5.0, 6.0]])
 
     def test_output_length_is_sum_of_extents(self):
-        h = [Tensor(np.zeros((2, 2))) for _ in range(3)]
-        c = [Tensor(np.zeros((2, 1))) for _ in range(3)]
+        h = Tensor(np.zeros((2, 3, 2)))
+        c = Tensor(np.zeros((2, 3, 1)))
         assert combined_state(h, c).shape == (2, 9)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combined_state([Tensor([[1.0]])], [])
+            combined_state(Tensor(np.zeros((1, 1, 1))), Tensor(np.zeros((1, 2, 1))))
 
 
 class TestAttention:
     def test_identical_gates_give_uniform(self):
         model = build_ame(small_config())
-        ref = model.gates[0]
-        for gate in model.gates[1:]:
-            gate.projection.weights.data = ref.projection.weights.data.copy()
-            gate.projection.bias.data = ref.projection.bias.data.copy()
-            gate.context.data = ref.context.data.copy()
+        proj = model.gate_projection
+        proj.weights.data[:] = proj.weights.data[0]
+        proj.bias.data[:] = proj.bias.data[0]
+        model.gate_context.data[:] = model.gate_context.data[0]
         out = forward(model, np.random.default_rng(1).normal(size=(4, 5)))
         np.testing.assert_allclose(out.a.data, np.full((4, 3), 1.0 / 3), atol=1e-12)
 
@@ -99,12 +111,13 @@ class TestAttention:
         # independent numpy evaluation of: project, tanh, score vs context, softmax
         model = build_ame(small_config())
         h_all = np.random.default_rng(2).normal(size=(3, 15))
-        got = attention(model.gates, Tensor(h_all)).data
+        proj, context = model.gate_projection, model.gate_context
+        got = attention(proj, context, Tensor(h_all)).data
 
         logits = np.zeros((3, 3))
-        for i, gate in enumerate(model.gates):
-            u = np.tanh(h_all @ gate.projection.weights.data.T + gate.projection.bias.data)
-            logits[:, i] = u @ gate.context.data
+        for i in range(3):
+            u = np.tanh(h_all @ proj.weights.data[i].T + proj.bias.data[i])
+            logits[:, i] = u @ context.data[i]
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = shifted / shifted.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -121,18 +134,18 @@ class TestForward:
     def test_prediction_is_attention_weighted_sum(self):
         model = build_ame(small_config())
         out = forward(model, np.random.default_rng(4).normal(size=(8, 5)))
-        recon = sum(out.a.data[:, i:i + 1] * out.c[i].data for i in range(3))
+        recon = sum(out.a.data[:, i:i + 1] * out.c.data[:, i] for i in range(3))
         np.testing.assert_allclose(recon, out.combined.data, atol=1e-12)
 
     def test_near_one_hot_attention_selects_one_contribution(self):
         model = build_ame(small_config())
         # drive gate 1's logit far above the others
-        for i, gate in enumerate(model.gates):
-            gate.projection.weights.data[:] = 0.0
-            gate.projection.bias.data[:] = 1.0
-            gate.context.data[:] = 60.0 if i == 1 else -60.0
+        model.gate_projection.weights.data[:] = 0.0
+        model.gate_projection.bias.data[:] = 1.0
+        model.gate_context.data[:] = -60.0
+        model.gate_context.data[1] = 60.0
         out = forward(model, np.random.default_rng(5).normal(size=(4, 5)))
-        np.testing.assert_allclose(out.y.data, out.c[1].data, atol=1e-10)
+        np.testing.assert_allclose(out.y.data, out.c.data[:, 1], atol=1e-10)
 
     def test_feature_count_mismatch_rejected(self):
         model = build_ame(small_config())
@@ -148,9 +161,9 @@ class TestForward:
         bumped = x.copy()
         bumped[:, 2] += 1.0  # group 1 owns feature 2
         moved = forward(model, bumped)
-        assert np.array_equal(base.c[0].data, moved.c[0].data)
-        assert np.array_equal(base.c[2].data, moved.c[2].data)
-        assert not np.array_equal(base.c[1].data, moved.c[1].data)
+        assert np.array_equal(base.c.data[:, 0], moved.c.data[:, 0])
+        assert np.array_equal(base.c.data[:, 2], moved.c.data[:, 2])
+        assert not np.array_equal(base.c.data[:, 1], moved.c.data[:, 1])
 
     def test_batched_equals_single_sample_bitwise(self):
         model = build_ame(small_config(task="classification", num_classes=3))
@@ -161,9 +174,7 @@ class TestForward:
             np.testing.assert_array_equal(single.y.data[0], full.y.data[i])
             np.testing.assert_array_equal(single.a.data[0], full.a.data[i])
             np.testing.assert_array_equal(single.y_aux_all.data[0], full.y_aux_all.data[i])
-            for j in range(3):
-                np.testing.assert_array_equal(single.y_aux_excl[j].data[0],
-                                              full.y_aux_excl[j].data[i])
+            np.testing.assert_array_equal(single.y_aux_excl.data[0], full.y_aux_excl.data[i])
 
     def test_classification_head_produces_probabilities(self):
         model = build_ame(small_config(task="classification", num_classes=4))
@@ -179,8 +190,24 @@ class TestForward:
         x = rng.normal(size=(4, 5))
         bumped = x.copy()
         bumped[:, 2] += 2.0  # group 1
-        np.testing.assert_array_equal(forward(model, x).y_aux_excl[1].data,
-                                      forward(model, bumped).y_aux_excl[1].data)
+        np.testing.assert_array_equal(forward(model, x).y_aux_excl.data[:, 1],
+                                      forward(model, bumped).y_aux_excl.data[:, 1])
+
+
+    def test_masked_probe_block_and_padding_neither_act_nor_learn(self):
+        model = build_ame(small_config())
+        first = model.aux_excl.layers[0]
+        blocked = np.broadcast_to(first.mask == 0, first.weights.shape)
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 1))
+        before = forward(model, x).y_aux_excl.data
+        first.weights.data[blocked] = 5.0  # the forward multiplies by the mask
+        np.testing.assert_array_equal(forward(model, x).y_aux_excl.data, before)
+        batch_losses(model, forward(model, x), y).total.backward()
+        assert not np.any(first.weights.grad[blocked])
+        assert np.all(np.any(first.weights.grad != 0.0, axis=1)[~blocked[:, 0, :]])
+        padded = model.experts.layers[0].weights.grad[1, :, 1]  # group [2]'s pad column
+        assert not np.any(padded)
 
 
 class TestImportance:
@@ -209,6 +236,9 @@ class TestSerialization:
         # perturb away from init so the round-trip is not trivially the seed
         for p in model.parameters():
             p.data = p.data + 0.125
+        # padded expert columns and masked probe blocks must stay zero
+        model.experts.layers[0].weights.data[1, :, 1] = 0.0  # group [2] pads one column
+        model.aux_excl.layers[0].weights.data *= model.aux_excl.layers[0].mask
         path = tmp_path / "model.json"
         save_model(model, path)
         clone = load_model(path)
@@ -248,3 +278,130 @@ class TestSerialization:
         save_model(build_ame(small_config()), path)
         with open(path) as fh:
             json.load(fh)
+
+    @pytest.mark.parametrize("fmt", [0, 3, "2"])
+    def test_unknown_format_rejected(self, fmt):
+        doc = model_to_dict(build_ame(small_config()))
+        doc["format"] = fmt
+        with pytest.raises(ConfigError, match="format"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], {"config": {}}, {"config": {}, "params": []}])
+    def test_document_without_config_and_params_rejected(self, doc):
+        with pytest.raises(ConfigError, match="'config' and 'params'"):
+            model_from_dict(doc)
+
+    def test_missing_parameter_named(self):
+        doc = model_to_dict(build_ame(small_config()))
+        del doc["params"]["aux_excl.head.bias"]
+        with pytest.raises(ConfigError, match=r"aux_excl\.head\.bias: missing"):
+            model_from_dict(doc)
+
+    def test_extra_parameter_named(self):
+        doc = model_to_dict(build_ame(small_config()))
+        doc["params"]["gates.temperature"] = {"shape": [1], "values": [1.0]}
+        with pytest.raises(ConfigError, match=r"gates\.temperature: not part"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_named(self, bad):
+        doc = model_to_dict(build_ame(small_config()))
+        doc["params"]["gates.context"]["values"][2] = bad
+        with pytest.raises(ConfigError, match=r"gates\.context: non-finite"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("name, entry", [
+        ("aux_excl.hidden_0.weights", (0, 0, 1)),  # probe 0 reading expert 0's block
+        ("experts.hidden_0.weights", (1, 0, 1)),   # group [2] padded to two columns
+    ])
+    def test_non_zero_structural_entry_named(self, name, entry):
+        doc = model_to_dict(build_ame(small_config()))
+        stored = doc["params"][name]
+        stored["values"][int(np.ravel_multi_index(entry, stored["shape"]))] = 0.5
+        with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
+            model_from_dict(doc)
+
+    def test_document_records_format_2(self):
+        assert model_to_dict(build_ame(small_config()))["format"] == 2
+
+    def test_format_1_file_reads_bit_identical_attention(self):
+        # written by the per-expert list layout: partition [[0, 1], [2], [3, 4]],
+        # three classes, two hidden layers per expert and per probe
+        model = load_model(DATA / "format1_model.json")
+        ref = json.loads((DATA / "format1_outputs.json").read_text())
+        out = forward(model, np.array(ref["x"]))
+        np.testing.assert_array_equal(out.a.data, np.array(ref["attention"]))
+        np.testing.assert_allclose(out.y.data, ref["y"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.y_aux_all.data, ref["y_aux_all"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.y_aux_excl.data, np.stack(ref["y_aux_excl"], axis=1),
+                                   rtol=0, atol=1e-12)
+        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 2
+        np.testing.assert_array_equal(forward(clone, np.array(ref["x"])).a.data, out.a.data)
+
+    def test_format_1_missing_parameter_named(self):
+        doc = json.loads((DATA / "format1_model.json").read_text())
+        del doc["params"]["aux_excl_1.hidden_0.weights"]
+        with pytest.raises(ConfigError, match=r"aux_excl_1\.hidden_0\.weights"):
+            model_from_dict(doc)
+
+
+@st.composite
+def stacked_cases(draw, max_groups=4):
+    """A model over a random partition with uneven group sizes (so inputs are
+    padded), every parameter perturbed, masked and padded entries included,
+    plus a batch of 1 to 17 rows."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_groups))
+    order = draw(st.permutations(range(sum(sizes))))
+    bounds = np.cumsum([0, *sizes])
+    cfg = AmeConfig(feature_partition=[sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])],
+                    expert_hidden=[draw(st.integers(1, 2))], gate_hidden=draw(st.integers(1, 2)),
+                    aux_hidden=[draw(st.integers(1, 2))],
+                    task=draw(st.sampled_from(["regression", "classification"])),
+                    num_classes=draw(st.integers(2, 3)), alpha=0.5, aux_weight=1.0,
+                    seed=draw(st.integers(0, 2**16)))
+    model = build_ame(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for p in model.parameters():
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    n = draw(st.integers(1, 17))
+    x = rng.normal(size=(n, cfg.n_features))
+    y = (np.eye(cfg.num_classes)[rng.integers(0, cfg.num_classes, size=n)]
+         if cfg.task == "classification" else rng.normal(size=(n, 1)))
+    return model, x, y
+
+
+class TestStackedProperties:
+    @given(stacked_cases())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_batched_equals_single_sample_bitwise(self, case):
+        model, x, _ = case
+        full = forward(model, x)
+        for i in range(x.shape[0]):
+            single = forward(model, x[i:i + 1])
+            for field in ("y", "a", "y_aux_all", "y_aux_excl"):
+                np.testing.assert_array_equal(getattr(single, field).data[0],
+                                              getattr(full, field).data[i])
+
+    @given(stacked_cases(max_groups=3))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_blended_loss_gradients_match_finite_differences(self, case):
+        model, x, y = case
+        params = model.parameters()
+        losses = batch_losses(model, forward(model, x), y)
+        omega = losses.targets.omega.copy()
+
+        def loss_with_frozen_targets():
+            out = forward(model, x)
+            eps_excl, eps_all = aux_errors(out, y, model.config.task)
+            error = (per_sample_cross_entropy if model.config.task == "classification"
+                     else per_sample_mae)
+            main = error(out.y, Tensor(y)).mean()
+            aux = Tensor(np.append(eps_excl.data.mean(axis=0), eps_all.data.mean()))
+            return total_loss(main, mge_loss(omega, out.a), aux, 0.5, 1.0).item()
+
+        losses.total.backward()
+        analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                    for p in params]
+        clear_grads(params)
+        numeric = finite_difference_grads(loss_with_frozen_targets, params, step=1e-6)
+        assert max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric)) <= 1e-4
