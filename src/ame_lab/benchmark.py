@@ -179,12 +179,16 @@ def log_odds(q: np.ndarray | float) -> np.ndarray | float:
     return np.log(q / (1.0 - q))
 
 
-def _mask_groups(x_row: np.ndarray, groups: list[list[int]], picked: np.ndarray,
+def _mask_groups(x: np.ndarray, groups: list[list[int]], picked_per_sample: list[np.ndarray],
                  baseline_value: float) -> np.ndarray:
-    masked = x_row.copy()
-    for gi in picked:
-        masked[groups[gi]] = baseline_value
-    return masked
+    """Copy of the batch x with row s's picked groups set to baseline_value."""
+    membership = np.zeros((len(groups), x.shape[1]), dtype=bool)  # (p, n_features)
+    for gi, group in enumerate(groups):
+        membership[gi, group] = True
+    picked = np.zeros((x.shape[0], len(groups)), dtype=bool)
+    rows = np.repeat(np.arange(x.shape[0]), [len(pick) for pick in picked_per_sample])
+    picked[rows, np.concatenate(picked_per_sample)] = True
+    return np.where(picked @ membership, baseline_value, x)
 
 
 def _top_groups(scores: np.ndarray, m: int) -> np.ndarray:
@@ -200,9 +204,7 @@ def masking_drop(model: AmeModel, x: np.ndarray, picked_per_sample: list[np.ndar
     groups = model.config.feature_partition
     before = forward(model, x).y.data
     picks = np.argmax(before, axis=1)
-    masked = np.stack([_mask_groups(x[s], groups, picked_per_sample[s], baseline_value)
-                       for s in range(x.shape[0])], axis=0)
-    after = forward(model, masked).y.data
+    after = forward(model, _mask_groups(x, groups, picked_per_sample, baseline_value)).y.data
     q_before = before[np.arange(x.shape[0]), picks]
     q_after = after[np.arange(x.shape[0]), picks]
     return log_odds(q_before) - log_odds(q_after)

@@ -408,11 +408,6 @@ def loss_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
     return per_sample_cross_entropy(probs, targets).mean()
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse pass from a scalar loss tensor."""
-    loss.backward()
-
-
 # -- optimizers ----------------------------------------------------------
 
 class Optimizer:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, asdict
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +33,23 @@ MODEL_FORMAT = 2  # model.json layout: 1 = per-expert lists, 2 = stacked
 
 class ConfigError(ValueError):
     """Raised for invalid architecture or run configuration."""
+
+
+def _type_name(like) -> str:
+    return f"list[{_type_name(like[0])}]" if isinstance(like, list) else type(like).__name__
+
+
+def _has_type(value, like) -> bool:
+    """Whether `value` has the JSON type of `like`: bool, int, float (an int
+    will do), str, or a list whose items all have the type of like[0]."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_has_type(v, like[0]) for v in value)
+    if isinstance(like, bool):
+        return isinstance(value, bool)
+    if isinstance(like, (int, float)):
+        kind = numbers.Integral if isinstance(like, int) else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, type(like))
 
 
 @dataclass
@@ -64,6 +83,11 @@ class AmeConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):  # each field must have its default's type
+            like = f.default_factory() if f.default is MISSING else f.default
+            value = getattr(self, f.name)
+            if not _has_type(value, like):
+                raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
         if not self.feature_partition:
             raise ConfigError("feature_partition must contain at least one group")
         seen: dict[int, int] = {}
@@ -157,11 +181,16 @@ def _zero_mlp(name, stack, dims, hidden_act, out_act, mask=None, head="head") ->
 
 @dataclass
 class AmeOutput:
-    """Per-batch forward results; all fields are tape tensors.
+    """Per-batch forward results as tape tensors, plus the model they came from.
 
     y is the prediction ((n, 1) values or (n, k) class probabilities) and
     `combined` the attention-weighted contributions before the task head;
     h is (n, p, h), c and y_aux_excl (n, p, out): experts on axis 1.
+
+    The Granger probe outputs y_aux_excl and y_aux_all are built from h_aux
+    by `model`'s probe stacks when first read, so a caller that reads only
+    the attention or the prediction puts no probe op on the tape. Read them
+    before the parameters change (the training loss does).
     """
 
     y: Tensor
@@ -170,8 +199,16 @@ class AmeOutput:
     h: Tensor
     h_all: Tensor
     combined: Tensor
-    y_aux_excl: Tensor
-    y_aux_all: Tensor
+    h_aux: Tensor  # the probes' input: h_all, detached unless aux_grads_to_experts
+    model: AmeModel
+
+    @cached_property
+    def y_aux_excl(self) -> Tensor:
+        return self.model.aux_excl(self.h_aux)
+
+    @cached_property
+    def y_aux_all(self) -> Tensor:
+        return self.model.aux_all(self.h_aux)
 
 
 class AmeModel:
@@ -311,11 +348,11 @@ def forward(model: AmeModel, x) -> AmeOutput:
     combined = (a.reshape(n, cfg.n_experts, 1) * c).sum(axis=1)
     y = softmax(combined, axis=1) if cfg.task == "classification" else combined
 
-    # Granger probes. Probe i's mask removes both expert i's hidden state and
-    # its contribution, so the probe sees zero information from that expert.
+    # Granger probes, built when read. Probe i's mask removes both expert i's
+    # hidden state and its contribution, so it sees nothing of that expert.
     h_aux = h_all if cfg.aux_grads_to_experts else h_all.detach()
-    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined,
-                     y_aux_excl=model.aux_excl(h_aux), y_aux_all=model.aux_all(h_aux))
+    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined, h_aux=h_aux,
+                     model=model)
 
 
 def importance(output: AmeOutput) -> np.ndarray:
@@ -387,6 +424,13 @@ def load_model(path) -> AmeModel:
 
 
 def model_hash(model: AmeModel) -> str:
-    """Stable identity of config + parameter values (hex digest prefix)."""
-    blob = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    """Stable identity of a model (hex digest prefix): sha256 over the
+    sorted-key JSON of its config, then, for each tensor in `parameters()`
+    order, its name and shape (as JSON) and its values as little-endian
+    float64 bytes."""
+    digest = hashlib.sha256(json.dumps(model.config.to_dict(), sort_keys=True,
+                                       separators=(",", ":")).encode("utf-8"))
+    for p in model.parameters():
+        digest.update(json.dumps([p.name, list(p.shape)]).encode("utf-8"))
+        digest.update(np.ascontiguousarray(p.data, dtype="<f8"))
+    return digest.hexdigest()[:16]

@@ -6,6 +6,7 @@ import pytest
 from ame_lab.attribution import ImportanceReport, explain_ame
 from ame_lab.benchmark import (
     BenchmarkResult,
+    _mask_groups,
     ProtocolError,
     SyntheticSpec,
     alpha_sweep,
@@ -114,6 +115,20 @@ class TestGenerate:
 
 
 class TestMasking:
+    def test_vectorized_mask_equals_per_sample_loop(self):
+        rng = np.random.default_rng(18)
+        groups = [[0, 3], [1], [2, 5, 6], [4]]
+        x = rng.normal(size=(40, 7))
+        picks = [rng.choice(4, size=int(rng.integers(0, 5)), replace=False) for _ in range(40)]
+        expected = x.copy()
+        for s, pick in enumerate(picks):
+            for gi in pick:
+                expected[s, groups[gi]] = -1.5
+        masked = _mask_groups(x, groups, picks, -1.5)
+        assert masked.dtype == x.dtype
+        np.testing.assert_array_equal(masked, expected)
+        assert masked.tobytes() == expected.tobytes()
+
     def test_masking_nothing_changes_nothing(self, trained):
         model, splits = trained
         x = splits.test.x[:10]

@@ -83,6 +83,28 @@ class TestConfigParsing:
         assert code == 2
         assert "task" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("gate_hidden", "4"), ("expert_hidden", 3), ("alpha", None),
+        ("feature_partition", [[0], ["1"], [2], [3]]),
+    ])
+    def test_wrong_model_field_type_is_a_config_error(self, tmp_path, capsys, field, value):
+        cfg = base_config(tmp_path)
+        cfg["model"][field] = value
+        code = main(["train", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+
+    def test_wrong_field_type_in_model_file_is_a_config_error(self, tmp_path, capsys):
+        from ame_lab.model import AmeConfig, build_ame, model_to_dict
+        doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
+        doc["config"]["gate_hidden"] = "6"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        cfg = base_config(tmp_path, model_path=str(model_path))
+        code = main(["explain", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "config error: gate_hidden must be int" in capsys.readouterr().err
+
     def test_help_lists_config_fields_with_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ame_lab.diffcore import Optimizer, Tensor
+from ame_lab.diffcore import Optimizer, Tensor, clear_grads
 from ame_lab.granger import (
     GrangerTargets,
     aux_errors,
@@ -26,11 +26,14 @@ from ame_lab.model import AmeConfig, AmeOutput, build_ame, forward
 
 
 def fake_output(y, a, y_aux_excl, y_aux_all):
-    """AmeOutput with only the fields the objective reads."""
+    """AmeOutput with only the fields the objective reads; the probe outputs
+    are set directly instead of being built from h_aux by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
-    return AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h=dummy, h_all=dummy,
-                     combined=dummy, y_aux_excl=Tensor(np.stack(y_aux_excl, axis=1)),
-                     y_aux_all=Tensor(y_aux_all))
+    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h=dummy, h_all=dummy,
+                    combined=dummy, h_aux=dummy, model=None)
+    out.y_aux_excl = Tensor(np.stack(y_aux_excl, axis=1))
+    out.y_aux_all = Tensor(y_aux_all)
+    return out
 
 
 def simplex_rows(p, n=1):
@@ -208,6 +211,46 @@ class TestDetachedTargets:
         losses = batch_losses(model, forward(model, x), y)
         losses.total.backward()
         assert any(p.grad is not None and np.any(p.grad) for p in model.aux_parameters())
+
+
+class TestLazyProbeTape:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("to_experts", [True, False])
+    def test_losses_and_grads_equal_a_hand_run_of_the_probes(self, task, to_experts):
+        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3]], expert_hidden=[3, 2],
+                        gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
+                        alpha=0.4, aux_grads_to_experts=to_experts, seed=17)
+        model = build_ame(cfg)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(9, 4))
+        y = (np.eye(3)[rng.integers(0, 3, size=9)] if task == "classification"
+             else rng.normal(size=(9, 1)))
+
+        def run(hand: bool):
+            out = forward(model, x)
+            if hand:  # both probe stacks, layer by layer, before the loss reads them
+                h = out.h_all if to_experts else out.h_all.detach()
+                excl, full = h, h
+                for layer in model.aux_excl.layers:
+                    excl = layer(excl)
+                for layer in model.aux_all.layers:
+                    full = layer(full)
+                out.y_aux_excl, out.y_aux_all = excl, full
+            losses = batch_losses(model, out, y)
+            losses.total.backward()
+            grads = [p.grad.copy() for p in model.parameters()]
+            clear_grads(model.parameters())
+            return losses, grads
+
+        (lazy, lazy_grads), (hand, hand_grads) = run(False), run(True)
+        np.testing.assert_array_equal(lazy.total.data, hand.total.data)
+        np.testing.assert_array_equal(lazy.main.data, hand.main.data)
+        assert (lazy.mge_value, lazy.aux_mean) == (hand.mge_value, hand.aux_mean)
+        for field in ("eps_excl", "eps_all", "delta_eps", "omega"):
+            np.testing.assert_array_equal(getattr(lazy.targets, field),
+                                          getattr(hand.targets, field))
+        for name, a, b in zip([p.name for p in model.parameters()], lazy_grads, hand_grads):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestGrangerTargetsRecord:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ame_lab.attribution import explain_ame, explain_occlusion, explain_saliency
+from ame_lab.benchmark import masking_drop
 from ame_lab.diffcore import (
     Tensor,
     clear_grads,
@@ -75,6 +77,20 @@ class TestConfigValidation:
     def test_classification_needs_two_classes(self):
         with pytest.raises(ConfigError, match="num_classes"):
             small_config(task="classification", num_classes=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gate_hidden", "4"), ("gate_hidden", True), ("gate_hidden", 4.0),
+        ("expert_hidden", 3), ("aux_hidden", [4, "8"]), ("alpha", None), ("alpha", "0.1"),
+        ("feature_partition", [[0, "1"], [2], [3, 4]]), ("feature_partition", [0, 1]),
+        ("task", 1), ("detach_targets", 1), ("learning_rate", [0.1]), ("seed", None),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            small_config(**{field: value})
+
+    def test_numpy_scalars_and_ints_for_floats_pass(self):
+        cfg = small_config(seed=np.int64(4), alpha=1, learning_rate=np.float64(0.01))
+        assert build_ame(cfg).config.alpha == 1
 
 
 class TestCombinedState:
@@ -210,6 +226,49 @@ class TestForward:
         assert not np.any(padded)
 
 
+class ProbeSpy:
+    """Stands in for a probe stack and counts its calls."""
+
+    def __init__(self, net):
+        self.net = net
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.net(x)
+
+    def parameters(self):
+        return self.net.parameters()
+
+
+class TestLazyProbes:
+    @staticmethod
+    def spied_model():
+        model = build_ame(small_config(task="classification", num_classes=2))
+        model.aux_excl, model.aux_all = ProbeSpy(model.aux_excl), ProbeSpy(model.aux_all)
+        return model
+
+    def test_read_only_paths_build_no_probe(self):
+        model = self.spied_model()
+        x = np.random.default_rng(15).normal(size=(6, 5))
+        out = forward(model, x)
+        assert out.a.shape == (6, 3) and out.y.shape == (6, 2)
+        explain_ame(model, x, batch_size=4)
+        explain_saliency(model, x, batch_size=4)
+        explain_occlusion(model, x[:2])
+        masking_drop(model, x, [np.array([0])] * 6, 0.0)
+        assert (model.aux_excl.calls, model.aux_all.calls) == (0, 0)
+
+    def test_loss_builds_each_probe_once_per_forward(self):
+        model = self.spied_model()
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(6, 5)), np.eye(2)[rng.integers(0, 2, size=6)]
+        out = forward(model, x)
+        batch_losses(model, out, y)
+        assert out.y_aux_excl is out.y_aux_excl and out.y_aux_all is out.y_aux_all
+        assert (model.aux_excl.calls, model.aux_all.calls) == (1, 1)
+
+
 class TestImportance:
     def test_read_out_equals_attention(self):
         model = build_ame(small_config())
@@ -259,6 +318,37 @@ class TestSerialization:
         doc["params"][name]["values"] = [0.0]
         with pytest.raises(ConfigError, match=name):
             model_from_dict(doc)
+
+    def test_hash_golden_digest(self):
+        # sha256 over the config JSON and each parameter's name, shape and
+        # float64 bytes; changing the definition changes every stored hash
+        assert model_hash(build_ame(small_config())) == "dde4d52694e7577c"
+        assert model_hash(load_model(DATA / "format1_model.json")) == "78c4a093cb4d2048"
+
+    @pytest.mark.parametrize("source", ["built", "format1"])
+    def test_hash_survives_save_and_load(self, tmp_path, source):
+        model = (build_ame(small_config(task="classification", num_classes=3))
+                 if source == "built" else load_model(DATA / "format1_model.json"))
+        save_model(model, tmp_path / "model.json")
+        assert model_hash(load_model(tmp_path / "model.json")) == model_hash(model)
+
+    def test_hash_changes_with_one_entry_of_any_parameter(self):
+        model = build_ame(small_config())
+        names = [t.name for t in model.parameters()]
+        assert {"aux_excl.head.bias", "aux_all.hidden_0.weights"} <= set(names)
+        before = model_hash(model)
+        rng = np.random.default_rng(14)
+        for t in model.parameters():
+            entry = tuple(int(rng.integers(0, n)) for n in t.shape)
+            kept = t.data[entry]
+            t.data[entry] = kept + 2.0 ** -40
+            assert model_hash(model) != before, t.name
+            t.data[entry] = kept
+            assert model_hash(model) == before, t.name
+
+    def test_hash_tracks_config(self):
+        assert model_hash(build_ame(small_config())) != model_hash(
+            build_ame(small_config(learning_rate=0.5)))
 
     def test_hash_tracks_parameter_values(self):
         model = build_ame(small_config())
