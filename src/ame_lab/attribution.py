@@ -14,6 +14,7 @@ auxiliary pathway against.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import time
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
-from .granger import delta_epsilon, omega_targets
-from .model import AmeModel, forward, model_hash
+from .granger import delta_epsilon, omega_targets, per_sample_error
+from .model import AmeModel, ConfigError, _zero_mlp, check_field_types, forward, model_hash
 
 
 @dataclass
@@ -193,48 +194,22 @@ class ProbeConfig:
     batch_size: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
 
-def _build_probe(rng, in_dim: int, probe: ProbeConfig):
-    out_dim = probe.num_classes if probe.task == "classification" else 1
-    head_act = "softmax" if probe.task == "classification" else "identity"
-    layers = []
-    prev = in_dim
-    for k, width in enumerate(probe.hidden):
-        layers.append(dc.init_dense(rng, prev, width, "relu", name=f"probe.hidden_{k}"))
-        prev = width
-    layers.append(dc.init_dense(rng, prev, out_dim, head_act, name="probe.head"))
-    return layers
-
-
-def _probe_forward(layers, xt: Tensor) -> Tensor:
-    for layer in layers:
-        xt = layer(xt)
-    return xt
-
-
-def _train_probe(layers, x: np.ndarray, y: np.ndarray, probe: ProbeConfig,
-                 rng: np.random.Generator) -> None:
-    params = [p for layer in layers for p in layer.parameters()]
-    opt = Optimizer(probe.optimizer, probe.learning_rate)
-    for _ in range(probe.epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], probe.batch_size):
-            idx = order[start:start + probe.batch_size]
-            pred = _probe_forward(layers, Tensor(x[idx]))
-            if probe.task == "classification":
-                loss = dc.loss_cross_entropy(pred, Tensor(y[idx]))
-            else:
-                loss = dc.loss_mae(pred, Tensor(y[idx]))
-            loss.backward()
-            opt.step(params)
-            clear_grads(params)
-
-
-def _probe_errors(layers, x: np.ndarray, y: np.ndarray, task: str) -> np.ndarray:
-    pred = _probe_forward(layers, Tensor(x))
-    if task == "classification":
-        return dc.per_sample_cross_entropy(pred, Tensor(y)).data
-    return dc.per_sample_mae(pred, Tensor(y)).data
+    def validate(self) -> None:
+        check_field_types(self)
+        for name, bad, need in (
+                ("hidden", any(w < 1 for w in self.hidden), "widths >= 1"),
+                ("task", self.task not in ("regression", "classification"),
+                 "'regression' or 'classification'"),
+                ("num_classes", self.task == "classification" and self.num_classes < 2,
+                 ">= 2 for classification"),
+                ("learning_rate", self.learning_rate <= 0, "positive"),
+                ("optimizer", self.optimizer not in ("sgd", "adam"), "'sgd' or 'adam'"),
+                ("epochs", self.epochs < 1, ">= 1"), ("batch_size", self.batch_size < 1, ">= 1")):
+            if bad:
+                raise ConfigError(f"probe {name} must be {need}, got {getattr(self, name)!r}")
 
 
 def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
@@ -247,37 +222,58 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     with that group removed, then evaluates per-sample errors on held-out
     data and normalizes the error increases. Independent of any model's
     internal auxiliary pathway.
+
+    The probes are one masked layer stack trained side by side; each has its
+    own minibatch order and batch-mean loss, so it gets exactly its own
+    gradient and update. A seed draws every probe's initial values and
+    orders in the order of training the probes one after another.
     """
+    probe.validate()
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy
-    p = len(feature_partition)
-    if x_train.shape[0] < 10 * p:
+    n, p = x_train.shape[0], len(feature_partition)
+    if n < 10 * p:
         raise ValueError(
             f"granger_oracle needs at least {10 * p} training samples for {p} groups, "
-            f"got {x_train.shape[0]}")
-    rng = np.random.default_rng(probe.seed)
-    all_features = sorted(i for group in feature_partition for i in group)
-
-    layers_all = _build_probe(rng, len(all_features), probe)
-    _train_probe(layers_all, x_train[:, all_features], y_train, probe, rng)
-    eps_all = _probe_errors(layers_all, x_held[:, all_features], y_held, probe.task)
-
-    eps_excl = np.zeros((x_held.shape[0], p))
+            f"got {n}")
+    features = sorted(i for group in feature_partition for i in group)
+    mask = np.ones((p + 1, 1, len(features)))  # slot 0 reads all, slot i+1 all but group i
     for gi, group in enumerate(feature_partition):
-        kept = [i for i in all_features if i not in set(group)]
-        if kept:
-            layers = _build_probe(rng, len(kept), probe)
-            _train_probe(layers, x_train[:, kept], y_train, probe, rng)
-            eps_excl[:, gi] = _probe_errors(layers, x_held[:, kept], y_held, probe.task)
-        else:
-            # nothing left: the probe degenerates to a constant predictor
-            layers = _build_probe(rng, 1, probe)
-            zeros_tr = np.zeros((x_train.shape[0], 1))
-            _train_probe(layers, zeros_tr, y_train, probe, rng)
-            eps_excl[:, gi] = _probe_errors(layers, np.zeros((x_held.shape[0], 1)),
-                                            y_held, probe.task)
+        mask[gi + 1, :, np.searchsorted(features, group)] = 0.0
+    out_dim = probe.num_classes if probe.task == "classification" else 1
+    head_act = "softmax" if probe.task == "classification" else "identity"
+    net = _zero_mlp("probe", (p + 1,), [len(features), *probe.hidden, out_dim],
+                    "relu", head_act, mask=mask)
 
-    return omega_targets(delta_epsilon(eps_excl, eps_all))
+    rng = np.random.default_rng(probe.seed)
+    streams = []  # probe j's minibatch orders continue from just after its init
+    for j in range(p + 1):
+        for k, layer in enumerate(net):
+            w = layer.weights.data[j]
+            cols = np.flatnonzero(mask[j, 0]) if k == 0 else np.arange(w.shape[1])
+            # a probe with nothing left read one constant-zero column: draw it, keep none
+            drawn = dc.init_dense(rng, max(cols.size, 1), w.shape[0]).weights.data
+            w[:, cols] = drawn[:, :cols.size]
+        streams.append(copy.deepcopy(rng))
+        for _ in range(probe.epochs):
+            rng.permutation(n)
+
+    x_train, params = x_train[:, features], net.parameters()
+    opt = Optimizer(probe.optimizer, probe.learning_rate)
+    for _ in range(probe.epochs):
+        orders = np.stack([s.permutation(n) for s in streams], axis=1)  # (n, p+1)
+        for rows in _batches(n, probe.batch_size):
+            idx = orders[rows]  # probe j reads rows idx[:, j]
+            pred = net(Tensor(x_train[idx])).reshape(-1, out_dim)
+            errors = per_sample_error(pred, Tensor(y_train[idx].reshape(-1, out_dim)), probe.task)
+            (errors.sum() * (1.0 / idx.shape[0])).backward()  # sum of per-probe batch means
+            opt.step(params)
+            clear_grads(params)
+
+    pred = net(Tensor(x_held[:, features])).reshape(-1, out_dim)
+    eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)),
+                           probe.task).data.reshape(-1, p + 1)
+    return omega_targets(delta_epsilon(eps[:, 1:], eps[:, 0]))
 
 
 # -- report IO ---------------------------------------------------------------

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 from scipy import stats
 
 from .attribution import ESTIMATORS, ImportanceReport, explain_ame
 from .granger import evaluate, fit
-from .model import AmeConfig, AmeModel, ConfigError, build_ame, forward, model_hash
+from .model import (AmeConfig, AmeModel, ConfigError, build_ame, check_field_types,
+                    config_from_dict, forward, model_hash)
 
 LOG_ODDS_CLIP = 1e-9  # masking can saturate class probabilities
 
@@ -53,12 +54,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.task:
+        if self.task == "":
             self.task = ("classification" if self.kind == "informative_subset_classification"
                          else "regression")
         self.validate()
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         derived = ("classification" if self.kind == "informative_subset_classification"
@@ -93,11 +95,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown SyntheticSpec fields: {unknown}")
-        return cls(**raw)
+        return config_from_dict(cls, raw)
 
 
 @dataclass

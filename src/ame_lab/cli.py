@@ -42,7 +42,8 @@ from .benchmark import (
     write_sweep_csv,
 )
 from .granger import evaluate, write_training_log
-from .model import AmeConfig, ConfigError, load_model, model_hash, save_model
+from .model import (AmeConfig, ConfigError, check_field_types, config_from_dict, load_model,
+                    model_hash, save_model)
 
 COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
@@ -65,10 +66,10 @@ class RunConfig:
 
     model: AmeConfig = field(default_factory=AmeConfig)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
-    command: str | None = None
+    command: str | None = field(default=None, metadata={"like": ""})
     out_dir: str = "runs"
-    seed: int | None = None
-    model_path: str | None = None
+    seed: int | None = field(default=None, metadata={"like": 0})
+    model_path: str | None = field(default=None, metadata={"like": ""})
     estimators: list[str] = field(default_factory=lambda: ["ame"])
     protocols: list[str] = field(default_factory=lambda: ["masking", "recall", "timing"])
     fraction: float = 0.1
@@ -81,6 +82,7 @@ class RunConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.command is not None and self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         for name in self.estimators:
@@ -100,23 +102,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown RunConfig fields: {unknown}")
-        kwargs = dict(raw)
-        if "model" in kwargs:
-            kwargs["model"] = AmeConfig.from_dict(kwargs["model"])
-        if "data" in kwargs:
-            kwargs["data"] = SyntheticSpec.from_dict(kwargs["data"])
-        if "probe" in kwargs:
-            probe_raw = kwargs["probe"]
-            probe_known = {f.name for f in fields(ProbeConfig)}
-            probe_unknown = sorted(set(probe_raw) - probe_known)
-            if probe_unknown:
-                raise ConfigError(f"unknown probe fields: {probe_unknown}")
-            kwargs["probe"] = ProbeConfig(**probe_raw)
-        cfg = cls(**kwargs)
+        cfg = config_from_dict(cls, raw, model=AmeConfig.from_dict, data=SyntheticSpec.from_dict,
+                               probe=lambda value: config_from_dict(ProbeConfig, value))
         cfg.validate()
         return cfg
 

@@ -4,6 +4,8 @@ Every value is carried by a :class:`Tensor` wrapping a C-contiguous
 ``numpy`` float64 array. Operations build a define-by-run tape; calling
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every participating tensor that requires them.
+An op none of whose operands leads to such a tensor stays off the tape, and
+the linear maps compute no gradient for an input that is off the tape.
 
 Matrix products go through ``np.einsum(optimize=False)`` rather than BLAS:
 einsum evaluates each output element with a fixed summation order, so a
@@ -58,6 +60,11 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
+        for parent in _parents:
+            if parent.requires_grad or parent._parents:
+                break
+        else:  # no parent leads to a parameter: stay off the tape
+            _parents, _backward_fn = (), None
         self._parents = _parents
         self._backward_fn = _backward_fn
 
@@ -290,7 +297,7 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out = np.einsum("ni,oi->no", x.data, weights.data, optimize=False) + bias.data
 
     def back(g):
-        gx = np.einsum("no,oi->ni", g, weights.data, optimize=False)
+        gx = np.einsum("no,oi->ni", g, weights.data, optimize=False) if x._tracked() else None
         gw = np.einsum("no,ni->oi", g, x.data, optimize=False)
         gb = g.sum(axis=0)
         return (gx, gw, gb)
@@ -314,7 +321,8 @@ def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out = np.einsum(f"{spec},pak->npa", x.data, weights.data, optimize=False) + bias.data
 
     def back(g):
-        gx = np.einsum(f"npa,pak->{spec}", g, weights.data, optimize=False)
+        gx = (np.einsum(f"npa,pak->{spec}", g, weights.data, optimize=False)
+              if x._tracked() else None)
         gw = np.einsum(f"npa,{spec}->pak", g, x.data, optimize=False)
         return (gx, gw, g.sum(axis=0))
 

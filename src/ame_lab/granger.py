@@ -41,7 +41,7 @@ class GrangerTargets:
     omega: np.ndarray      # (n, p) normalized target distribution
 
 
-def _per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
+def per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
     if task == "classification":
         return per_sample_cross_entropy(y_hat, y_true)
     return per_sample_mae(y_hat, y_true)
@@ -58,9 +58,9 @@ def aux_errors(output: AmeOutput, y_true, task: str) -> tuple[Tensor, Tensor]:
     y = y_true.data if isinstance(y_true, Tensor) else np.asarray(y_true, dtype=np.float64)
     n, p, out = output.y_aux_excl.shape
     # one row per (sample, probe), sample-major as the reshape lays them out
-    eps_excl = _per_sample_error(output.y_aux_excl.reshape(n * p, out),
-                                 Tensor(np.repeat(y, p, axis=0)), task).reshape(n, p)
-    return eps_excl, _per_sample_error(output.y_aux_all, Tensor(y), task)
+    eps_excl = per_sample_error(output.y_aux_excl.reshape(n * p, out),
+                                Tensor(np.repeat(y, p, axis=0)), task).reshape(n, p)
+    return eps_excl, per_sample_error(output.y_aux_all, Tensor(y), task)
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
@@ -201,7 +201,7 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
         # softmax underflow: only reachable with wildly diverged parameters
         raise FloatingPointError("attention distribution underflowed to zero; "
                                  "training diverged")
-    main = _per_sample_error(output.y, y_true, cfg.task).mean()
+    main = per_sample_error(output.y, y_true, cfg.task).mean()
 
     eps_excl_t, eps_all_t = aux_errors(output, y_true, cfg.task)
     n = eps_all_t.shape[0]

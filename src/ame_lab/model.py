@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,6 +50,32 @@ def _has_type(value, like) -> bool:
         kind = numbers.Integral if isinstance(like, int) else numbers.Real
         return isinstance(value, kind) and not isinstance(value, bool)
     return isinstance(value, type(like))
+
+
+def check_field_types(obj) -> None:
+    """Raise a ConfigError naming the first field of dataclass `obj` whose value
+    lacks the JSON type of the field's default (see `_has_type`). A field that
+    defaults to None may be None or of the type of its metadata's "like";
+    dataclass-valued fields check themselves."""
+    for f in fields(obj):
+        like = f.default_factory() if f.default is MISSING else f.default
+        like = f.metadata.get("like", like)
+        value = getattr(obj, f.name)
+        if is_dataclass(like) or (value is None and f.default is None):
+            continue
+        if not _has_type(value, like):
+            raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
+
+
+def config_from_dict(cls, raw, **parsers):
+    """Dataclass `cls` from a JSON object, refusing unknown fields; `parsers`
+    turn the raw value of a nested field into its dataclass."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
+    return cls(**{k: parsers[k](v) if k in parsers else v for k, v in raw.items()})
 
 
 @dataclass
@@ -83,11 +109,7 @@ class AmeConfig:
         self.validate()
 
     def validate(self) -> None:
-        for f in fields(self):  # each field must have its default's type
-            like = f.default_factory() if f.default is MISSING else f.default
-            value = getattr(self, f.name)
-            if not _has_type(value, like):
-                raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
+        check_field_types(self)
         if not self.feature_partition:
             raise ConfigError("feature_partition must contain at least one group")
         seen: dict[int, int] = {}
@@ -139,11 +161,7 @@ class AmeConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AmeConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown AmeConfig fields: {unknown}")
-        return cls(**raw)
+        return config_from_dict(cls, raw)
 
 
 class Mlp:

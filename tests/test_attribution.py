@@ -16,9 +16,11 @@ from ame_lab.attribution import (
     report_rows,
     write_importance_csv,
 )
-from ame_lab.diffcore import Tensor
-from ame_lab.granger import kl_divergence
-from ame_lab.model import AmeConfig, build_ame, forward
+from ame_lab import attribution
+from ame_lab import diffcore as dc
+from ame_lab.diffcore import Optimizer, Tensor, clear_grads
+from ame_lab.granger import delta_epsilon, kl_divergence, omega_targets
+from ame_lab.model import AmeConfig, ConfigError, build_ame, forward
 
 
 def two_group_model(task="regression", seed=0, silence_second_expert=False,
@@ -216,6 +218,116 @@ class TestGrangerOracle:
                                [[0], [1], [2]], probe)
         assert np.all(omega >= 0)
         np.testing.assert_allclose(omega.sum(axis=1), 1.0, atol=1e-9)
+
+
+def sequential_oracle(train_xy, heldout_xy, feature_partition, probe):
+    """The oracle as p+1 separate networks trained one after another: an
+    independent reference for the stacked one. Returns (eps_excl, eps_all)."""
+    x_train, y_train = train_xy
+    x_held, y_held = heldout_xy
+    out_dim = probe.num_classes if probe.task == "classification" else 1
+    head_act = "softmax" if probe.task == "classification" else "identity"
+    rng = np.random.default_rng(probe.seed)
+
+    def build(in_dim):
+        dims = [in_dim, *probe.hidden, out_dim]
+        return [dc.init_dense(rng, dims[k], dims[k + 1],
+                              "relu" if k < len(dims) - 2 else head_act)
+                for k in range(len(dims) - 1)]
+
+    def run(layers, x):
+        xt = Tensor(x)
+        for layer in layers:
+            xt = layer(xt)
+        return xt
+
+    def errors(pred, y):
+        if probe.task == "classification":
+            return dc.per_sample_cross_entropy(pred, Tensor(y))
+        return dc.per_sample_mae(pred, Tensor(y))
+
+    def train_and_score(cols):
+        # a probe with no feature left reads one constant-zero column
+        x_tr = x_train[:, cols] if cols else np.zeros((x_train.shape[0], 1))
+        x_he = x_held[:, cols] if cols else np.zeros((x_held.shape[0], 1))
+        layers = build(x_tr.shape[1])
+        params = [t for layer in layers for t in layer.parameters()]
+        opt = Optimizer(probe.optimizer, probe.learning_rate)
+        for _ in range(probe.epochs):
+            order = rng.permutation(x_tr.shape[0])
+            for start in range(0, x_tr.shape[0], probe.batch_size):
+                idx = order[start:start + probe.batch_size]
+                if probe.task == "classification":
+                    loss = dc.loss_cross_entropy(run(layers, x_tr[idx]), Tensor(y_train[idx]))
+                else:
+                    loss = dc.loss_mae(run(layers, x_tr[idx]), Tensor(y_train[idx]))
+                loss.backward()
+                opt.step(params)
+                clear_grads(params)
+        return errors(run(layers, x_he), y_held).data
+
+    all_features = sorted(i for group in feature_partition for i in group)
+    eps_all = train_and_score(all_features)
+    eps_excl = np.stack([train_and_score([i for i in all_features if i not in group])
+                         for group in feature_partition], axis=1)
+    return eps_excl, eps_all
+
+
+class TestStackedOracleMatchesSequential:
+    @pytest.mark.parametrize("task, optimizer, partition, n_train, batch_size", [
+        ("regression", "adam", [[0, 2], [1], [3, 4, 5]], 70, 16),
+        ("classification", "adam", [[0, 2], [1], [3, 4, 5]], 70, 16),
+        ("regression", "sgd", [[0, 2], [1], [3, 4, 5]], 64, 16),
+        ("classification", "sgd", [[5], [0, 1, 2, 3, 4]], 61, 13),
+        ("regression", "adam", [[0, 1, 2, 3, 4, 5]], 45, 8),       # nothing left for probe 1
+        ("classification", "sgd", [[0, 1, 2, 3, 4, 5]], 45, 8),
+    ])
+    def test_errors_and_omega_within_1e_12(self, monkeypatch, task, optimizer, partition,
+                                            n_train, batch_size):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(n_train + 25, 6))
+        signal = x[:, 0] - 0.5 * x[:, 1] + 0.25 * x[:, 3]
+        if task == "classification":
+            y = np.eye(2)[(signal > 0).astype(int)]
+        else:
+            y = (signal + 0.1 * rng.normal(size=signal.size))[:, None]
+        train, held = (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])
+        probe = ProbeConfig(hidden=[5, 3], task=task, learning_rate=0.05, optimizer=optimizer,
+                            epochs=4, batch_size=batch_size, seed=12)
+        seen = {}
+
+        def spy(eps_excl, eps_all):
+            seen.update(eps_excl=np.array(eps_excl), eps_all=np.array(eps_all))
+            return delta_epsilon(eps_excl, eps_all)
+
+        monkeypatch.setattr(attribution, "delta_epsilon", spy)
+        omega = granger_oracle(train, held, partition, probe)
+        ref_excl, ref_all = sequential_oracle(train, held, partition, probe)
+        np.testing.assert_allclose(seen["eps_all"], ref_all, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(seen["eps_excl"], ref_excl, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(omega, omega_targets(delta_epsilon(ref_excl, ref_all)),
+                                   rtol=0, atol=1e-12)
+        assert not np.array_equal(ref_excl[:, 0], ref_all)  # the probes did differ
+
+
+class TestProbeConfigValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden", [0], "probe hidden must be widths >= 1"), ("hidden", [4, -1], "probe hidden"),
+        ("epochs", 0, "probe epochs"), ("batch_size", 0, "probe batch_size"),
+        ("learning_rate", 0.0, "probe learning_rate"), ("learning_rate", -0.1, "learning_rate"),
+        ("optimizer", "rmsprop", "probe optimizer"), ("task", "ranking", "probe task"),
+        ("hidden", "8", "hidden must be list"), ("epochs", 2.0, "epochs must be int"),
+    ])
+    def test_bad_value_names_the_field(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ProbeConfig(**{field: value})
+
+    def test_oracle_revalidates_a_changed_probe(self):
+        probe = ProbeConfig()
+        probe.batch_size = 0
+        x, y = np.zeros((40, 2)), np.zeros((40, 1))
+        with pytest.raises(ConfigError, match="batch_size"):
+            granger_oracle((x, y), (x, y), [[0], [1]], probe)
 
 
 class TestReportIO:

@@ -94,6 +94,33 @@ class TestConfigParsing:
         assert code == 2
         assert f"config error: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, field, value", [
+        (None, "fraction", "0.1"), (None, "runs", None), (None, "seed", "3"),
+        (None, "model_path", 7), (None, "alphas", [0.1, "0.2"]),
+        ("data", "n_train", "300"), ("data", "weights", [2.0, None]), ("data", "task", None),
+        ("probe", "hidden", "8"), ("probe", "hidden", [0]), ("probe", "batch_size", 0),
+        ("probe", "epochs", 0), ("probe", "learning_rate", 0.0), ("probe", "optimizer", "rmsprop"),
+    ])
+    def test_bad_run_data_or_probe_field_is_a_config_error(self, tmp_path, capsys, block,
+                                                           field, value):
+        cfg = base_config(tmp_path)
+        if block is None:
+            cfg[field] = value
+        else:
+            cfg.setdefault(block, {})[field] = value
+        code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and f"{field} must be" in err
+
+    @pytest.mark.parametrize("block", ["model", "data", "probe"])
+    def test_nested_block_must_be_an_object(self, tmp_path, capsys, block):
+        cfg = base_config(tmp_path)
+        cfg[block] = 5
+        code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "must be a JSON object, got 5" in capsys.readouterr().err
+
     def test_wrong_field_type_in_model_file_is_a_config_error(self, tmp_path, capsys):
         from ame_lab.model import AmeConfig, build_ame, model_to_dict
         doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))

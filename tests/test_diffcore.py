@@ -14,6 +14,7 @@ from ame_lab.diffcore import (
     Optimizer,
     Tensor,
     clear_grads,
+    concat,
     finite_difference_grads,
     forward_dense,
     init_dense,
@@ -173,6 +174,33 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         take_columns(x, [2, 0]).sum().backward()
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+
+    def test_op_on_untracked_operands_stays_off_the_tape(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 1)))
+        joined = take_columns(concat([a, b], axis=1), [3, 0])
+        assert joined._parents == () and joined._backward_fn is None
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert (joined * w)._parents == (joined, w)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_linear_skips_the_gradient_of_an_untracked_input(self, stacked):
+        rng = np.random.default_rng(5)
+        shape = (2, 3, 4) if stacked else (3, 4)
+        w = Tensor(rng.normal(size=shape), requires_grad=True)
+        b = Tensor(rng.normal(size=shape[:-1]), requires_grad=True)
+        x = rng.normal(size=(5, 4))
+        op = batched_linear if stacked else linear
+        out = op(Tensor(x), w, b)
+        gx, gw, gb = out._backward_fn(np.ones(out.shape))
+        assert gx is None
+        out.sum().backward()
+        grads = (w.grad, b.grad)
+        clear_grads([w, b])
+        xt = Tensor(x, requires_grad=True)
+        op(xt, w, b).sum().backward()
+        assert xt.grad is not None
+        np.testing.assert_array_equal(grads[0], w.grad)
+        np.testing.assert_array_equal(grads[1], b.grad)
 
     def test_composed_network_matches_finite_differences(self):
         rng = np.random.default_rng(11)

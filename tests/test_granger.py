@@ -253,6 +253,54 @@ class TestLazyProbeTape:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+def tape_nodes(loss):
+    """Number of distinct tensors on the tape behind `loss`."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeSkipsInputGradients:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("to_experts", [True, False])
+    def test_parameters_bitwise_equal_to_a_tape_with_the_input_tracked(self, task, to_experts):
+        # An input that requires grad keeps every op on the input's path on the
+        # tape and makes the linear maps compute input gradients; a raw input
+        # leaves those out. The parameters must not notice.
+        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[3, 2],
+                        gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
+                        alpha=0.3, aux_grads_to_experts=to_experts, seed=23)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3, 11, 5))
+        y = (np.eye(3)[rng.integers(0, 3, size=(3, 11))] if task == "classification"
+             else rng.normal(size=(3, 11, 1)))
+
+        def train(track_input: bool):
+            model = build_ame(cfg)
+            opt = Optimizer("adam", 0.05)
+            nodes, input_grads = [], []
+            for xb, yb in zip(x, y):
+                xt = Tensor(xb, requires_grad=True) if track_input else xb
+                losses = batch_losses(model, forward(model, xt), yb)
+                nodes.append(tape_nodes(losses.total))
+                losses.total.backward()
+                input_grads.append(xt.grad if track_input else None)
+                opt.step(model.parameters())
+                clear_grads(model.parameters())
+            return model.parameters(), nodes, input_grads
+
+        lean, lean_nodes, _ = train(False)
+        full, full_nodes, input_grads = train(True)
+        for a, b in zip(lean, full):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=a.name)
+        assert all(s < f for s, f in zip(lean_nodes, full_nodes))
+        assert all(g is not None and np.any(g) for g in input_grads)
+
+
 class TestGrangerTargetsRecord:
     def test_fields_are_consistent(self):
         cfg = AmeConfig(feature_partition=[[0], [1]], expert_hidden=[3], gate_hidden=3,
