@@ -113,11 +113,14 @@ class RunConfig:
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Apply the top-level seed override to the nested seeds."""
+    """Apply the top-level seed override to the nested seeds, and give the
+    oracle's probes the task and class count of the data and model."""
     if cfg.seed is not None:
         cfg.model.seed = cfg.seed
         cfg.data.seed = cfg.seed
         cfg.probe.seed = cfg.seed
+    cfg.probe.task = cfg.data.task
+    cfg.probe.num_classes = cfg.model.num_classes
     if cfg.model.task != cfg.data.task:
         raise ConfigError(
             f"model task {cfg.model.task!r} does not match data task {cfg.data.task!r}")
@@ -325,11 +328,9 @@ def run_sweep(cfg: RunConfig) -> int:
 def run_oracle(cfg: RunConfig) -> int:
     run_dir = _run_dir(cfg)
     splits = generate(cfg.data)
-    probe = cfg.probe
-    probe.task = cfg.data.task
     omega = granger_oracle((splits.train.x, splits.train.y),
                            (splits.test.x, splits.test.y),
-                           cfg.model.feature_partition, probe)
+                           cfg.model.feature_partition, cfg.probe)
     _check_simplex_rows(omega, "oracle targets")
     _write_config_echo(cfg, run_dir)
     p = omega.shape[1]

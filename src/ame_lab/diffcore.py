@@ -7,10 +7,13 @@ accumulates gradients into every participating tensor that requires them.
 An op none of whose operands leads to such a tensor stays off the tape, and
 the linear maps compute no gradient for an input that is off the tape.
 
-Matrix products go through ``np.einsum(optimize=False)`` rather than BLAS:
-einsum evaluates each output element with a fixed summation order, so a
-batched forward pass is bit-identical to running the same samples one by
-one. The model layer relies on that equivalence.
+Forward matrix products go through ``np.einsum(optimize=False)`` rather
+than BLAS: einsum evaluates each output element with a fixed summation
+order, so a batched forward pass is bit-identical to running the same
+samples one by one. The model layer relies on that equivalence. Gradients
+of the linear maps are BLAS matrix products: their summation order depends
+on the shapes, so they are not batch-independent, and nothing needs them to
+be. A run still replays byte for byte on the same machine.
 """
 
 from __future__ import annotations
@@ -290,6 +293,7 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     einsum keeps the per-element summation order independent of the batch
     extent, which makes batched and single-sample forwards bit-identical.
+    The gradients are BLAS products, ``g @ W`` and ``g.T @ x``.
     """
     if x.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise DimensionError(
@@ -297,10 +301,8 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out = np.einsum("ni,oi->no", x.data, weights.data, optimize=False) + bias.data
 
     def back(g):
-        gx = np.einsum("no,oi->ni", g, weights.data, optimize=False) if x._tracked() else None
-        gw = np.einsum("no,ni->oi", g, x.data, optimize=False)
-        gb = g.sum(axis=0)
-        return (gx, gw, gb)
+        gx = g @ weights.data if x._tracked() else None
+        return (gx, g.T @ x.data, g.sum(axis=0))
 
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
 
@@ -311,7 +313,9 @@ def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     weights is (p, out, in) and bias (p, out). x is either (n, in), read by
     every map, or (n, p, in), whose slice i map i reads. Each output element
     sums over `in` in the same fixed order as :func:`linear`, so the stack
-    reproduces p separate `linear` calls and stays batch-independent.
+    reproduces p separate `linear` calls and stays batch-independent. The
+    gradients are one BLAS product over the flattened stack for a shared
+    input, and a matmul over the stack axis for per-map inputs.
     """
     spec = "nk" if x.ndim == 2 else "npk"
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
@@ -321,9 +325,15 @@ def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     out = np.einsum(f"{spec},pak->npa", x.data, weights.data, optimize=False) + bias.data
 
     def back(g):
-        gx = (np.einsum(f"npa,pak->{spec}", g, weights.data, optimize=False)
-              if x._tracked() else None)
-        gw = np.einsum(f"npa,{spec}->pak", g, x.data, optimize=False)
+        w = weights.data
+        if spec == "nk":  # g (n, p·a) against W (p·a, k)
+            flat = g.reshape(g.shape[0], -1)
+            gx = flat @ w.reshape(-1, w.shape[2]) if x._tracked() else None
+            gw = (flat.T @ x.data).reshape(w.shape)
+        else:  # per map i: g[:, i] (n, a) against W[i] (a, k) and x[:, i] (n, k)
+            gp = g.transpose(1, 0, 2)
+            gx = np.matmul(gp, w).transpose(1, 0, 2) if x._tracked() else None
+            gw = np.matmul(gp.transpose(0, 2, 1), x.data.transpose(1, 0, 2))
         return (gx, gw, g.sum(axis=0))
 
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
@@ -465,12 +475,21 @@ def optimizer_step(opt: Optimizer, params: list[Tensor]) -> None:
     t = opt.step_count
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
-    for i, p in enumerate(params):
-        opt._m[i] = opt.beta1 * opt._m[i] + (1.0 - opt.beta1) * p.grad
-        opt._v[i] = opt.beta2 * opt._v[i] + (1.0 - opt.beta2) * (p.grad * p.grad)
-        m_hat = opt._m[i] / bc1
-        v_hat = opt._v[i] / bc2
-        p.data -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    # in place, with the roundings of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    for p, m, v in zip(params, opt._m, opt._v):
+        g = p.grad
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += opt.eps
+        step = m / bc1
+        step *= opt.learning_rate
+        step /= den
+        p.data -= step
 
 
 def clear_grads(params: list[Tensor]) -> None:

@@ -28,7 +28,7 @@ from ame_lab.benchmark import (
     mge_quality_protocol,
     train_model,
 )
-from ame_lab.cli import main as cli_main, run_id, RunConfig
+from ame_lab.cli import main as cli_main, resolve_config, run_id, RunConfig
 from ame_lab.diffcore import (
     Tensor,
     clear_grads,
@@ -396,7 +396,7 @@ class TestCriterion9Replay:
             cfg_path = tmp_path / f"{command}_{out_name}.json"
             cfg_path.write_text(json.dumps(cfg))
             assert cli_main([command, "--config", str(cfg_path), *extra]) == 0
-            rid = run_id(RunConfig.from_dict(cfg))
+            rid = run_id(resolve_config(RunConfig.from_dict(cfg)))
             paths.append(tmp_path / out_name / rid)
         return paths
 
@@ -415,7 +415,7 @@ class TestCriterion9Replay:
 
         explain_cfg = dict(base, model_path=str(a.parent.parent / "first"))
         # reuse the trained model from the train replay above
-        train_rid = run_id(RunConfig.from_dict(base))
+        train_rid = run_id(resolve_config(RunConfig.from_dict(base)))
         explain_cfg["model_path"] = str(tmp_path / "first" / train_rid / "model.json")
         a, b = self._run_twice(tmp_path, "explain", explain_cfg)
         texts = [(p / "importance.csv").read_text() for p in (a, b)]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ame_lab.cli import RunConfig, informative_groups, main, run_id
+from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
 
 def base_config(tmp_path, **overrides):
     cfg = {
@@ -47,7 +47,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def run_dir_of(tmp_path, cfg):
-    return tmp_path / "runs" / run_id(RunConfig.from_dict(cfg))
+    return tmp_path / "runs" / run_id(resolve_config(RunConfig.from_dict(cfg)))
 
 
 class TestConfigParsing:
@@ -144,7 +144,6 @@ class TestConfigParsing:
 
     def test_seed_flag_overrides_nested_seeds(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, seed=99))
-        from ame_lab.cli import resolve_config
         resolve_config(cfg)
         assert cfg.model.seed == 99 and cfg.data.seed == 99
 
@@ -345,6 +344,25 @@ class TestOracleCommand:
         for line in lines[1:]:
             values = [float(v) for v in line.split(",")[1:]]
             assert abs(sum(values) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("command", ["oracle", "train"])
+    def test_echoed_config_hashes_to_its_directory(self, tmp_path, command):
+        cfg = base_config(tmp_path)
+        cfg["probe"] = {"hidden": [4], "epochs": 2, "num_classes": 5}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        echo = json.loads((run_dir / "config.json").read_text())
+        assert run_id(RunConfig.from_dict(echo)) == run_dir.name
+        assert (echo["probe"]["task"], echo["probe"]["num_classes"]) == ("classification", 2)
+
+    def test_train_and_oracle_share_a_directory(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["probe"] = {"hidden": [4], "epochs": 2}
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0
+        assert main(["oracle", "--config", path]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "model.json").exists() and (run_dir / "oracle.csv").exists()
 
 
 class TestHelpers:

@@ -284,6 +284,29 @@ class TestOptimizer:
         np.testing.assert_allclose(w.data, [expected], rtol=1e-12)
         assert np.sign(w.data[0] - 1.0) == -np.sign(g)
 
+    def test_adam_in_place_is_bitwise_the_out_of_place_formula(self):
+        rng = np.random.default_rng(12)
+        shapes = [(3,), (4, 5), (2, 3, 7), (1, 1)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        opt = Optimizer("adam", 0.03)
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.learning_rate, opt.eps
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            optimizer_step(opt, params)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(grads):  # the out-of-place update, as the reference
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            for i, p in enumerate(params):
+                np.testing.assert_array_equal(p.data, ref[i])
+                np.testing.assert_array_equal(opt._m[i], m[i])
+                np.testing.assert_array_equal(opt._v[i], v[i])
+
     def test_missing_grad_names_parameter(self):
         w = Tensor([1.0], requires_grad=True, name="gate_3.context")
         with pytest.raises(GradientError, match="gate_3.context"):
@@ -356,3 +379,64 @@ class TestBatchedLinear:
         with pytest.raises(DimensionError, match="batched_linear"):
             batched_linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 1, 4))),
                            Tensor(np.zeros((5, 1))))
+
+
+def _einsum_grads(x, w, g):
+    """The linear maps' gradients as fixed-order einsums: the reference the
+    BLAS products are held to."""
+    if w.ndim == 2:
+        return (np.einsum("no,oi->ni", g, w, optimize=False),
+                np.einsum("no,ni->oi", g, x, optimize=False))
+    spec = "nk" if x.ndim == 2 else "npk"
+    return (np.einsum(f"npa,pak->{spec}", g, w, optimize=False),
+            np.einsum(f"npa,{spec}->pak", g, x, optimize=False))
+
+
+def _assert_close(actual, expected, rel=1e-12):
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestLinearGradients:
+    CASES = {"linear": ((37, 19), (7, 19)), "shared": ((37, 19), (5, 7, 19)),
+             "per_map": ((37, 5, 19), (5, 7, 19))}
+
+    @pytest.mark.parametrize("form", sorted(CASES))
+    @pytest.mark.parametrize("tracked", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_blas_gradients_match_the_einsum_reference(self, form, tracked, layout):
+        rng = np.random.default_rng(31)
+        x_shape, w_shape = self.CASES[form]
+        x = rng.normal(size=x_shape)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=w_shape[:-1]), requires_grad=True)
+        op = linear if form == "linear" else batched_linear
+        out = op(Tensor(x, requires_grad=tracked), w, b)
+        g = np.asarray(rng.normal(size=out.shape), order=layout)
+        gx, gw, gb = out._backward_fn(g)
+        ref_gx, ref_gw = _einsum_grads(x, w.data, g)
+        _assert_close(gw, ref_gw)
+        np.testing.assert_array_equal(gb, g.sum(axis=0))
+        if tracked:
+            _assert_close(gx, ref_gx)
+        else:
+            assert gx is None
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_stack_gradients_match_separate_linear_calls(self, shared):
+        rng = np.random.default_rng(33)
+        p = 5
+        w = Tensor(rng.normal(size=(p, 7, 19)), requires_grad=True)
+        b = Tensor(rng.normal(size=(p, 7)), requires_grad=True)
+        x = Tensor(rng.normal(size=(37, 19) if shared else (37, p, 19)), requires_grad=True)
+        target = rng.normal(size=(37, p, 7))
+        (batched_linear(x, w, b) * target).sum().backward()
+        input_grads = []
+        for i in range(p):
+            xi = Tensor(x.data if shared else x.data[:, i], requires_grad=True)
+            wi, bi = Tensor(w.data[i], requires_grad=True), Tensor(b.data[i], requires_grad=True)
+            (linear(xi, wi, bi) * target[:, i]).sum().backward()
+            _assert_close(w.grad[i], wi.grad)
+            _assert_close(b.grad[i], bi.grad)
+            input_grads.append(xi.grad)
+        _assert_close(x.grad, sum(input_grads) if shared else np.stack(input_grads, axis=1))

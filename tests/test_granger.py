@@ -346,6 +346,21 @@ class TestTraining:
             runs.append([train_epoch(model, opt, x, y, rng) for _ in range(3)])
         assert runs[0] == runs[1]
 
+    def test_same_training_twice_gives_bitwise_equal_parameters(self):
+        # stacked experts (per-map input), gates and probes (shared input)
+        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[3, 2],
+                        gate_hidden=3, aux_hidden=[4, 3], task="classification", num_classes=3,
+                        alpha=0.3, seed=41, learning_rate=0.02, batch_size=16, epochs=3)
+        rng = np.random.default_rng(41)
+        x, y = rng.normal(size=(70, 5)), np.eye(3)[rng.integers(0, 3, size=70)]
+        runs = []
+        for _ in range(2):
+            model = build_ame(cfg)
+            runs.append((fit(model, (x, y)), model.parameters()))
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[0][1], runs[1][1]):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=a.name)
+
     def test_loss_decreases_on_linear_task(self):
         x, y = linear_task()
         model = self.make_model()
