@@ -50,25 +50,16 @@ class ImportanceReport:
         return self.per_sample.shape[1]
 
 
-def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Map signed raw scores to the simplex: a_i = |e_i| / sum_j |e_j|.
+def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map each row of signed raw scores, shape (n, p), to the simplex:
+    a_i = |e_i| / sum_j |e_j|.
 
-    An all-zero vector has no signal to normalize; it maps to uniform and
-    the degenerate flag is set.
+    An all-zero row has no signal to normalize; it maps to uniform and its
+    degenerate flag is set. Returns the scores and the (n,) flags.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError(f"normalize_scores expects a non-empty vector, got shape {raw.shape}")
-    mags = np.abs(raw)
-    total = mags.sum()
-    if total <= 0.0:
-        return np.full(raw.size, 1.0 / raw.size), True
-    return mags / total, False
-
-
-def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`normalize_scores` on every row of a (n, p) array at once."""
     mags = np.abs(np.asarray(raw, dtype=np.float64))
+    if mags.ndim != 2 or mags.shape[1] == 0:
+        raise ValueError(f"normalize_scores expects (n, p) scores with p >= 1, got {mags.shape}")
     totals = mags.sum(axis=1, keepdims=True)
     degenerate = totals <= 0.0
     out = np.where(degenerate, 1.0 / mags.shape[1], mags / np.where(degenerate, 1.0, totals))
@@ -80,8 +71,14 @@ def _batches(n: int, batch_size: int):
         yield np.arange(start, min(start + batch_size, n))
 
 
-def explain_ame(model: AmeModel, x: np.ndarray, batch_size: int | None = None) -> ImportanceReport:
-    """Attention read-out: the scores are the forward pass's own gating."""
+# Every estimator is called as ESTIMATORS[name](model, x, *, batch_size=None,
+# baseline_value=0.0) and records in its report's params the values it uses.
+
+
+def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
+                baseline_value: float = 0.0) -> ImportanceReport:
+    """Attention read-out: the scores are the forward pass's own gating. Reads
+    batch_size rows per forward (default: the model's); no baseline."""
     bs = batch_size or model.config.batch_size
     model.reset_pass_counts()
     start = time.perf_counter()
@@ -110,9 +107,10 @@ def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
     return ((out.y * Tensor(mask)).sum(axis=1) + dc.EPS_LOG).log().sum()
 
 
-def explain_saliency(model: AmeModel, x: np.ndarray,
-                     batch_size: int | None = None) -> ImportanceReport:
-    """Gradient magnitude per group: sum of |d target / d feature|."""
+def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
+                     baseline_value: float = 0.0) -> ImportanceReport:
+    """Gradient magnitude per group: sum of |d target / d feature|. Reads
+    batch_size rows per forward and backward; no baseline."""
     bs = batch_size or model.config.batch_size
     groups = model.config.feature_partition
     model.reset_pass_counts()
@@ -126,16 +124,17 @@ def explain_saliency(model: AmeModel, x: np.ndarray,
         grad = np.abs(xt.grad)
         raw_rows.append(np.stack([grad[:, g].sum(axis=1) for g in groups], axis=1))
     seconds = time.perf_counter() - start
-    scores, flags = _normalize_rows(np.concatenate(raw_rows, axis=0))
+    scores, flags = normalize_scores(np.concatenate(raw_rows, axis=0))
     return ImportanceReport(
         estimator="saliency", params={"batch_size": bs}, per_sample=scores,
         seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
         model_id=model_hash(model), degenerate=flags)
 
 
-def explain_occlusion(model: AmeModel, x: np.ndarray,
+def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                       baseline_value: float = 0.0) -> ImportanceReport:
-    """Group-replacement degradation, one sample at a time (p+1 forwards each).
+    """Group-replacement degradation, one sample at a time (p+1 forwards each,
+    whatever batch_size says): each group in turn is set to baseline_value.
 
     Classification scores a group by the drop in log-probability of the
     originally predicted class; regression by the absolute shift of the
@@ -164,7 +163,7 @@ def explain_occlusion(model: AmeModel, x: np.ndarray,
                 degradation = abs(out.y.data[0, 0] - ref)
             raw[s, gi] = max(0.0, degradation)
     seconds = time.perf_counter() - start
-    scores, flags = _normalize_rows(raw)
+    scores, flags = normalize_scores(raw)
     return ImportanceReport(
         estimator="occlusion", params={"baseline_value": baseline_value}, per_sample=scores,
         seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
@@ -186,8 +185,6 @@ class ProbeConfig:
     """Architecture and training settings for the oracle's probe MLPs."""
 
     hidden: list[int] = field(default_factory=lambda: [8])
-    task: str = "regression"
-    num_classes: int = 2
     learning_rate: float = 0.01
     optimizer: str = "adam"
     epochs: int = 40
@@ -201,10 +198,6 @@ class ProbeConfig:
         check_field_types(self)
         for name, bad, need in (
                 ("hidden", any(w < 1 for w in self.hidden), "widths >= 1"),
-                ("task", self.task not in ("regression", "classification"),
-                 "'regression' or 'classification'"),
-                ("num_classes", self.task == "classification" and self.num_classes < 2,
-                 ">= 2 for classification"),
                 ("learning_rate", self.learning_rate <= 0, "positive"),
                 ("optimizer", self.optimizer not in ("sgd", "adam"), "'sgd' or 'adam'"),
                 ("epochs", self.epochs < 1, ">= 1"), ("batch_size", self.batch_size < 1, ">= 1")):
@@ -215,13 +208,15 @@ class ProbeConfig:
 def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
                    heldout_xy: tuple[np.ndarray, np.ndarray],
                    feature_partition: list[list[int]],
-                   probe: ProbeConfig) -> np.ndarray:
+                   probe: ProbeConfig, task: str) -> np.ndarray:
     """Target distributions from p+1 independently trained probes.
 
     Trains one probe on all raw features and one per group on the features
     with that group removed, then evaluates per-sample errors on held-out
     data and normalizes the error increases. Independent of any model's
-    internal auxiliary pathway.
+    internal auxiliary pathway. The probes predict the targets' columns: a
+    regression value, or for classification one-hot classes through a
+    softmax.
 
     The probes are one masked layer stack trained side by side; each has its
     own minibatch order and batch-mean loss, so it gets exactly its own
@@ -229,6 +224,8 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     orders in the order of training the probes one after another.
     """
     probe.validate()
+    if task not in ("regression", "classification"):
+        raise ConfigError(f"task must be 'regression' or 'classification', got {task!r}")
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy
     n, p = x_train.shape[0], len(feature_partition)
@@ -240,8 +237,8 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     mask = np.ones((p + 1, 1, len(features)))  # slot 0 reads all, slot i+1 all but group i
     for gi, group in enumerate(feature_partition):
         mask[gi + 1, :, np.searchsorted(features, group)] = 0.0
-    out_dim = probe.num_classes if probe.task == "classification" else 1
-    head_act = "softmax" if probe.task == "classification" else "identity"
+    out_dim = y_train.shape[1]
+    head_act = "softmax" if task == "classification" else "identity"
     net = _zero_mlp("probe", (p + 1,), [len(features), *probe.hidden, out_dim],
                     "relu", head_act, mask=mask)
 
@@ -265,14 +262,14 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
         for rows in _batches(n, probe.batch_size):
             idx = orders[rows]  # probe j reads rows idx[:, j]
             pred = net(Tensor(x_train[idx])).reshape(-1, out_dim)
-            errors = per_sample_error(pred, Tensor(y_train[idx].reshape(-1, out_dim)), probe.task)
+            errors = per_sample_error(pred, Tensor(y_train[idx].reshape(-1, out_dim)), task)
             (errors.sum() * (1.0 / idx.shape[0])).backward()  # sum of per-probe batch means
-            opt.step(params)
+            dc.optimizer_step(opt, params)
             clear_grads(params)
 
     pred = net(Tensor(x_held[:, features])).reshape(-1, out_dim)
     eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)),
-                           probe.task).data.reshape(-1, p + 1)
+                           task).data.reshape(-1, p + 1)
     return omega_targets(delta_epsilon(eps[:, 1:], eps[:, 0]))
 
 
@@ -286,16 +283,10 @@ def report_columns(p: int) -> list[str]:
 
 def report_rows(report: ImportanceReport) -> list[dict]:
     """Flatten a report into CSV/JSON row dicts (shared schema)."""
-    rows = []
-    for s in range(report.n_samples):
-        row: dict = {"sample_id": s, "estimator": report.estimator}
-        for i in range(report.n_groups):
-            row[f"group_{i + 1}"] = float(report.per_sample[s, i])
-        row["seconds"] = report.seconds
-        row["forwards"] = report.forwards
-        row["backwards"] = report.backwards
-        rows.append(row)
-    return rows
+    groups = [f"group_{i + 1}" for i in range(report.n_groups)]
+    return [{"sample_id": s, "estimator": report.estimator, **dict(zip(groups, scores)),
+             "seconds": report.seconds, "forwards": report.forwards, "backwards": report.backwards}
+            for s, scores in enumerate(report.per_sample.tolist())]
 
 
 def write_importance_csv(reports: list[ImportanceReport], path) -> None:

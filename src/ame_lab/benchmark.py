@@ -325,18 +325,6 @@ def aggregate_sweep(run_rows: list[dict]) -> list[dict]:
     return agg
 
 
-def alpha_sweep(base_config: AmeConfig, base_spec: SyntheticSpec,
-                alphas: list[float], runs: int) -> tuple[list[dict], list[dict]]:
-    """Train one model per (alpha, run); returns (run rows, aggregate rows)."""
-    if not alphas:
-        raise ProtocolError("alphas must be non-empty")
-    if runs < 1:
-        raise ProtocolError(f"runs must be >= 1, got {runs}")
-    run_rows = [sweep_single(base_config, base_spec, alpha, run)
-                for alpha in alphas for run in range(runs)]
-    return run_rows, aggregate_sweep(run_rows)
-
-
 # -- recall ---------------------------------------------------------------------
 
 
@@ -357,10 +345,10 @@ def recall_at_k(report: ImportanceReport, truth: set[int], k: int) -> int:
 # -- timing -----------------------------------------------------------------------
 
 
-def timing_protocol(model: AmeModel, x: np.ndarray,
-                    estimators: list[str] | None = None,
-                    batch_size: int | None = None) -> list[dict]:
-    """Wall-clock and pass counts per estimator on identical samples.
+def timing_protocol(model: AmeModel, x: np.ndarray, estimators: list[str] | None = None,
+                    baseline_value: float = 0.0) -> list[dict]:
+    """Wall-clock and pass counts per estimator on identical samples, each
+    called at its default batch size and at `baseline_value`.
 
     Ratios are reported against the attention read-out (ame = 1x).
     """
@@ -369,10 +357,7 @@ def timing_protocol(model: AmeModel, x: np.ndarray,
     for name in names:
         if name not in ESTIMATORS:
             raise ProtocolError(f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}")
-        if name == "occlusion":
-            report = ESTIMATORS[name](model, x)
-        else:
-            report = ESTIMATORS[name](model, x, batch_size=batch_size)
+        report = ESTIMATORS[name](model, x, baseline_value=baseline_value)
         rows.append({"estimator": name, "seconds": report.seconds,
                      "forwards": report.forwards, "backwards": report.backwards})
     base = next(r["seconds"] for r in rows if r["estimator"] == "ame") if any(

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -95,8 +97,8 @@ class RunConfig:
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not self.alphas:
-            raise ConfigError("alphas must be non-empty")
+        if not self.alphas or len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas must be non-empty and distinct, got {self.alphas}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -108,19 +110,16 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Apply the top-level seed override to the nested seeds, and give the
-    oracle's probes the task and class count of the data and model."""
+    """Apply the top-level seed override to the nested seeds, and check that
+    the model fits the data."""
     if cfg.seed is not None:
         cfg.model.seed = cfg.seed
         cfg.data.seed = cfg.seed
         cfg.probe.seed = cfg.seed
-    cfg.probe.task = cfg.data.task
-    cfg.probe.num_classes = cfg.model.num_classes
     if cfg.model.task != cfg.data.task:
         raise ConfigError(
             f"model task {cfg.model.task!r} does not match data task {cfg.data.task!r}")
@@ -203,10 +202,7 @@ def run_explain(cfg: RunConfig) -> int:
     splits = generate(cfg.data)
     reports = []
     for name in cfg.estimators:
-        if name == "occlusion":
-            report = ESTIMATORS[name](model, splits.test.x, baseline_value=cfg.baseline_value)
-        else:
-            report = ESTIMATORS[name](model, splits.test.x)
+        report = ESTIMATORS[name](model, splits.test.x, baseline_value=cfg.baseline_value)
         _check_simplex_rows(report.per_sample, f"estimator {name}")
         reports.append(report)
         print(f"{name}: {report.n_samples} samples, {report.forwards} forwards, "
@@ -249,14 +245,12 @@ def run_benchmark(cfg: RunConfig) -> int:
         elif protocol == "recall":
             truth = informative_groups(cfg.model.feature_partition, cfg.data.informative)
             for name in cfg.estimators:
-                if name == "occlusion":
-                    report = ESTIMATORS[name](model, splits.test.x, baseline_value=cfg.baseline_value)
-                else:
-                    report = ESTIMATORS[name](model, splits.test.x)
+                report = ESTIMATORS[name](model, splits.test.x, baseline_value=cfg.baseline_value)
                 result.add("recall", f"{name}.recall_at_{cfg.k}",
                            recall_at_k(report, truth, cfg.k), mh)
         elif protocol == "timing":
-            for row in timing_protocol(model, splits.test.x[:cfg.n], cfg.estimators):
+            for row in timing_protocol(model, splits.test.x[:cfg.n], cfg.estimators,
+                                       cfg.baseline_value):
                 for key in ("seconds", "forwards", "backwards", "ratio_vs_ame"):
                     result.add("timing", f"{row['estimator']}.{key}", row[key], mh)
 
@@ -283,14 +277,14 @@ def _mge_quality_variants(cfg: RunConfig, splits):
 
 
 def _sweep_cell_path(run_dir: Path, alpha: float, run: int) -> Path:
-    return run_dir / "sweep_cells" / f"alpha_{alpha:g}_run_{run}.json"
+    # repr is exact: distinct alphas never share a cell
+    return run_dir / "sweep_cells" / f"alpha_{alpha!r}_run_{run}.json"
 
 
 def _sweep_cell(args) -> dict:
     model_cfg_raw, spec_raw, alpha, run = args
-    row = sweep_single(AmeConfig.from_dict(model_cfg_raw),
-                       SyntheticSpec.from_dict(spec_raw), alpha, run)
-    return row
+    return sweep_single(AmeConfig.from_dict(model_cfg_raw),
+                        SyntheticSpec.from_dict(spec_raw), alpha, run)
 
 
 def run_sweep(cfg: RunConfig) -> int:
@@ -301,15 +295,15 @@ def run_sweep(cfg: RunConfig) -> int:
     print(f"sweep: {len(cells)} cells, {len(cells) - len(pending)} already complete")
 
     jobs = [(cfg.model.to_dict(), cfg.data.to_dict(), a, r) for a, r in pending]
-    if cfg.jobs > 1 and jobs:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            fresh = list(pool.map(_sweep_cell, jobs))
-    else:
-        fresh = [_sweep_cell(job) for job in jobs]
-    for (alpha, run), row in zip(pending, fresh):
-        with open(_sweep_cell_path(run_dir, alpha, run), "w", encoding="utf-8") as fh:
-            json.dump(row, fh, sort_keys=True)
-            fh.write("\n")
+    parallel = cfg.jobs > 1 and len(jobs) > 0
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
+          else contextlib.nullcontext()) as pool:
+        done = (pool.map if parallel else map)(_sweep_cell, jobs)
+        for (alpha, run), row in zip(pending, done):  # written whole as each cell finishes
+            path = _sweep_cell_path(run_dir, alpha, run)
+            tmp = path.with_suffix(".tmp")
+            tmp.write_text(json.dumps(row, sort_keys=True) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
 
     run_rows = []
     for alpha, run in cells:
@@ -330,7 +324,7 @@ def run_oracle(cfg: RunConfig) -> int:
     splits = generate(cfg.data)
     omega = granger_oracle((splits.train.x, splits.train.y),
                            (splits.test.x, splits.test.y),
-                           cfg.model.feature_partition, cfg.probe)
+                           cfg.model.feature_partition, cfg.probe, cfg.data.task)
     _check_simplex_rows(omega, "oracle targets")
     _write_config_echo(cfg, run_dir)
     p = omega.shape[1]

@@ -99,13 +99,6 @@ class Tensor:
     def _tracked(self) -> bool:
         return self.requires_grad or self._parents != ()
 
-    def detach(self) -> "Tensor":
-        """Same values, cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Populate grads of every reachable requires_grad tensor.
 
@@ -362,7 +355,18 @@ class DenseLayer:
         self.mask = mask
 
     def __call__(self, x: Tensor) -> Tensor:
-        return forward_dense(self, x)
+        """Run the layer. Softmax activation normalizes the last axis."""
+        weights = self.weights if self.mask is None else self.weights * self.mask
+        pre = (linear if weights.ndim == 2 else batched_linear)(x, weights, self.bias)
+        if self.activation == "identity":
+            return pre
+        if self.activation == "tanh":
+            return pre.tanh()
+        if self.activation == "relu":
+            return pre.relu()
+        if self.activation == "sigmoid":
+            return pre.sigmoid()
+        return softmax(pre, axis=-1)
 
     def parameters(self) -> list[Tensor]:
         return [self.weights, self.bias]
@@ -377,21 +381,6 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
     b = Tensor(np.zeros(out_dim), requires_grad=True,
                name=f"{name}.bias" if name else "bias")
     return DenseLayer(w, b, activation, name=name)
-
-
-def forward_dense(layer: DenseLayer, x: Tensor) -> Tensor:
-    """Run one dense layer. Softmax activation normalizes the last axis."""
-    weights = layer.weights if layer.mask is None else layer.weights * layer.mask
-    pre = (linear if weights.ndim == 2 else batched_linear)(x, weights, layer.bias)
-    if layer.activation == "identity":
-        return pre
-    if layer.activation == "tanh":
-        return pre.tanh()
-    if layer.activation == "relu":
-        return pre.relu()
-    if layer.activation == "sigmoid":
-        return pre.sigmoid()
-    return softmax(pre, axis=-1)
 
 
 # -- losses -------------------------------------------------------------
@@ -432,8 +421,8 @@ class Optimizer:
     """SGD or Adam over an explicit parameter list.
 
     Moment state is keyed by position in the list, so the same parameter
-    order must be used on every step. Gradients are left in place; the
-    caller clears them (see :func:`clear_grads`).
+    order must be used on every step, :func:`optimizer_step`. Gradients are
+    left in place; the caller clears them (see :func:`clear_grads`).
     """
 
     def __init__(self, kind: str = "adam", learning_rate: float = 1e-4,
@@ -450,9 +439,6 @@ class Optimizer:
         self.step_count = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
-
-    def step(self, params: list[Tensor]) -> None:
-        optimizer_step(self, params)
 
 
 def optimizer_step(opt: Optimizer, params: list[Tensor]) -> None:

@@ -21,6 +21,7 @@ from .diffcore import (
     Tensor,
     clear_grads,
     concat,
+    optimizer_step,
     per_sample_cross_entropy,
     per_sample_mae,
 )
@@ -39,6 +40,14 @@ class GrangerTargets:
     eps_all: np.ndarray    # (n,)   error with all experts
     delta_eps: np.ndarray  # (n, p) eps_excl - eps_all
     omega: np.ndarray      # (n, p) normalized target distribution
+
+    @classmethod
+    def from_errors(cls, eps_excl: Tensor, eps_all: Tensor) -> "GrangerTargets":
+        """Targets from the (n, p) and (n,) error tensors of `aux_errors`."""
+        eps_excl, eps_all = eps_excl.data.copy(), eps_all.data.copy()
+        delta = delta_epsilon(eps_excl, eps_all)
+        return cls(eps_excl=eps_excl, eps_all=eps_all, delta_eps=delta,
+                   omega=omega_targets(delta))
 
 
 def per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
@@ -93,12 +102,7 @@ def omega_targets(delta_eps: np.ndarray) -> np.ndarray:
 
 def granger_targets(output: AmeOutput, y_true, task: str) -> GrangerTargets:
     """Detached target computation for a batch (reporting and training)."""
-    eps_excl_t, eps_all_t = aux_errors(output, y_true, task)
-    eps_excl = eps_excl_t.data.copy()
-    eps_all = eps_all_t.data.copy()
-    delta = delta_epsilon(eps_excl, eps_all)
-    return GrangerTargets(eps_excl=eps_excl, eps_all=eps_all,
-                          delta_eps=delta, omega=omega_targets(delta))
+    return GrangerTargets.from_errors(*aux_errors(output, y_true, task))
 
 
 def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray | float:
@@ -138,23 +142,6 @@ def mge_loss(omega: np.ndarray, a: Tensor) -> Tensor:
     entropy = Tensor(_entropy_rows(omega))
     cross = (Tensor(omega) * a.log()).sum(axis=1)
     return (entropy - cross).mean()
-
-
-def mge_loss_differentiable(delta: Tensor, a: Tensor) -> Tensor:
-    """MGE with gradients also flowing into the targets (detach_targets=False).
-
-    delta is the (n, p) matrix eps_excl - eps_all, still on the tape. Rows
-    whose clamped deltas all vanish blend to the uniform target, mirroring
-    :func:`omega_targets`.
-    """
-    p = delta.shape[1]
-    clamped = delta.relu()
-    totals = clamped.sum(axis=1, keepdims=True)
-    live = (totals.data > OMEGA_FLOOR).astype(np.float64)
-    safe = totals + Tensor(1.0 - live)  # dead rows divide by 1 instead of ~0
-    omega = clamped / safe * Tensor(live) + Tensor((1.0 - live) * (1.0 / p))
-    kl = (omega * ((omega + OMEGA_FLOOR).log() - a.log())).sum(axis=1)
-    return kl.mean()
 
 
 def total_loss(main: Tensor, mge: Tensor | None, aux_losses: Tensor | None,
@@ -203,25 +190,13 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
                                  "training diverged")
     main = per_sample_error(output.y, y_true, cfg.task).mean()
 
-    eps_excl_t, eps_all_t = aux_errors(output, y_true, cfg.task)
-    n = eps_all_t.shape[0]
-    eps_all_col = eps_all_t.reshape(n, 1)
-    aux_losses = concat([eps_excl_t, eps_all_col], axis=1).mean(axis=0)  # one per probe
+    eps_excl, eps_all = aux_errors(output, y_true, cfg.task)
+    targets = GrangerTargets.from_errors(eps_excl, eps_all)
+    aux_losses = concat([eps_excl, eps_all.reshape(-1, 1)], axis=1).mean(axis=0)  # one per probe
     aux_mean = float(np.mean(aux_losses.data))
 
-    eps_excl = eps_excl_t.data.copy()
-    delta = delta_epsilon(eps_excl, eps_all_t.data)
-    omega = omega_targets(delta)
-    targets = GrangerTargets(eps_excl=eps_excl, eps_all=eps_all_t.data.copy(),
-                             delta_eps=delta, omega=omega)
-
-    mge_value = float(np.mean(kl_divergence(omega, output.a.data)))
-    mge_term: Tensor | None = None
-    if cfg.alpha > 0.0:
-        if cfg.detach_targets:
-            mge_term = mge_loss(omega, output.a)
-        else:
-            mge_term = mge_loss_differentiable(eps_excl_t - eps_all_col, output.a)
+    mge_value = float(np.mean(kl_divergence(targets.omega, output.a.data)))
+    mge_term = mge_loss(targets.omega, output.a) if cfg.alpha > 0.0 else None
     total = total_loss(main, mge_term, aux_losses, cfg.alpha, cfg.aux_weight)
     return BatchLosses(total=total, main=main, mge_value=mge_value,
                        aux_mean=aux_mean, targets=targets)
@@ -254,7 +229,7 @@ def train_epoch(model: AmeModel, opt: Optimizer, x: np.ndarray, y: np.ndarray,
         losses = batch_losses(model, forward(model, x[idx]), y[idx])
         losses.total.backward()
         model.count_backward()
-        opt.step(params)
+        optimizer_step(opt, params)
         clear_grads(params)
         w = len(idx)
         sums += w * np.array([losses.main.item(), losses.mge_value, losses.aux_mean])
@@ -283,17 +258,16 @@ def _objective(metrics: dict, alpha: float, beta: float) -> float:
 
 def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
         val_xy: tuple[np.ndarray, np.ndarray] | None = None,
-        epochs: int | None = None, patience: int | None = None) -> list[dict]:
+        epochs: int | None = None) -> list[dict]:
     """Train with early stopping on the validation objective.
 
-    Stops once the validation objective has not improved for `patience`
-    consecutive epochs and restores the best parameters seen. Returns
-    training-log rows (one train row and, when a validation split is
-    given, one val row per epoch).
+    Stops once the validation objective has not improved for the config's
+    `patience` consecutive epochs and restores the best parameters seen.
+    `epochs` overrides the config's. Returns training-log rows (one train
+    row and, when a validation split is given, one val row per epoch).
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
-    patience = cfg.patience if patience is None else patience
     opt = Optimizer(cfg.optimizer, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed + 1)  # decoupled from init stream
     params = trainable_parameters(model)
@@ -318,7 +292,7 @@ def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
             since_best = 0
         else:
             since_best += 1
-            if since_best >= patience:
+            if since_best >= cfg.patience:
                 break
     if best_state is not None:
         for p, saved in zip(params, best_state):

@@ -96,8 +96,6 @@ class AmeConfig:
     num_classes: int = 2
     alpha: float = 0.0
     aux_weight: float = 1.0
-    detach_targets: bool = True
-    aux_grads_to_experts: bool = True
     seed: int = 0
     optimizer: str = "adam"
     learning_rate: float = 0.0001
@@ -205,7 +203,7 @@ class AmeOutput:
     `combined` the attention-weighted contributions before the task head;
     h is (n, p, h), c and y_aux_excl (n, p, out): experts on axis 1.
 
-    The Granger probe outputs y_aux_excl and y_aux_all are built from h_aux
+    The Granger probe outputs y_aux_excl and y_aux_all are built from h_all
     by `model`'s probe stacks when first read, so a caller that reads only
     the attention or the prediction puts no probe op on the tape. Read them
     before the parameters change (the training loss does).
@@ -217,16 +215,15 @@ class AmeOutput:
     h: Tensor
     h_all: Tensor
     combined: Tensor
-    h_aux: Tensor  # the probes' input: h_all, detached unless aux_grads_to_experts
     model: AmeModel
 
     @cached_property
     def y_aux_excl(self) -> Tensor:
-        return self.model.aux_excl(self.h_aux)
+        return self.model.aux_excl(self.h_all)
 
     @cached_property
     def y_aux_all(self) -> Tensor:
-        return self.model.aux_all(self.h_aux)
+        return self.model.aux_all(self.h_all)
 
 
 class AmeModel:
@@ -366,11 +363,9 @@ def forward(model: AmeModel, x) -> AmeOutput:
     combined = (a.reshape(n, cfg.n_experts, 1) * c).sum(axis=1)
     y = softmax(combined, axis=1) if cfg.task == "classification" else combined
 
-    # Granger probes, built when read. Probe i's mask removes both expert i's
-    # hidden state and its contribution, so it sees nothing of that expert.
-    h_aux = h_all if cfg.aux_grads_to_experts else h_all.detach()
-    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined, h_aux=h_aux,
-                     model=model)
+    # Granger probes read h_all when read. Probe i's mask removes both expert
+    # i's hidden state and its contribution, so it sees nothing of that expert.
+    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined, model=model)
 
 
 def importance(output: AmeOutput) -> np.ndarray:
@@ -400,6 +395,18 @@ def _stored_values(params: dict, name: str, shape: tuple) -> np.ndarray:
     return values.reshape(shape)
 
 
+def _without_retired_fields(config: dict) -> dict:
+    """A stored config without `detach_targets` and `aux_grads_to_experts`,
+    which older documents carry; only their value true, the way every model
+    is trained now, loads."""
+    retired = ("detach_targets", "aux_grads_to_experts")
+    for name in retired:
+        if config.get(name, True) is not True:
+            raise ConfigError(f"{name}: stored value {config[name]!r} is no longer supported; "
+                              "only true loads")
+    return {k: v for k, v in config.items() if k not in retired}
+
+
 def model_from_dict(raw: dict) -> AmeModel:
     """Rebuild a model from a format-2 document, or from a format-1 one (per-
     expert lists, no `format` field), which fills the stacks slice by slice."""
@@ -409,7 +416,7 @@ def model_from_dict(raw: dict) -> AmeModel:
     fmt = raw.get("format", 1)
     if fmt not in (1, MODEL_FORMAT):
         raise ConfigError(f"model format {fmt!r} is unknown; expected 1 or {MODEL_FORMAT}")
-    model = _zero_model(AmeConfig.from_dict(raw["config"]))
+    model = _zero_model(AmeConfig.from_dict(_without_retired_fields(raw["config"])))
     params = raw["params"]
     layout = list(_list_layout(model)) if fmt == 1 else [
         (p.name, p.shape, p.data, slice(None)) for p in model.parameters()]

@@ -9,6 +9,7 @@ wall-clock `seconds` fields in timing-bearing CSVs are masked before the
 comparison, since elapsed time is not a function of the seed.
 """
 
+import csv
 import json
 import time
 import numpy as np
@@ -85,11 +86,10 @@ def seed_runs():
         splits = generate(subset_task_spec(seed))
         granger_model, _ = train_model(subset_task_config(seed, alpha=0.1), splits)
         plain_model, _ = train_model(subset_task_config(seed, alpha=0.0), splits)
-        probe = ProbeConfig(hidden=[8], task="classification", learning_rate=0.01,
-                            epochs=30, batch_size=64, seed=seed)
+        probe = ProbeConfig(hidden=[8], learning_rate=0.01, epochs=30, batch_size=64, seed=seed)
         oracle = granger_oracle((splits.train.x, splits.train.y),
                                 (splits.test.x, splits.test.y),
-                                granger_model.config.feature_partition, probe)
+                                granger_model.config.feature_partition, probe, "classification")
         runs[seed] = {"splits": splits, "granger": granger_model,
                       "plain": plain_model, "oracle": oracle}
     _fixture_time["seed_runs"] = time.perf_counter() - started
@@ -251,15 +251,25 @@ class TestCriterion5MgeQualityCorrelation:
 
 
 class TestCriterion6AlphaSweep:
-    def test_alpha_grid_trend(self):
-        """Over alpha in {0,...,0.1} x 5 seeds: Spearman(alpha, mean MGE)
-        <= -0.7 and the predictive-loss penalty at 0.1 stays under 25%."""
+    def test_alpha_grid_trend(self, tmp_path):
+        """Over alpha in {0,...,0.1} x 5 seeds, run by `ame-lab sweep`:
+        Spearman(alpha, mean MGE) <= -0.7 and the predictive-loss penalty at
+        0.1 stays under 25%."""
         started = time.perf_counter()
         alphas = [round(0.01 * i, 2) for i in range(11)]
-        base_cfg = subset_task_config(100, alpha=0.0)
-        base_spec = subset_task_spec(100)
-        from ame_lab.benchmark import alpha_sweep
-        run_rows, agg_rows = alpha_sweep(base_cfg, base_spec, alphas, runs=5)
+        cfg = {"out_dir": str(tmp_path / "runs"), "alphas": alphas, "runs": 5,
+               "model": subset_task_config(100, alpha=0.0).to_dict(),
+               "data": subset_task_spec(100).to_dict()}
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        assert cli_main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        with open(run_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        run_rows = [{k: float(row[k]) for k in ("alpha", "test_main_loss")}
+                    for row in table if row["row_type"] == "run"]
+        agg_rows = [{k: float(row[k]) for k in ("alpha", "mge_mean")}
+                    for row in table if row["row_type"] == "aggregate"]
+        assert len(run_rows) == 55 and [row["alpha"] for row in agg_rows] == alphas
 
         mge_means = [row["mge_mean"] for row in agg_rows]
         spearman = stats.spearmanr(alphas, mge_means).statistic
@@ -318,11 +328,10 @@ class TestCriterion8OracleCrossCheck:
         model, _ = train_model(cfg, splits)
         in_model = granger_targets(forward(model, splits.test.x), splits.test.y,
                                    "regression").omega
-        probe = ProbeConfig(hidden=[8], task="regression", learning_rate=0.01,
-                            epochs=40, batch_size=64, seed=5)
+        probe = ProbeConfig(hidden=[8], learning_rate=0.01, epochs=40, batch_size=64, seed=5)
         oracle = granger_oracle((splits.train.x, splits.train.y),
                                 (splits.test.x, splits.test.y),
-                                cfg.feature_partition, probe)
+                                cfg.feature_partition, probe, "regression")
         assert oracle[:, 0].mean() > 0.95, f"oracle mean omega_1 {oracle[:, 0].mean()}"
         assert in_model[:, 0].mean() > 0.95, f"in-model mean omega_1 {in_model[:, 0].mean()}"
 

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ame_lab.attribution import (
     ProbeConfig,
-    _normalize_rows,
     explain_ame,
     explain_occlusion,
     explain_saliency,
@@ -38,44 +37,58 @@ def two_group_model(task="regression", seed=0, silence_second_expert=False,
 
 class TestNormalizeScores:
     def test_signed_values_hand_case(self):
-        scores, degenerate = normalize_scores(np.array([3.0, -1.0]))
-        np.testing.assert_allclose(scores, [0.75, 0.25])
-        assert not degenerate
+        scores, degenerate = normalize_scores(np.array([[3.0, -1.0]]))
+        np.testing.assert_allclose(scores, [[0.75, 0.25]])
+        assert not degenerate.any()
 
     def test_one_hot_is_fixed_point(self):
-        scores, _ = normalize_scores(np.array([0.0, 1.0, 0.0]))
-        np.testing.assert_array_equal(scores, [0.0, 1.0, 0.0])
+        scores, _ = normalize_scores(np.array([[0.0, 1.0, 0.0]]))
+        np.testing.assert_array_equal(scores, [[0.0, 1.0, 0.0]])
 
     def test_all_zero_flags_degenerate_uniform(self):
-        scores, degenerate = normalize_scores(np.array([0.0, 0.0]))
-        np.testing.assert_allclose(scores, [0.5, 0.5])
-        assert degenerate
+        scores, degenerate = normalize_scores(np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(scores, [[0.5, 0.5]])
+        assert degenerate.all()
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_scores(np.array([]))
+        for raw in (np.zeros((3, 0)), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match="normalize_scores"):
+                normalize_scores(raw)
 
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8),
-           st.floats(min_value=-1000, max_value=1000).filter(lambda k: abs(k) > 1e-6))
+    @given(raw=st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8),
+           k=st.floats(min_value=-1000, max_value=1000).filter(lambda k: abs(k) > 1e-6))
+    @example(raw=[5e-324], k=0.5)
     @settings(max_examples=300, deadline=None)
     def test_scale_invariance(self, raw, k):
-        raw = np.array(raw)
+        raw = np.array([raw])
         base, flag_a = normalize_scores(raw)
         scaled, flag_b = normalize_scores(k * raw)
-        assert flag_a == flag_b
-        np.testing.assert_allclose(base, scaled, atol=1e-9)
+        scaled_total = np.abs(k * raw).sum()
+        if scaled_total == 0.0:  # k * raw underflowed to all zeros
+            assert flag_b[0]
+            np.testing.assert_array_equal(scaled, np.full(raw.shape, 1.0 / raw.size))
+            return
+        assert flag_a[0] == flag_b[0]
+        # rounding k * x to a float moves it by up to half the smallest
+        # subnormal, which tiny totals feel; otherwise the scores agree
+        tol = 1e-9 + (raw.size + 1) * np.finfo(float).smallest_subnormal / scaled_total
+        np.testing.assert_allclose(base, scaled, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("p", [1, 3, 9, 40])
     def test_row_batch_equals_per_row_normalize(self, p):
         rng = np.random.default_rng(p)
         raw = rng.normal(size=(12, p)) * rng.choice([1e-300, 1.0, 1e300], size=(12, 1))
         raw[[2, 7]] = 0.0  # all-zero rows fall back to uniform
-        rows, flags = _normalize_rows(raw)
+        rows, flags = normalize_scores(raw)
         for s in range(raw.shape[0]):
-            expected, degenerate = normalize_scores(raw[s])
-            np.testing.assert_array_equal(rows[s], expected)
-            assert flags[s] == degenerate
-        assert flags[[2, 7]].all()
+            expected, degenerate = normalize_scores(raw[s:s + 1])
+            np.testing.assert_array_equal(rows[s], expected[0])
+            assert flags[s] == degenerate[0]
+            if not degenerate[0]:
+                np.testing.assert_allclose(rows[s], np.abs(raw[s]) / np.abs(raw[s]).sum(),
+                                           rtol=1e-15)
+        np.testing.assert_array_equal(rows[[2, 7]], np.full((2, p), 1.0 / p))
+        assert flags[[2, 7]].all() and flags.sum() == 2
 
 
 class TestExplainAme:
@@ -122,8 +135,8 @@ class TestExplainSaliency:
         x1 = x * Tensor(np.array([[1.0, 0.0]]))
         x2 = x * Tensor(np.array([[0.0, 1.0]]))
         ((x1 * x1).sum() + x2.sum()).backward()
-        scores, _ = normalize_scores(np.abs(x.grad[0]))
-        np.testing.assert_allclose(scores, [6 / 7, 1 / 7])
+        scores, _ = normalize_scores(np.abs(x.grad))
+        np.testing.assert_allclose(scores, [[6 / 7, 1 / 7]])
 
     def test_matches_finite_differences_of_the_prediction(self):
         model = two_group_model(seed=3)
@@ -137,8 +150,8 @@ class TestExplainSaliency:
             down[0, j] -= h
             fd[j] = (forward(model, up).y.data[0, 0]
                      - forward(model, down).y.data[0, 0]) / (2 * h)
-        expected, _ = normalize_scores(np.abs(fd))
-        np.testing.assert_allclose(report.per_sample[0], expected, atol=1e-6)
+        expected, _ = normalize_scores(np.abs(fd)[None, :])
+        np.testing.assert_allclose(report.per_sample, expected, atol=1e-6)
 
     def test_pass_counts_include_backward(self):
         model = two_group_model()
@@ -188,9 +201,9 @@ class TestGrangerOracle:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(400, 2))
         y = rng.normal(size=(400, 1))  # independent of x
-        probe = ProbeConfig(hidden=[4], task="regression", epochs=15, seed=7)
+        probe = ProbeConfig(hidden=[4], epochs=15, seed=7)
         omega = granger_oracle((x[:300], y[:300]), (x[300:], y[300:]),
-                               [[0], [1]], probe)
+                               [[0], [1]], probe, "regression")
         mean_omega = omega.mean(axis=0)
         assert float(kl_divergence(mean_omega, np.array([0.5, 0.5]))) < 0.1
 
@@ -198,35 +211,44 @@ class TestGrangerOracle:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(500, 2))
         y = x[:, :1].copy()
-        probe = ProbeConfig(hidden=[8], task="regression", epochs=30, seed=8)
+        probe = ProbeConfig(hidden=[8], epochs=30, seed=8)
         omega = granger_oracle((x[:400], y[:400]), (x[400:], y[400:]),
-                               [[0], [1]], probe)
+                               [[0], [1]], probe, "regression")
         assert omega[:, 0].mean() > 0.95
 
     def test_insufficient_samples_rejected(self):
         x = np.zeros((19, 2))
         y = np.zeros((19, 1))
         with pytest.raises(ValueError, match="20"):
-            granger_oracle((x, y), (x, y), [[0], [1]], ProbeConfig())
+            granger_oracle((x, y), (x, y), [[0], [1]], ProbeConfig(), "regression")
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(120, 3))
         y = x[:, :1] + 0.1 * rng.normal(size=(120, 1))
-        probe = ProbeConfig(hidden=[4], task="regression", epochs=5, seed=9)
+        probe = ProbeConfig(hidden=[4], epochs=5, seed=9)
         omega = granger_oracle((x[:100], y[:100]), (x[100:], y[100:]),
-                               [[0], [1], [2]], probe)
+                               [[0], [1], [2]], probe, "regression")
         assert np.all(omega >= 0)
         np.testing.assert_allclose(omega.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_class_count_is_the_width_of_the_one_hot_targets(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(60, 2))
+        y = np.eye(3)[rng.integers(0, 3, size=60)]  # a 2-wide probe head would not fit
+        omega = granger_oracle((x[:40], y[:40]), (x[40:], y[40:]), [[0], [1]],
+                               ProbeConfig(hidden=[4], epochs=2), "classification")
+        assert omega.shape == (20, 2)
+        np.testing.assert_allclose(omega.sum(axis=1), 1.0, atol=1e-12)
 
-def sequential_oracle(train_xy, heldout_xy, feature_partition, probe):
+
+def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
     """The oracle as p+1 separate networks trained one after another: an
     independent reference for the stacked one. Returns (eps_excl, eps_all)."""
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy
-    out_dim = probe.num_classes if probe.task == "classification" else 1
-    head_act = "softmax" if probe.task == "classification" else "identity"
+    out_dim = y_train.shape[1]
+    head_act = "softmax" if task == "classification" else "identity"
     rng = np.random.default_rng(probe.seed)
 
     def build(in_dim):
@@ -242,7 +264,7 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe):
         return xt
 
     def errors(pred, y):
-        if probe.task == "classification":
+        if task == "classification":
             return dc.per_sample_cross_entropy(pred, Tensor(y))
         return dc.per_sample_mae(pred, Tensor(y))
 
@@ -257,12 +279,12 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe):
             order = rng.permutation(x_tr.shape[0])
             for start in range(0, x_tr.shape[0], probe.batch_size):
                 idx = order[start:start + probe.batch_size]
-                if probe.task == "classification":
+                if task == "classification":
                     loss = dc.loss_cross_entropy(run(layers, x_tr[idx]), Tensor(y_train[idx]))
                 else:
                     loss = dc.loss_mae(run(layers, x_tr[idx]), Tensor(y_train[idx]))
                 loss.backward()
-                opt.step(params)
+                dc.optimizer_step(opt, params)
                 clear_grads(params)
         return errors(run(layers, x_he), y_held).data
 
@@ -292,7 +314,7 @@ class TestStackedOracleMatchesSequential:
         else:
             y = (signal + 0.1 * rng.normal(size=signal.size))[:, None]
         train, held = (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])
-        probe = ProbeConfig(hidden=[5, 3], task=task, learning_rate=0.05, optimizer=optimizer,
+        probe = ProbeConfig(hidden=[5, 3], learning_rate=0.05, optimizer=optimizer,
                             epochs=4, batch_size=batch_size, seed=12)
         seen = {}
 
@@ -301,8 +323,8 @@ class TestStackedOracleMatchesSequential:
             return delta_epsilon(eps_excl, eps_all)
 
         monkeypatch.setattr(attribution, "delta_epsilon", spy)
-        omega = granger_oracle(train, held, partition, probe)
-        ref_excl, ref_all = sequential_oracle(train, held, partition, probe)
+        omega = granger_oracle(train, held, partition, probe, task)
+        ref_excl, ref_all = sequential_oracle(train, held, partition, probe, task)
         np.testing.assert_allclose(seen["eps_all"], ref_all, rtol=0, atol=1e-12)
         np.testing.assert_allclose(seen["eps_excl"], ref_excl, rtol=0, atol=1e-12)
         np.testing.assert_allclose(omega, omega_targets(delta_epsilon(ref_excl, ref_all)),
@@ -315,7 +337,7 @@ class TestProbeConfigValidation:
         ("hidden", [0], "probe hidden must be widths >= 1"), ("hidden", [4, -1], "probe hidden"),
         ("epochs", 0, "probe epochs"), ("batch_size", 0, "probe batch_size"),
         ("learning_rate", 0.0, "probe learning_rate"), ("learning_rate", -0.1, "learning_rate"),
-        ("optimizer", "rmsprop", "probe optimizer"), ("task", "ranking", "probe task"),
+        ("optimizer", "rmsprop", "probe optimizer"),
         ("hidden", "8", "hidden must be list"), ("epochs", 2.0, "epochs must be int"),
     ])
     def test_bad_value_names_the_field(self, field, value, message):
@@ -327,7 +349,18 @@ class TestProbeConfigValidation:
         probe.batch_size = 0
         x, y = np.zeros((40, 2)), np.zeros((40, 1))
         with pytest.raises(ConfigError, match="batch_size"):
-            granger_oracle((x, y), (x, y), [[0], [1]], probe)
+            granger_oracle((x, y), (x, y), [[0], [1]], probe, "regression")
+
+    @pytest.mark.parametrize("field", ["task", "num_classes"])
+    def test_task_and_class_count_are_not_probe_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            ProbeConfig(**{field: "classification" if field == "task" else 2})
+
+    def test_oracle_refuses_an_unknown_task(self):
+        x, y = np.zeros((40, 2)), np.zeros((40, 1))
+        with pytest.raises(ConfigError, match="task must be"):
+            granger_oracle((x, y), (x, y), [[0], [1]], ProbeConfig(), "ranking")
+
 
 
 class TestReportIO:

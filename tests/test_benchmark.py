@@ -1,15 +1,19 @@
 """Tests for dataset generation and the evaluation protocols."""
 
+import csv
+import json
+import math
+
 import numpy as np
 import pytest
 
-from ame_lab.attribution import ImportanceReport, explain_ame
+from ame_lab.attribution import ESTIMATORS, ImportanceReport, explain_ame
 from ame_lab.benchmark import (
     BenchmarkResult,
     _mask_groups,
     ProtocolError,
     SyntheticSpec,
-    alpha_sweep,
+    aggregate_sweep,
     generate,
     log_odds,
     masking_drop,
@@ -17,11 +21,13 @@ from ame_lab.benchmark import (
     mge_quality_protocol,
     read_benchmark_csv,
     recall_at_k,
+    sweep_single,
     timing_protocol,
     train_model,
     write_benchmark_csv,
     write_sweep_csv,
 )
+from ame_lab.cli import main
 from ame_lab.model import AmeConfig, ConfigError, model_hash
 
 
@@ -47,6 +53,22 @@ def trained():
     splits = generate(cls_spec())
     model, _ = train_model(cls_config(), splits)
     return model, splits
+
+
+def cli_sweep(tmp_path, config, spec, alphas, runs):
+    """`ame-lab sweep` over one model config and dataset; returns the run rows
+    and the aggregate rows of its sweep.csv, numbers parsed."""
+    raw = {"out_dir": str(tmp_path / "runs"), "model": config.to_dict(), "data": spec.to_dict(),
+           "alphas": alphas, "runs": runs}
+    (tmp_path / "sweep.json").write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    with open(run_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    rows = {kind: [{k: float(v) for k, v in row.items()
+                    if v and k not in ("row_type", "model_hash")}
+                   for row in table if row["row_type"] == kind] for kind in ("run", "aggregate")}
+    return rows["run"], rows["aggregate"]
 
 
 def fake_report(scores):
@@ -216,33 +238,35 @@ class TestMgeQuality:
 
 
 class TestAlphaSweep:
-    def test_alpha_zero_row_reports_untrained_mge(self):
-        rows, agg = alpha_sweep(cls_config(epochs=2), cls_spec(n_train=200, n_val=50, n_test=50),
-                                alphas=[0.0], runs=1)
+    def test_alpha_zero_row_reports_untrained_mge(self, tmp_path):
+        rows, agg = cli_sweep(tmp_path, cls_config(epochs=2),
+                              cls_spec(n_train=200, n_val=50, n_test=50), alphas=[0.0], runs=1)
         assert len(rows) == 1 and len(agg) == 1
         assert rows[0]["alpha"] == 0.0
         assert np.isfinite(rows[0]["test_mge"])
 
-    def test_grid_produces_one_aggregate_per_alpha(self):
+    def test_grid_produces_one_aggregate_per_alpha(self, tmp_path):
         alphas = [round(0.01 * i, 2) for i in range(11)]
-        rows, agg = alpha_sweep(cls_config(epochs=1),
-                                cls_spec(n_train=100, n_val=30, n_test=30),
-                                alphas=alphas, runs=1)
+        rows, agg = cli_sweep(tmp_path, cls_config(epochs=1),
+                              cls_spec(n_train=100, n_val=30, n_test=30), alphas=alphas, runs=1)
         assert len(rows) == 11
         assert [a["alpha"] for a in agg] == alphas
 
-    def test_aggregates_match_recomputation(self):
-        rows, agg = alpha_sweep(cls_config(epochs=1),
-                                cls_spec(n_train=100, n_val=30, n_test=30),
-                                alphas=[0.0, 0.1], runs=2)
+    def test_aggregates_match_recomputation(self, tmp_path):
+        rows, agg = cli_sweep(tmp_path, cls_config(epochs=1),
+                              cls_spec(n_train=100, n_val=30, n_test=30), alphas=[0.0, 0.1],
+                              runs=2)
         for entry in agg:
             mine = [r["test_mge"] for r in rows if r["alpha"] == entry["alpha"]]
             np.testing.assert_allclose(entry["mge_mean"], np.mean(mine))
             np.testing.assert_allclose(entry["mge_sd"], np.std(mine))
 
-    def test_empty_alphas_rejected(self):
-        with pytest.raises(ProtocolError):
-            alpha_sweep(cls_config(), cls_spec(), alphas=[], runs=1)
+    def test_empty_alphas_rejected(self, tmp_path, capsys):
+        raw = {"out_dir": str(tmp_path / "runs"), "model": cls_config().to_dict(),
+               "data": cls_spec().to_dict(), "alphas": []}
+        (tmp_path / "sweep.json").write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 2
+        assert "config error: alphas must be non-empty" in capsys.readouterr().err
 
 
 class TestRecallAtK:
@@ -267,12 +291,22 @@ class TestRecallAtK:
 class TestTiming:
     def test_pass_counting(self, trained):
         model, splits = trained
-        rows = timing_protocol(model, splits.test.x[:12], ["ame", "occlusion"],
-                               batch_size=1)
+        rows = timing_protocol(model, splits.test.x[:12], ["ame", "occlusion"])
         by_name = {r["estimator"]: r for r in rows}
-        assert by_name["ame"]["forwards"] == 12
+        assert by_name["ame"]["forwards"] == math.ceil(12 / model.config.batch_size)
         assert by_name["occlusion"]["forwards"] == 12 * (model.config.n_experts + 1)
         assert by_name["ame"]["ratio_vs_ame"] == 1.0
+
+    def test_every_estimator_gets_the_baseline(self, trained, monkeypatch):
+        model, splits = trained
+        seen = {}
+        for name, estimator in list(ESTIMATORS.items()):
+            def spy(model, x, estimator=estimator, name=name, **params):
+                seen[name] = params
+                return estimator(model, x, **params)
+            monkeypatch.setitem(ESTIMATORS, name, spy)
+        timing_protocol(model, splits.test.x[:3], baseline_value=0.5)
+        assert seen == {name: {"baseline_value": 0.5} for name in ("ame", "saliency", "occlusion")}
 
     def test_unknown_estimator_rejected(self, trained):
         model, splits = trained
@@ -296,9 +330,9 @@ class TestResultIO:
         ]
 
     def test_sweep_csv_tags_row_types(self, tmp_path):
-        rows, agg = alpha_sweep(cls_config(epochs=1),
-                                cls_spec(n_train=100, n_val=30, n_test=30),
-                                alphas=[0.0], runs=1)
+        rows = [sweep_single(cls_config(epochs=1), cls_spec(n_train=100, n_val=30, n_test=30),
+                             0.0, 0)]
+        agg = aggregate_sweep(rows)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, agg, path)
         text = path.read_text().splitlines()

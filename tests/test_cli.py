@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from ame_lab import cli
+from ame_lab.benchmark import sweep_single
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
 
 def base_config(tmp_path, **overrides):
@@ -121,6 +123,34 @@ class TestConfigParsing:
         assert code == 2
         assert "must be a JSON object, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("probe", "num_classes", 5), ("probe", "task", "classification"),
+        ("model", "detach_targets", False), ("model", "aux_grads_to_experts", True),
+    ])
+    def test_retired_field_is_a_config_error(self, tmp_path, capsys, block, field, value):
+        cfg = base_config(tmp_path)
+        cfg.setdefault(block, {})[field] = value
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
+    def test_model_file_trained_with_a_retired_field_off_is_a_config_error(
+            self, tmp_path, capsys, field):
+        from ame_lab.model import AmeConfig, build_ame, model_to_dict
+        doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
+        model_path = tmp_path / "model.json"
+        cfg = write_config(tmp_path, base_config(tmp_path, model_path=str(model_path)))
+        doc["config"][field] = True
+        model_path.write_text(json.dumps(doc))
+        assert main(["explain", "--config", cfg]) == 0
+        doc["config"][field] = False
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["explain", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: stored value False")
+
     def test_wrong_field_type_in_model_file_is_a_config_error(self, tmp_path, capsys):
         from ame_lab.model import AmeConfig, build_ame, model_to_dict
         doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
@@ -207,6 +237,16 @@ class TestExplainCommand:
         code = main(["explain", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert "model_path" in capsys.readouterr().err
+
+    def test_reports_record_the_values_each_estimator_uses(self, tmp_path):
+        model_path = self.trained_model_path(tmp_path)
+        cfg = base_config(tmp_path, model_path=model_path, baseline_value=0.5,
+                          estimators=["ame", "saliency", "occlusion"])
+        cfg["data"]["n_test"] = 5
+        assert main(["explain", "--config", write_config(tmp_path, cfg)]) == 0
+        blocks = json.loads((run_dir_of(tmp_path, cfg) / "importance.json").read_text())
+        assert [b["params"] for b in blocks] == [{"batch_size": 64}, {"batch_size": 64},
+                                                 {"baseline_value": 0.5}]
 
     def test_estimator_blocks_share_sample_ids(self, tmp_path):
         model_path = self.trained_model_path(tmp_path)
@@ -320,6 +360,52 @@ class TestSweepCommand:
         assert "2 already complete" in capsys.readouterr().out
         assert (run_dir_of(tmp_path, cfg) / "sweep.csv").read_bytes() == sweep_bytes
 
+    def test_killed_sweep_keeps_finished_cells_and_resumes_to_the_same_bytes(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = dict(self.sweep_config(tmp_path), alphas=[0.0, 0.05, 0.1])
+        whole = dict(cfg, out_dir=str(tmp_path / "whole"))
+        assert main(["sweep", "--config", write_config(tmp_path, whole, "whole.json")]) == 0
+        path = write_config(tmp_path, cfg)
+
+        class Killed(Exception):
+            pass
+
+        calls = []
+
+        def third_cell_dies(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise Killed
+            return sweep_single(*args)
+
+        monkeypatch.setattr(cli, "sweep_single", third_cell_dies)
+        with pytest.raises(Killed):
+            main(["sweep", "--config", path])
+        cells = run_dir_of(tmp_path, cfg) / "sweep_cells"
+        assert sorted(p.name for p in cells.iterdir()) == ["alpha_0.05_run_0.json",
+                                                           "alpha_0.0_run_0.json"]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["sweep", "--config", path]) == 0
+        assert "2 already complete" in capsys.readouterr().out
+        whole_csv = tmp_path / "whole" / run_dir_of(tmp_path, cfg).name / "sweep.csv"
+        assert (run_dir_of(tmp_path, cfg) / "sweep.csv").read_bytes() == whole_csv.read_bytes()
+
+    def test_alphas_equal_to_six_digits_get_their_own_cells(self, tmp_path):
+        cfg = dict(self.sweep_config(tmp_path), alphas=[0.1, 0.1000001])
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        run_dir = run_dir_of(tmp_path, cfg)
+        assert sorted(p.name for p in (run_dir / "sweep_cells").iterdir()) == [
+            "alpha_0.1000001_run_0.json", "alpha_0.1_run_0.json"]
+        lines = (run_dir / "sweep.csv").read_text().splitlines()
+        assert sum(1 for l in lines if l.startswith("aggregate,")) == 2
+
+    @pytest.mark.parametrize("alphas", [[0.1, 0.1], [0, 0.0]])
+    def test_repeated_alpha_is_a_config_error(self, tmp_path, capsys, alphas):
+        cfg = dict(self.sweep_config(tmp_path), alphas=alphas)
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: alphas must be non-empty and distinct" in capsys.readouterr().err
+
     def test_parallel_jobs_match_sequential_bytes(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         main(["sweep", "--config", write_config(tmp_path, cfg, "seq.json")])
@@ -348,12 +434,12 @@ class TestOracleCommand:
     @pytest.mark.parametrize("command", ["oracle", "train"])
     def test_echoed_config_hashes_to_its_directory(self, tmp_path, command):
         cfg = base_config(tmp_path)
-        cfg["probe"] = {"hidden": [4], "epochs": 2, "num_classes": 5}
+        cfg["probe"] = {"hidden": [4], "epochs": 2}
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
         (run_dir,) = (tmp_path / "runs").iterdir()
         echo = json.loads((run_dir / "config.json").read_text())
         assert run_id(RunConfig.from_dict(echo)) == run_dir.name
-        assert (echo["probe"]["task"], echo["probe"]["num_classes"]) == ("classification", 2)
+        assert not {"task", "num_classes"} & set(echo["probe"])
 
     def test_train_and_oracle_share_a_directory(self, tmp_path):
         cfg = base_config(tmp_path)

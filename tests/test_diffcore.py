@@ -16,7 +16,6 @@ from ame_lab.diffcore import (
     clear_grads,
     concat,
     finite_difference_grads,
-    forward_dense,
     init_dense,
     linear,
     loss_cross_entropy,
@@ -38,24 +37,24 @@ def _layer(weights, bias, activation="identity"):
 class TestForwardDense:
     def test_identity_weights_pass_input_through(self):
         layer = _layer(np.eye(2), [0.0, 0.0], "identity")
-        out = forward_dense(layer, Tensor([[1.0, 2.0]]))
+        out = layer(Tensor([[1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_zero_weights_with_tanh_give_zeros(self):
         layer = _layer(np.zeros((3, 4)), np.zeros(3), "tanh")
-        out = forward_dense(layer, Tensor(np.random.default_rng(0).normal(size=(5, 4))))
+        out = layer(Tensor(np.random.default_rng(0).normal(size=(5, 4))))
         np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
 
     def test_affine_map_hand_value(self):
         # [2, 3] @ [1, 1]^T + 0.5 = 5.5
         layer = _layer([[1.0, 1.0]], [0.5], "identity")
-        out = forward_dense(layer, Tensor([[2.0, 3.0]]))
+        out = layer(Tensor([[2.0, 3.0]]))
         np.testing.assert_allclose(out.data, [[5.5]])
 
     def test_shape_mismatch_names_both_shapes(self):
         layer = _layer(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DimensionError, match=r"\(1, 4\).*\(2, 3\)"):
-            forward_dense(layer, Tensor(np.zeros((1, 4))))
+            layer(Tensor(np.zeros((1, 4))))
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="gelu"):
@@ -367,7 +366,7 @@ class TestBatchedLinear:
         params = [layer.weights, layer.bias, x]
 
         def loss():
-            return (forward_dense(layer, x) * forward_dense(layer, x)).sum()
+            return (layer(x) * layer(x)).sum()
 
         loss().backward()
         analytic = [p.grad.copy() for p in params]

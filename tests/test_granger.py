@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ame_lab.diffcore import Optimizer, Tensor, clear_grads
+from ame_lab.diffcore import Optimizer, Tensor, clear_grads, optimizer_step
 from ame_lab.granger import (
     GrangerTargets,
     aux_errors,
@@ -27,10 +27,10 @@ from ame_lab.model import AmeConfig, AmeOutput, build_ame, forward
 
 def fake_output(y, a, y_aux_excl, y_aux_all):
     """AmeOutput with only the fields the objective reads; the probe outputs
-    are set directly instead of being built from h_aux by a model."""
+    are set directly instead of being built from h_all by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
     out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h=dummy, h_all=dummy,
-                    combined=dummy, h_aux=dummy, model=None)
+                    combined=dummy, model=None)
     out.y_aux_excl = Tensor(np.stack(y_aux_excl, axis=1))
     out.y_aux_all = Tensor(y_aux_all)
     return out
@@ -201,25 +201,13 @@ class TestDetachedTargets:
         assert any(p.grad is not None and np.any(p.grad)
                    for p in model.gate_projection.parameters() + [model.gate_context])
 
-    def test_differentiable_targets_flag_reaches_aux(self):
-        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[4],
-                        gate_hidden=4, aux_hidden=[4], task="regression",
-                        alpha=1.0, aux_weight=0.0, detach_targets=False, seed=5)
-        model = build_ame(cfg)
-        rng = np.random.default_rng(1)
-        x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 1))
-        losses = batch_losses(model, forward(model, x), y)
-        losses.total.backward()
-        assert any(p.grad is not None and np.any(p.grad) for p in model.aux_parameters())
-
 
 class TestLazyProbeTape:
     @pytest.mark.parametrize("task", ["regression", "classification"])
-    @pytest.mark.parametrize("to_experts", [True, False])
-    def test_losses_and_grads_equal_a_hand_run_of_the_probes(self, task, to_experts):
+    def test_losses_and_grads_equal_a_hand_run_of_the_probes(self, task):
         cfg = AmeConfig(feature_partition=[[0, 1], [2], [3]], expert_hidden=[3, 2],
                         gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
-                        alpha=0.4, aux_grads_to_experts=to_experts, seed=17)
+                        alpha=0.4, seed=17)
         model = build_ame(cfg)
         rng = np.random.default_rng(17)
         x = rng.normal(size=(9, 4))
@@ -229,8 +217,7 @@ class TestLazyProbeTape:
         def run(hand: bool):
             out = forward(model, x)
             if hand:  # both probe stacks, layer by layer, before the loss reads them
-                h = out.h_all if to_experts else out.h_all.detach()
-                excl, full = h, h
+                excl, full = out.h_all, out.h_all
                 for layer in model.aux_excl.layers:
                     excl = layer(excl)
                 for layer in model.aux_all.layers:
@@ -266,14 +253,13 @@ def tape_nodes(loss):
 
 class TestTapeSkipsInputGradients:
     @pytest.mark.parametrize("task", ["regression", "classification"])
-    @pytest.mark.parametrize("to_experts", [True, False])
-    def test_parameters_bitwise_equal_to_a_tape_with_the_input_tracked(self, task, to_experts):
+    def test_parameters_bitwise_equal_to_a_tape_with_the_input_tracked(self, task):
         # An input that requires grad keeps every op on the input's path on the
         # tape and makes the linear maps compute input gradients; a raw input
         # leaves those out. The parameters must not notice.
         cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[3, 2],
                         gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
-                        alpha=0.3, aux_grads_to_experts=to_experts, seed=23)
+                        alpha=0.3, seed=23)
         rng = np.random.default_rng(23)
         x = rng.normal(size=(3, 11, 5))
         y = (np.eye(3)[rng.integers(0, 3, size=(3, 11))] if task == "classification"
@@ -289,7 +275,7 @@ class TestTapeSkipsInputGradients:
                 nodes.append(tape_nodes(losses.total))
                 losses.total.backward()
                 input_grads.append(xt.grad if track_input else None)
-                opt.step(model.parameters())
+                optimizer_step(opt, model.parameters())
                 clear_grads(model.parameters())
             return model.parameters(), nodes, input_grads
 

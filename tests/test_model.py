@@ -82,7 +82,7 @@ class TestConfigValidation:
         ("gate_hidden", "4"), ("gate_hidden", True), ("gate_hidden", 4.0),
         ("expert_hidden", 3), ("aux_hidden", [4, "8"]), ("alpha", None), ("alpha", "0.1"),
         ("feature_partition", [[0, "1"], [2], [3, 4]]), ("feature_partition", [0, 1]),
-        ("task", 1), ("detach_targets", 1), ("learning_rate", [0.1]), ("seed", None),
+        ("task", 1), ("aux_weight", True), ("learning_rate", [0.1]), ("seed", None),
     ])
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be "):
@@ -322,8 +322,8 @@ class TestSerialization:
     def test_hash_golden_digest(self):
         # sha256 over the config JSON and each parameter's name, shape and
         # float64 bytes; changing the definition changes every stored hash
-        assert model_hash(build_ame(small_config())) == "dde4d52694e7577c"
-        assert model_hash(load_model(DATA / "format1_model.json")) == "78c4a093cb4d2048"
+        assert model_hash(build_ame(small_config())) == "1cfa1bc97a3ac31d"
+        assert model_hash(load_model(DATA / "format1_model.json")) == "f5acb54d5bf1fce2"
 
     @pytest.mark.parametrize("source", ["built", "format1"])
     def test_hash_survives_save_and_load(self, tmp_path, source):
@@ -427,6 +427,20 @@ class TestSerialization:
                                    rtol=0, atol=1e-12)
         clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 2
         np.testing.assert_array_equal(forward(clone, np.array(ref["x"])).a.data, out.a.data)
+
+    @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
+    def test_retired_field_loads_when_true_and_is_refused_otherwise(self, field):
+        doc = json.loads((DATA / "format1_model.json").read_text())
+        assert doc["config"][field] is True  # written when the field still existed
+        without = dict(doc, config={k: v for k, v in doc["config"].items() if k != field})
+        x = np.random.default_rng(17).normal(size=(4, 5))
+        np.testing.assert_array_equal(forward(model_from_dict(doc), x).a.data,
+                                      forward(model_from_dict(without), x).a.data)
+        assert field not in model_to_dict(model_from_dict(doc))["config"]
+        for value in (False, 0, None):
+            doc["config"][field] = value
+            with pytest.raises(ConfigError, match=rf"^{field}: stored value"):
+                model_from_dict(doc)
 
     def test_format_1_missing_parameter_named(self):
         doc = json.loads((DATA / "format1_model.json").read_text())
