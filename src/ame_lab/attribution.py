@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
-from .granger import delta_epsilon, omega_targets, per_sample_error
+from .granger import batch_slices, delta_epsilon, omega_targets, per_sample_error
 from .model import AmeModel, ConfigError, _zero_mlp, check_field_types, forward, model_hash
 
 
@@ -66,11 +66,6 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, degenerate[:, 0]
 
 
-def _batches(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
-
-
 # Every estimator is called as ESTIMATORS[name](model, x, *, batch_size=None,
 # baseline_value=0.0) and records in its report's params the values it uses.
 
@@ -82,7 +77,7 @@ def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None
     bs = batch_size or model.config.batch_size
     model.reset_pass_counts()
     start = time.perf_counter()
-    rows = [forward(model, x[idx]).a.data for idx in _batches(x.shape[0], bs)]
+    rows = [forward(model, x[batch]).a.data for batch in batch_slices(x.shape[0], bs)]
     seconds = time.perf_counter() - start
     scores = np.concatenate(rows, axis=0)
     return ImportanceReport(
@@ -116,8 +111,8 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
     model.reset_pass_counts()
     start = time.perf_counter()
     raw_rows = []
-    for idx in _batches(x.shape[0], bs):
-        xt = Tensor(x[idx], requires_grad=True)
+    for batch in batch_slices(x.shape[0], bs):
+        xt = Tensor(x[batch], requires_grad=True)
         target = _saliency_target(model, xt)
         target.backward()
         model.count_backward()
@@ -249,7 +244,7 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
             w = layer.weights.data[j]
             cols = np.flatnonzero(mask[j, 0]) if k == 0 else np.arange(w.shape[1])
             # a probe with nothing left read one constant-zero column: draw it, keep none
-            drawn = dc.init_dense(rng, max(cols.size, 1), w.shape[0]).weights.data
+            drawn = dc.glorot(rng, (w.shape[0], max(cols.size, 1)))
             w[:, cols] = drawn[:, :cols.size]
         streams.append(copy.deepcopy(rng))
         for _ in range(probe.epochs):
@@ -259,7 +254,7 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     opt = Optimizer(probe.optimizer, probe.learning_rate)
     for _ in range(probe.epochs):
         orders = np.stack([s.permutation(n) for s in streams], axis=1)  # (n, p+1)
-        for rows in _batches(n, probe.batch_size):
+        for rows in batch_slices(n, probe.batch_size):
             idx = orders[rows]  # probe j reads rows idx[:, j]
             pred = net(Tensor(x_train[idx])).reshape(-1, out_dim)
             errors = per_sample_error(pred, Tensor(y_train[idx].reshape(-1, out_dim)), task)

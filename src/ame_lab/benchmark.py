@@ -103,10 +103,6 @@ class Dataset:
     x: np.ndarray  # (n, d)
     y: np.ndarray  # (n, 1) regression targets or (n, 2) one-hot labels
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
     def labels(self) -> np.ndarray:
         return np.argmax(self.y, axis=1)
 
@@ -375,7 +371,6 @@ class BenchmarkResult:
     """Long-format metric rows; every row carries seed and model hash."""
 
     rows: list[dict]
-    config_echo: dict
     seed: int
 
     def add(self, protocol: str, metric: str, value, model_hash_: str) -> None:

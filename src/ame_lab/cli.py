@@ -87,6 +87,8 @@ class RunConfig:
         check_field_types(self)
         if self.command is not None and self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}")
@@ -95,6 +97,10 @@ class RunConfig:
                 raise ConfigError(f"unknown protocol {name!r}; expected one of {PROTOCOLS}")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
+        if not 1 <= self.k <= self.model.n_experts:
+            raise ConfigError(f"k must lie in [1, {self.model.n_experts}] (groups), got {self.k}")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not self.alphas or len(set(self.alphas)) != len(self.alphas):
@@ -146,7 +152,7 @@ def _run_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def _write_config_echo(cfg: RunConfig, run_dir: Path) -> None:
+def _write_config(cfg: RunConfig, run_dir: Path) -> None:
     with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -172,7 +178,7 @@ def run_train(cfg: RunConfig) -> int:
     model, rows = train_model(cfg.model, splits)
     test_metrics = evaluate(model, splits.test.x, splits.test.y)
 
-    _write_config_echo(cfg, run_dir)
+    _write_config(cfg, run_dir)
     save_model(model, run_dir / "model.json")
     write_training_log(rows, run_dir / "training_log.csv")
     print(f"run {run_id(cfg)}: trained {len(rows)} logged epochs "
@@ -207,7 +213,7 @@ def run_explain(cfg: RunConfig) -> int:
         reports.append(report)
         print(f"{name}: {report.n_samples} samples, {report.forwards} forwards, "
               f"{report.backwards} backwards, {report.seconds:.3f}s")
-    _write_config_echo(cfg, run_dir)
+    _write_config(cfg, run_dir)
     write_importance_csv(reports, run_dir / "importance.csv")
     write_importance_json(reports, run_dir / "importance.json")
     print(f"artifacts in {run_dir}")
@@ -222,7 +228,7 @@ def run_benchmark(cfg: RunConfig) -> int:
     else:
         model, _ = train_model(cfg.model, splits)
     mh = model_hash(model)
-    result = BenchmarkResult(rows=[], config_echo=cfg.to_dict(), seed=cfg.model.seed)
+    result = BenchmarkResult(rows=[], seed=cfg.model.seed)
 
     for protocol in cfg.protocols:
         if protocol == "masking":
@@ -254,7 +260,7 @@ def run_benchmark(cfg: RunConfig) -> int:
                 for key in ("seconds", "forwards", "backwards", "ratio_vs_ame"):
                     result.add("timing", f"{row['estimator']}.{key}", row[key], mh)
 
-    _write_config_echo(cfg, run_dir)
+    _write_config(cfg, run_dir)
     write_benchmark_csv(result, run_dir / "benchmark.csv")
     for row in result.rows:
         print(f"{row['protocol']}.{row['metric']} = {row['value']}")
@@ -310,7 +316,7 @@ def run_sweep(cfg: RunConfig) -> int:
         with open(_sweep_cell_path(run_dir, alpha, run), "r", encoding="utf-8") as fh:
             run_rows.append(json.load(fh))
     agg_rows = aggregate_sweep(run_rows)
-    _write_config_echo(cfg, run_dir)
+    _write_config(cfg, run_dir)
     write_sweep_csv(run_rows, agg_rows, run_dir / "sweep.csv")
     for row in agg_rows:
         print(f"alpha={row['alpha']}: metric {row['metric_mean']:.6f}±{row['metric_sd']:.6f} "
@@ -326,7 +332,7 @@ def run_oracle(cfg: RunConfig) -> int:
                            (splits.test.x, splits.test.y),
                            cfg.model.feature_partition, cfg.probe, cfg.data.task)
     _check_simplex_rows(omega, "oracle targets")
-    _write_config_echo(cfg, run_dir)
+    _write_config(cfg, run_dir)
     p = omega.shape[1]
     with open(run_dir / "oracle.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -394,8 +400,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return RunConfig.from_dict(raw)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 
-ACTIVATIONS = ("identity", "tanh", "relu", "sigmoid", "softmax")
+ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
 
 class DimensionError(ValueError):
@@ -31,11 +31,6 @@ class DimensionError(ValueError):
 
 class GradientError(RuntimeError):
     """Raised when a gradient is requested or consumed where none exists."""
-
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return np.ascontiguousarray(arr)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -59,7 +54,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  _parents: tuple = (), _backward_fn=None):
-        self.data = _as_array(data)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
@@ -152,8 +147,6 @@ class Tensor:
                                              _unbroadcast(g, b.shape)))
         return out
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         a = self
         return Tensor(-a.data, _parents=(a,), _backward_fn=lambda g: (-g,))
@@ -161,24 +154,12 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor._lift(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self, other
         return Tensor(a.data * b.data, _parents=(a, b),
                       _backward_fn=lambda g: (_unbroadcast(g * b.data, a.shape),
                                               _unbroadcast(g * a.data, b.shape)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-        return Tensor(a.data / b.data, _parents=(a, b),
-                      _backward_fn=lambda g: (_unbroadcast(g / b.data, a.shape),
-                                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
     # -- elementwise functions -----------------------------------------
 
@@ -190,14 +171,6 @@ class Tensor:
         mask = self.data > 0
         return Tensor(np.where(mask, self.data, 0.0), _parents=(self,),
                       _backward_fn=lambda g: (g * mask,))
-
-    def sigmoid(self) -> "Tensor":
-        s = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor(s, _parents=(self,), _backward_fn=lambda g: (g * s * (1.0 - s),))
-
-    def exp(self) -> "Tensor":
-        e = np.exp(self.data)
-        return Tensor(e, _parents=(self,), _backward_fn=lambda g: (g * e,))
 
     def log(self) -> "Tensor":
         return Tensor(np.log(self.data), _parents=(self,),
@@ -211,27 +184,24 @@ class Tensor:
     # -- shape and reduction ---------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.shape
         return Tensor(self.data.reshape(shape), _parents=(self,),
                       _backward_fn=lambda g: (g.reshape(old),))
 
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis: int | None = None) -> "Tensor":
+        out = self.data.sum(axis=axis)
         shape = self.shape
 
         def back(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            return (np.broadcast_to(gg, shape).copy(),)
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor(out, _parents=(self,), _backward_fn=back)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis: int | None = None) -> "Tensor":
         count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -342,7 +312,7 @@ class DenseLayer:
     """
 
     def __init__(self, weights: Tensor, bias: Tensor, activation: str = "identity",
-                 name: str = "", mask: np.ndarray | None = None):
+                 mask: np.ndarray | None = None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
         if weights.ndim not in (2, 3) or bias.shape != weights.shape[:-1]:
@@ -351,7 +321,6 @@ class DenseLayer:
         self.weights = weights
         self.bias = bias
         self.activation = activation
-        self.name = name
         self.mask = mask
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -364,23 +333,16 @@ class DenseLayer:
             return pre.tanh()
         if self.activation == "relu":
             return pre.relu()
-        if self.activation == "sigmoid":
-            return pre.sigmoid()
         return softmax(pre, axis=-1)
 
     def parameters(self) -> list[Tensor]:
         return [self.weights, self.bias]
 
 
-def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
-               activation: str = "identity", name: str = "") -> DenseLayer:
-    """Glorot-uniform weights, zero bias."""
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    w = Tensor(rng.uniform(-limit, limit, size=(out_dim, in_dim)),
-               requires_grad=True, name=f"{name}.weights" if name else "weights")
-    b = Tensor(np.zeros(out_dim), requires_grad=True,
-               name=f"{name}.bias" if name else "bias")
-    return DenseLayer(w, b, activation, name=name)
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Glorot-uniform (out, in) weights: U(-l, l) with l = sqrt(6 / (out + in))."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 # -- losses -------------------------------------------------------------
@@ -396,23 +358,12 @@ def per_sample_mae(y_pred: Tensor, y_true: Tensor) -> Tensor:
     return (y_pred - y_true).abs().mean(axis=1)
 
 
-def loss_mae(y_pred: Tensor, y_true: Tensor) -> Tensor:
-    """Mean absolute error over all elements (scalar)."""
-    _check_same_shape(y_pred, y_true, "loss_mae")
-    return (y_pred - y_true).abs().mean()
-
-
 def per_sample_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
     """Categorical cross-entropy per row: -sum target * log(prob + eps)."""
     _check_same_shape(probs, targets, "per_sample_cross_entropy")
     if np.any(probs.data < 0):
         raise ValueError("cross-entropy needs non-negative probabilities")
     return -((probs + EPS_LOG).log() * targets).sum(axis=1)
-
-
-def loss_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
-    """Batch-mean categorical cross-entropy (scalar)."""
-    return per_sample_cross_entropy(probs, targets).mean()
 
 
 # -- optimizers ----------------------------------------------------------
@@ -425,17 +376,16 @@ class Optimizer:
     left in place; the caller clears them (see :func:`clear_grads`).
     """
 
-    def __init__(self, kind: str = "adam", learning_rate: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, kind: str = "adam", learning_rate: float = 1e-4):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}; expected 'sgd' or 'adam'")
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.kind = kind
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = 0.9  # Adam's moment decays and denominator guard
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.step_count = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None

@@ -73,40 +73,31 @@ def aux_errors(output: AmeOutput, y_true, task: str) -> tuple[Tensor, Tensor]:
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
-    """Error decrease attributable to each expert: eps_excl - eps_all."""
+    """Error decrease attributable to each expert, (n, p): eps_excl (n, p)
+    minus eps_all (n,) in every column."""
     eps_excl = np.asarray(eps_excl, dtype=np.float64)
     eps_all = np.asarray(eps_all, dtype=np.float64)
-    if eps_excl.ndim == 1:
-        return eps_excl - eps_all
+    if eps_excl.ndim != 2 or eps_all.shape != eps_excl.shape[:1]:
+        raise ValueError(f"delta_epsilon needs (n, p), (n,); got {eps_excl.shape}, {eps_all.shape}")
     return eps_excl - eps_all[:, None]
 
 
 def omega_targets(delta_eps: np.ndarray) -> np.ndarray:
-    """Normalize clamped deltas into a per-sample distribution.
+    """Normalize each row of clamped (n, p) deltas into a distribution.
 
     Negative deltas (experts whose removal helps) are clamped to zero; if
     everything clamps away the row falls back to uniform, the
     attribution-neutral choice.
     """
-    delta = np.asarray(delta_eps, dtype=np.float64)
-    squeeze = delta.ndim == 1
-    if squeeze:
-        delta = delta[None, :]
-    clamped = np.maximum(delta, 0.0)
+    clamped = np.maximum(np.asarray(delta_eps, dtype=np.float64), 0.0)
     totals = clamped.sum(axis=1, keepdims=True)
-    p = delta.shape[1]
     degenerate = totals <= OMEGA_FLOOR
-    omega = np.where(degenerate, 1.0 / p, clamped / np.where(degenerate, 1.0, totals))
-    return omega[0] if squeeze else omega
+    return np.where(degenerate, 1.0 / clamped.shape[1],
+                    clamped / np.where(degenerate, 1.0, totals))
 
 
-def granger_targets(output: AmeOutput, y_true, task: str) -> GrangerTargets:
-    """Detached target computation for a batch (reporting and training)."""
-    return GrangerTargets.from_errors(*aux_errors(output, y_true, task))
-
-
-def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray | float:
-    """KL(omega || a) per row, with 0*log(0/a) taken as 0.
+def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """KL(omega || a) along the last axis, with 0*log(0/a) taken as 0.
 
     `a` must be strictly positive (softmax output always is).
     """
@@ -117,8 +108,7 @@ def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray | float:
     if np.any(a <= 0.0):
         raise ValueError("kl_divergence: second argument must be strictly positive")
     terms = np.where(omega > 0.0, omega * (np.log(np.where(omega > 0.0, omega, 1.0)) - np.log(a)), 0.0)
-    out = terms.sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return terms.sum(axis=-1)
 
 
 def _entropy_rows(omega: np.ndarray) -> np.ndarray:
@@ -202,9 +192,9 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
                        aux_mean=aux_mean, targets=targets)
 
 
-def _batch_slices(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def batch_slices(n: int, batch_size: int):
+    """Consecutive slices of at most batch_size rows that cover range(n)."""
+    return (slice(start, start + batch_size) for start in range(0, n, batch_size))
 
 
 def trainable_parameters(model: AmeModel) -> list:
@@ -215,40 +205,37 @@ def trainable_parameters(model: AmeModel) -> list:
     return model.main_parameters()
 
 
+def _epoch(model: AmeModel, x: np.ndarray, y: np.ndarray, order: np.ndarray,
+           opt: Optimizer | None) -> dict:
+    """One pass over the rows of x in `order`, in minibatches of the config's
+    batch size, with an update after each when `opt` is given. Returns the
+    sample-weighted mean metrics."""
+    n = order.size
+    if n == 0:
+        raise ValueError("empty dataset")
+    params = trainable_parameters(model)
+    sums = np.zeros(3)
+    for rows in batch_slices(n, model.config.batch_size):
+        idx = order[rows]
+        losses = batch_losses(model, forward(model, x[idx]), y[idx])
+        if opt is not None:
+            losses.total.backward()
+            model.count_backward()
+            optimizer_step(opt, params)
+            clear_grads(params)
+        sums += len(idx) * np.array([losses.main.item(), losses.mge_value, losses.aux_mean])
+    return {"main_loss": sums[0] / n, "mge": sums[1] / n, "aux_loss_mean": sums[2] / n}
+
+
 def train_epoch(model: AmeModel, opt: Optimizer, x: np.ndarray, y: np.ndarray,
                 rng: np.random.Generator) -> dict:
-    """One pass of minibatch updates; returns sample-weighted mean metrics."""
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("train_epoch: empty dataset")
-    cfg = model.config
-    params = trainable_parameters(model)
-    order = rng.permutation(n)
-    sums = np.zeros(3)
-    for idx in _batch_slices(n, cfg.batch_size, order):
-        losses = batch_losses(model, forward(model, x[idx]), y[idx])
-        losses.total.backward()
-        model.count_backward()
-        optimizer_step(opt, params)
-        clear_grads(params)
-        w = len(idx)
-        sums += w * np.array([losses.main.item(), losses.mge_value, losses.aux_mean])
-    return {"main_loss": sums[0] / n, "mge": sums[1] / n, "aux_loss_mean": sums[2] / n}
+    """One pass of minibatch updates in an order drawn from `rng`."""
+    return _epoch(model, x, y, rng.permutation(x.shape[0]), opt)
 
 
-def evaluate(model: AmeModel, x: np.ndarray, y: np.ndarray,
-             batch_size: int | None = None) -> dict:
-    """Metrics without updates; deterministic batch order."""
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("evaluate: empty dataset")
-    bs = batch_size or model.config.batch_size
-    sums = np.zeros(3)
-    for idx in _batch_slices(n, bs, np.arange(n)):
-        losses = batch_losses(model, forward(model, x[idx]), y[idx])
-        w = len(idx)
-        sums += w * np.array([losses.main.item(), losses.mge_value, losses.aux_mean])
-    return {"main_loss": sums[0] / n, "mge": sums[1] / n, "aux_loss_mean": sums[2] / n}
+def evaluate(model: AmeModel, x: np.ndarray, y: np.ndarray) -> dict:
+    """Metrics without updates, batches in row order."""
+    return _epoch(model, x, y, np.arange(x.shape[0]), None)
 
 
 def _objective(metrics: dict, alpha: float, beta: float) -> float:

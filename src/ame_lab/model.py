@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diffcore import DenseLayer, Tensor, concat, softmax, take_columns
+from .diffcore import DenseLayer, Tensor, concat, glorot, softmax, take_columns
 
 MODEL_FORMAT = 2  # model.json layout: 1 = per-expert lists, 2 = stacked
 
@@ -52,14 +52,18 @@ def _has_type(value, like) -> bool:
     return isinstance(value, type(like))
 
 
+def _like(f):
+    """A value of field `f`'s JSON type: its metadata's "like", else its default."""
+    return f.metadata.get("like", f.default_factory() if f.default is MISSING else f.default)
+
+
 def check_field_types(obj) -> None:
     """Raise a ConfigError naming the first field of dataclass `obj` whose value
     lacks the JSON type of the field's default (see `_has_type`). A field that
     defaults to None may be None or of the type of its metadata's "like";
     dataclass-valued fields check themselves."""
     for f in fields(obj):
-        like = f.default_factory() if f.default is MISSING else f.default
-        like = f.metadata.get("like", like)
+        like = _like(f)
         value = getattr(obj, f.name)
         if is_dataclass(like) or (value is None and f.default is None):
             continue
@@ -67,15 +71,31 @@ def check_field_types(obj) -> None:
             raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
 
 
+def _as_float(value, like, name: str):
+    """`value` with each int that stands where `like` has a float made a float,
+    so 0 and 0.0 give one config."""
+    if isinstance(like, list) and like and isinstance(value, list):
+        return [_as_float(v, like[0], name) for v in value]
+    if isinstance(like, float) and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a float, got {value!r}") from None
+    return value
+
+
 def config_from_dict(cls, raw, **parsers):
     """Dataclass `cls` from a JSON object, refusing unknown fields; `parsers`
-    turn the raw value of a nested field into its dataclass."""
+    turn the raw value of a nested field into its dataclass. An integer given
+    for a float field (or an item of a list[float] one) reads as a float."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
-    return cls(**{k: parsers[k](v) if k in parsers else v for k, v in raw.items()})
+    return cls(**{k: parsers[k](v) if k in parsers else _as_float(v, _like(known[k]), k)
+                  for k, v in raw.items()})
 
 
 @dataclass
@@ -191,7 +211,7 @@ def _zero_mlp(name, stack, dims, hidden_act, out_act, mask=None, head="head") ->
         layers.append(DenseLayer(
             Tensor(np.zeros(shape), requires_grad=True, name=f"{label}.weights"),
             Tensor(np.zeros(shape[:-1]), requires_grad=True, name=f"{label}.bias"),
-            out_act if last else hidden_act, name=label, mask=None if k else mask))
+            out_act if last else hidden_act, mask=None if k else mask))
     return Mlp(layers)
 
 
@@ -201,7 +221,7 @@ class AmeOutput:
 
     y is the prediction ((n, 1) values or (n, k) class probabilities) and
     `combined` the attention-weighted contributions before the task head;
-    h is (n, p, h), c and y_aux_excl (n, p, out): experts on axis 1.
+    c and y_aux_excl are (n, p, out): experts on axis 1.
 
     The Granger probe outputs y_aux_excl and y_aux_all are built from h_all
     by `model`'s probe stacks when first read, so a caller that reads only
@@ -212,7 +232,6 @@ class AmeOutput:
     y: Tensor
     a: Tensor
     c: Tensor
-    h: Tensor
     h_all: Tensor
     combined: Tensor
     model: AmeModel
@@ -322,8 +341,7 @@ def build_ame(config: AmeConfig) -> AmeModel:
     rng = np.random.default_rng(config.seed)
     for name, shape, target, columns in _list_layout(model):
         if name.endswith(".weights"):
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            target[..., columns] = rng.uniform(-limit, limit, size=shape)
+            target[..., columns] = glorot(rng, shape)
         elif name.endswith(".context"):
             target[..., columns] = rng.normal(size=shape) / np.sqrt(shape[0])
     return model
@@ -365,7 +383,7 @@ def forward(model: AmeModel, x) -> AmeOutput:
 
     # Granger probes read h_all when read. Probe i's mask removes both expert
     # i's hidden state and its contribution, so it sees nothing of that expert.
-    return AmeOutput(y=y, a=a, c=c, h=h, h_all=h_all, combined=combined, model=model)
+    return AmeOutput(y=y, a=a, c=c, h_all=h_all, combined=combined, model=model)
 
 
 def importance(output: AmeOutput) -> np.ndarray:

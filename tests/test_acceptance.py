@@ -37,10 +37,10 @@ from ame_lab.diffcore import (
     relative_gradient_error,
 )
 from ame_lab.granger import (
+    GrangerTargets,
     aux_errors,
     batch_losses,
     evaluate,
-    granger_targets,
     kl_divergence,
     mge_loss,
     total_loss,
@@ -163,7 +163,7 @@ class TestCriterion2Simplex:
             attention_rows += a.shape[0]
 
             y = rng.normal(size=(100, 1))
-            targets = granger_targets(out, y, "regression")
+            targets = GrangerTargets.from_errors(*aux_errors(out, y, "regression"))
             assert np.all(targets.omega >= 0)
             assert np.max(np.abs(targets.omega.sum(axis=1) - 1.0)) <= 1e-6
             omega_rows += targets.omega.shape[0]
@@ -326,8 +326,8 @@ class TestCriterion8OracleCrossCheck:
                         aux_hidden=[8], task="regression", alpha=0.1, aux_weight=1.0,
                         seed=5, learning_rate=0.01, batch_size=64, epochs=40, patience=12)
         model, _ = train_model(cfg, splits)
-        in_model = granger_targets(forward(model, splits.test.x), splits.test.y,
-                                   "regression").omega
+        in_model = GrangerTargets.from_errors(
+            *aux_errors(forward(model, splits.test.x), splits.test.y, "regression")).omega
         probe = ProbeConfig(hidden=[8], learning_rate=0.01, epochs=40, batch_size=64, seed=5)
         oracle = granger_oracle((splits.train.x, splits.train.y),
                                 (splits.test.x, splits.test.y),

@@ -253,7 +253,8 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
 
     def build(in_dim):
         dims = [in_dim, *probe.hidden, out_dim]
-        return [dc.init_dense(rng, dims[k], dims[k + 1],
+        return [dc.DenseLayer(Tensor(dc.glorot(rng, (dims[k + 1], dims[k])), requires_grad=True),
+                              Tensor(np.zeros(dims[k + 1]), requires_grad=True),
                               "relu" if k < len(dims) - 2 else head_act)
                 for k in range(len(dims) - 1)]
 
@@ -279,11 +280,7 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
             order = rng.permutation(x_tr.shape[0])
             for start in range(0, x_tr.shape[0], probe.batch_size):
                 idx = order[start:start + probe.batch_size]
-                if task == "classification":
-                    loss = dc.loss_cross_entropy(run(layers, x_tr[idx]), Tensor(y_train[idx]))
-                else:
-                    loss = dc.loss_mae(run(layers, x_tr[idx]), Tensor(y_train[idx]))
-                loss.backward()
+                errors(run(layers, x_tr[idx]), y_train[idx]).mean().backward()
                 dc.optimizer_step(opt, params)
                 clear_grads(params)
         return errors(run(layers, x_he), y_held).data

@@ -124,7 +124,8 @@ class TestGenerate:
 
     def test_splits_have_requested_sizes(self):
         splits = generate(cls_spec())
-        assert (splits.train.n, splits.val.n, splits.test.n) == (600, 150, 150)
+        assert [len(d.x) for d in (splits.train, splits.val, splits.test)] == [600, 150, 150]
+        assert [len(d.y) for d in (splits.train, splits.val, splits.test)] == [600, 150, 150]
 
     def test_classification_labels_are_one_hot(self):
         splits = generate(cls_spec())
@@ -316,7 +317,7 @@ class TestTiming:
 
 class TestResultIO:
     def test_benchmark_csv_round_trips(self, tmp_path):
-        result = BenchmarkResult(rows=[], config_echo={}, seed=9)
+        result = BenchmarkResult(rows=[], seed=9)
         result.add("masking", "informed_drop", 1.25, "abcd")
         result.add("timing", "ame.forwards", 4.0, "abcd")
         path = tmp_path / "benchmark.csv"

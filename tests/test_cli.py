@@ -8,6 +8,7 @@ import pytest
 from ame_lab import cli
 from ame_lab.benchmark import sweep_single
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
+from ame_lab.model import load_model, model_hash
 
 def base_config(tmp_path, **overrides):
     cfg = {
@@ -115,6 +116,12 @@ class TestConfigParsing:
         assert code == 2
         assert err.startswith("config error: ") and f"{field} must be" in err
 
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "config error: RunConfig must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("block", ["model", "data", "probe"])
     def test_nested_block_must_be_an_object(self, tmp_path, capsys, block):
         cfg = base_config(tmp_path)
@@ -172,6 +179,20 @@ class TestConfigParsing:
             assert field_name in text
         assert "default" in text
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 0, "k must lie in [1, 4] (groups), got 0"),
+        ("k", 9, "k must lie in [1, 4] (groups), got 9"),
+        ("n", 0, "n must be >= 1, got 0"), ("n", -5, "n must be >= 1, got -5"),
+        ("estimators", [], "estimators must name at least one estimator"),
+    ], ids=["k-0", "k-9", "n-0", "n-negative", "estimators-empty"])
+    def test_setting_that_can_only_give_a_wrong_run_is_refused_before_training(
+            self, tmp_path, capsys, monkeypatch, field, value, message):
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kw: pytest.fail("trained"))
+        cfg = base_config(tmp_path, protocols=["recall", "timing"], **{field: value})
+        assert main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_flag_overrides_nested_seeds(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, seed=99))
         resolve_config(cfg)
@@ -213,6 +234,24 @@ class TestTrainCommand:
         log = (run_dir_of(tmp_path, cfg) / "training_log.csv").read_text().splitlines()
         assert log[0].split(",")[3] == "mge"
         assert all(np.isfinite(float(line.split(",")[3])) for line in log[1:])
+
+    def test_integers_for_floats_give_the_run_and_model_of_the_floats(self, tmp_path):
+        run_dirs = []
+        for name, alpha, aux_weight in (("ints", 0, 1), ("floats", 0.0, 1.0)):
+            cfg = base_config(tmp_path, out_dir=str(tmp_path / name))
+            cfg["model"].update(alpha=alpha, aux_weight=aux_weight)
+            assert main(["train", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            (run_dir,) = (tmp_path / name).iterdir()
+            run_dirs.append(run_dir)
+        ints, floats = run_dirs
+        assert ints.name == floats.name
+        assert model_hash(load_model(ints / "model.json")) == model_hash(
+            load_model(floats / "model.json"))
+        for name in ("model.json", "training_log.csv"):
+            assert (ints / name).read_bytes() == (floats / name).read_bytes()
+        echoes = [json.loads((d / "config.json").read_text()) for d in run_dirs]
+        assert echoes[0]["model"] == echoes[1]["model"]
+        assert type(echoes[0]["model"]["alpha"]) is float
 
     def test_divergence_exits_nonzero(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -390,6 +429,20 @@ class TestSweepCommand:
         assert "2 already complete" in capsys.readouterr().out
         whole_csv = tmp_path / "whole" / run_dir_of(tmp_path, cfg).name / "sweep.csv"
         assert (run_dir_of(tmp_path, cfg) / "sweep.csv").read_bytes() == whole_csv.read_bytes()
+
+    def test_integer_alphas_give_the_cells_of_the_floats(self, tmp_path):
+        run_dirs = []
+        for name, alphas in (("ints", [0, 0.1]), ("floats", [0.0, 0.1])):
+            cfg = dict(self.sweep_config(tmp_path), alphas=alphas, out_dir=str(tmp_path / name))
+            assert main(["sweep", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            (run_dir,) = (tmp_path / name).iterdir()
+            run_dirs.append(run_dir)
+        ints, floats = run_dirs
+        assert ints.name == floats.name
+        cells = sorted(p.name for p in (ints / "sweep_cells").iterdir())
+        assert cells == ["alpha_0.0_run_0.json", "alpha_0.1_run_0.json"]
+        for name in ["sweep.csv"] + [f"sweep_cells/{c}" for c in cells]:
+            assert (ints / name).read_bytes() == (floats / name).read_bytes()
 
     def test_alphas_equal_to_six_digits_get_their_own_cells(self, tmp_path):
         cfg = dict(self.sweep_config(tmp_path), alphas=[0.1, 0.1000001])

@@ -16,10 +16,8 @@ from ame_lab.diffcore import (
     clear_grads,
     concat,
     finite_difference_grads,
-    init_dense,
+    glorot,
     linear,
-    loss_cross_entropy,
-    loss_mae,
     optimizer_step,
     per_sample_cross_entropy,
     per_sample_mae,
@@ -27,11 +25,16 @@ from ame_lab.diffcore import (
     softmax,
     take_columns,
 )
+from ame_lab.model import AmeConfig, build_ame
 
 
 def _layer(weights, bias, activation="identity"):
     return DenseLayer(Tensor(weights, requires_grad=True),
                       Tensor(bias, requires_grad=True), activation)
+
+
+def _glorot_layer(rng, in_dim, out_dim, activation):
+    return _layer(glorot(rng, (out_dim, in_dim)), np.zeros(out_dim), activation)
 
 
 class TestForwardDense:
@@ -103,19 +106,19 @@ class TestSoftmax:
 class TestLosses:
     def test_mae_zero_when_equal(self):
         y = Tensor(np.arange(6.0).reshape(2, 3))
-        assert loss_mae(y, Tensor(y.data.copy())).item() == 0.0
+        assert per_sample_mae(y, Tensor(y.data.copy())).mean().item() == 0.0
 
     def test_mae_hand_values(self):
-        assert loss_mae(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).item() == 2.0
-        assert loss_mae(Tensor([[-1.0]]), Tensor([[1.0]])).item() == 2.0
+        assert per_sample_mae(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).mean().item() == 2.0
+        assert per_sample_mae(Tensor([[-1.0]]), Tensor([[1.0]])).mean().item() == 2.0
 
     def test_mae_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            loss_mae(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 2))))
+            per_sample_mae(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 2))))
 
     def test_cross_entropy_perfect_prediction_is_tiny(self):
         onehot = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert loss_cross_entropy(onehot, Tensor(onehot.data.copy())).item() <= 1e-11
+        assert per_sample_cross_entropy(onehot, Tensor(onehot.data.copy())).mean().item() <= 1e-11
 
     def test_cross_entropy_uniform_is_log_k(self):
         k = 5
@@ -123,15 +126,15 @@ class TestLosses:
         targets = np.zeros((3, k))
         targets[np.arange(3), [0, 2, 4]] = 1.0
         np.testing.assert_allclose(
-            loss_cross_entropy(probs, Tensor(targets)).item(), math.log(k), atol=1e-9)
+            per_sample_cross_entropy(probs, Tensor(targets)).mean().item(), math.log(k), atol=1e-9)
 
     def test_cross_entropy_hand_value(self):
-        out = loss_cross_entropy(Tensor([[0.9, 0.1]]), Tensor([[1.0, 0.0]]))
+        out = per_sample_cross_entropy(Tensor([[0.9, 0.1]]), Tensor([[1.0, 0.0]])).mean()
         np.testing.assert_allclose(out.item(), -math.log(0.9), atol=1e-9)
 
     def test_cross_entropy_rejects_negative_probs(self):
         with pytest.raises(ValueError, match="non-negative"):
-            loss_cross_entropy(Tensor([[-0.1, 1.1]]), Tensor([[1.0, 0.0]]))
+            per_sample_cross_entropy(Tensor([[-0.1, 1.1]]), Tensor([[1.0, 0.0]]))
 
     def test_per_sample_variants_row_shapes(self):
         pred = Tensor(np.random.default_rng(1).uniform(0.1, 0.9, size=(4, 3)))
@@ -203,14 +206,14 @@ class TestBackward:
 
     def test_composed_network_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        l1 = init_dense(rng, 3, 4, "tanh", name="l1")
-        l2 = init_dense(rng, 4, 2, "softmax", name="l2")
+        l1 = _glorot_layer(rng, 3, 4, "tanh")
+        l2 = _glorot_layer(rng, 4, 2, "softmax")
         x = rng.normal(size=(6, 3))
         t = np.eye(2)[rng.integers(0, 2, 6)]
         params = l1.parameters() + l2.parameters()
 
         def run():
-            return loss_cross_entropy(l2(l1(Tensor(x))), Tensor(t))
+            return per_sample_cross_entropy(l2(l1(Tensor(x))), Tensor(t)).mean()
 
         run().backward()
         analytic = [p.grad.copy() for p in params]
@@ -226,12 +229,12 @@ class TestGradientCheckSmallNets:
 
     @pytest.mark.parametrize("seed,dims,acts", [
         (0, (2, 3, 1), ("relu", "identity")),
-        (1, (3, 4, 2), ("sigmoid", "softmax")),
+        (1, (3, 4, 2), ("relu", "softmax")),
         (2, (4, 3, 2), ("tanh", "identity")),
     ])
     def test_random_network(self, seed, dims, acts):
         rng = np.random.default_rng(seed)
-        layers = [init_dense(rng, dims[i], dims[i + 1], acts[i]) for i in range(2)]
+        layers = [_glorot_layer(rng, dims[i], dims[i + 1], acts[i]) for i in range(2)]
         params = [p for layer in layers for p in layer.parameters()]
         assert sum(p.size for p in params) <= 64
         x = rng.normal(size=(5, dims[0]))
@@ -242,8 +245,9 @@ class TestGradientCheckSmallNets:
             for layer in layers:
                 out = layer(out)
             if acts[-1] == "softmax":
-                return loss_cross_entropy(out, Tensor(np.abs(t) / np.abs(t).sum(1, keepdims=True)))
-            return loss_mae(out, Tensor(t))
+                targets = Tensor(np.abs(t) / np.abs(t).sum(1, keepdims=True))
+                return per_sample_cross_entropy(out, targets).mean()
+            return per_sample_mae(out, Tensor(t)).mean()
 
         run().backward()
         analytic = [p.grad.copy() for p in params]
@@ -318,14 +322,17 @@ class TestOptimizer:
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical_init(self):
-        a = init_dense(np.random.default_rng(77), 5, 3, "tanh")
-        b = init_dense(np.random.default_rng(77), 5, 3, "tanh")
-        np.testing.assert_array_equal(a.weights.data, b.weights.data)
-        np.testing.assert_array_equal(a.bias.data, b.bias.data)
+        a = glorot(np.random.default_rng(77), (3, 5))
+        b = glorot(np.random.default_rng(77), (3, 5))
+        assert a.shape == (3, 5)
+        np.testing.assert_array_equal(a, b)
+        assert np.all(np.abs(a) <= math.sqrt(6.0 / 8))
 
     def test_bias_is_zero_initialized(self):
-        layer = init_dense(np.random.default_rng(0), 4, 4)
-        np.testing.assert_array_equal(layer.bias.data, np.zeros(4))
+        model = build_ame(AmeConfig(feature_partition=[[0, 1], [2]], seed=3))
+        biases = [p for p in model.parameters() if p.name.endswith(".bias")]
+        assert biases and all(not np.any(p.data) for p in biases)
+        assert all(np.any(p.data) for p in model.parameters() if p.name.endswith(".weights"))
 
 
 class TestBatchEquivalence:

@@ -14,7 +14,6 @@ from ame_lab.granger import (
     delta_epsilon,
     evaluate,
     fit,
-    granger_targets,
     kl_divergence,
     mge_loss,
     omega_targets,
@@ -29,7 +28,7 @@ def fake_output(y, a, y_aux_excl, y_aux_all):
     """AmeOutput with only the fields the objective reads; the probe outputs
     are set directly instead of being built from h_all by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
-    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h=dummy, h_all=dummy,
+    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h_all=dummy,
                     combined=dummy, model=None)
     out.y_aux_excl = Tensor(np.stack(y_aux_excl, axis=1))
     out.y_aux_all = Tensor(y_aux_all)
@@ -70,13 +69,20 @@ class TestAuxErrors:
 
 class TestDeltaEpsilon:
     def test_hand_values(self):
-        np.testing.assert_allclose(delta_epsilon([0.5, 0.3], 0.2), [0.3, 0.1])
+        np.testing.assert_allclose(delta_epsilon([[0.5, 0.3]], [0.2]), [[0.3, 0.1]])
 
     def test_uninformative_expert_gets_zero(self):
-        assert delta_epsilon([0.2], 0.2)[0] == 0.0
+        assert delta_epsilon([[0.2]], [0.2])[0, 0] == 0.0
 
     def test_negative_delta_passes_through(self):
-        assert delta_epsilon([0.1], 0.2)[0] < 0
+        assert delta_epsilon([[0.1]], [0.2])[0, 0] < 0
+
+    @pytest.mark.parametrize("eps_excl, eps_all", [
+        ([0.5, 0.3], [0.2, 0.1]), ([0.5, 0.3], 0.2), ([[0.5, 0.3]], [0.2, 0.1]),
+    ])
+    def test_shapes_other_than_rows_and_their_errors_rejected(self, eps_excl, eps_all):
+        with pytest.raises(ValueError, match=r"needs \(n, p\), \(n,\); got"):
+            delta_epsilon(eps_excl, eps_all)
 
     def test_matrix_form_broadcasts_per_sample(self):
         out = delta_epsilon([[0.5, 0.3], [0.4, 0.2]], [0.2, 0.1])
@@ -85,23 +91,30 @@ class TestDeltaEpsilon:
 
 class TestOmegaTargets:
     def test_equal_contributions_split_equally(self):
-        np.testing.assert_allclose(omega_targets([0.2, 0.2]), [0.5, 0.5])
+        np.testing.assert_allclose(omega_targets([[0.2, 0.2]]), [[0.5, 0.5]])
 
     def test_negative_clamped_then_normalized(self):
-        np.testing.assert_allclose(omega_targets([-0.1, 0.3, 0.1]), [0.0, 0.75, 0.25])
+        np.testing.assert_allclose(omega_targets([[-0.1, 0.3, 0.1]]), [[0.0, 0.75, 0.25]])
 
     def test_all_zero_falls_back_to_uniform(self):
-        np.testing.assert_allclose(omega_targets([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(omega_targets([[0.0, 0.0]]), [[0.5, 0.5]])
 
     def test_all_negative_falls_back_to_uniform(self):
-        np.testing.assert_allclose(omega_targets([-1.0, -2.0, -3.0]), [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(omega_targets([[-1.0, -2.0, -3.0]]), [[1 / 3, 1 / 3, 1 / 3]])
 
-    @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=9))
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.integers(min_value=1, max_value=9).flatmap(
+            lambda p: st.lists(st.lists(st.floats(min_value=-10, max_value=10),
+                                        min_size=p, max_size=p), min_size=n, max_size=n))))
     @settings(max_examples=300, deadline=None)
     def test_always_a_valid_distribution(self, delta):
+        delta = np.array(delta)
         omega = omega_targets(delta)
+        assert omega.shape == delta.shape
         assert np.all(omega >= 0)
-        assert abs(omega.sum() - 1.0) <= 1e-9
+        np.testing.assert_allclose(omega.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        for s in range(delta.shape[0]):  # each row is normalized on its own
+            np.testing.assert_array_equal(omega[s], omega_targets(delta[s:s + 1])[0])
 
 
 class TestKlDivergence:
@@ -294,7 +307,7 @@ class TestGrangerTargetsRecord:
         model = build_ame(cfg)
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 1))
-        targets = granger_targets(forward(model, x), y, "regression")
+        targets = GrangerTargets.from_errors(*aux_errors(forward(model, x), y, "regression"))
         assert isinstance(targets, GrangerTargets)
         np.testing.assert_allclose(targets.delta_eps,
                                    targets.eps_excl - targets.eps_all[:, None], atol=1e-15)
@@ -383,8 +396,14 @@ class TestTraining:
         assert header == "epoch,split,main_loss,mge,aux_loss_mean,alpha"
 
     def test_evaluate_matches_objective_composition(self):
-        x, y = linear_task(n=64)
+        x, y = linear_task(n=75)  # batches of 32, 32 and 11 rows
         model = self.make_model()
-        metrics = evaluate(model, x, y, batch_size=16)
-        assert set(metrics) == {"main_loss", "mge", "aux_loss_mean"}
-        assert all(np.isfinite(v) for v in metrics.values())
+        metrics = evaluate(model, x, y)
+        sums = np.zeros(3)
+        for start in range(0, 75, model.config.batch_size):
+            rows = slice(start, start + model.config.batch_size)
+            losses = batch_losses(model, forward(model, x[rows]), y[rows])
+            sums += x[rows].shape[0] * np.array(
+                [losses.main.item(), losses.mge_value, losses.aux_mean])
+        assert list(metrics) == ["main_loss", "mge", "aux_loss_mean"]
+        np.testing.assert_array_equal(list(metrics.values()), sums / 75)

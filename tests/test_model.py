@@ -92,6 +92,15 @@ class TestConfigValidation:
         cfg = small_config(seed=np.int64(4), alpha=1, learning_rate=np.float64(0.01))
         assert build_ame(cfg).config.alpha == 1
 
+    def test_loader_reads_integers_for_floats_as_floats(self):
+        raw = small_config(alpha=0.0, aux_weight=2.0, learning_rate=1.0).to_dict()
+        cfg = AmeConfig.from_dict(dict(raw, alpha=0, aux_weight=2, learning_rate=1))
+        assert [type(getattr(cfg, f)) for f in ("alpha", "aux_weight", "learning_rate")] == [
+            float, float, float]
+        assert json.dumps(cfg.to_dict()) == json.dumps(raw)  # seed and widths stay ints
+        with pytest.raises(ConfigError, match="^learning_rate must be a float"):
+            AmeConfig.from_dict(dict(raw, learning_rate=10 ** 400))
+
 
 class TestCombinedState:
     def test_interleaves_in_expert_order(self):
@@ -410,6 +419,14 @@ class TestSerialization:
         stored["values"][int(np.ravel_multi_index(entry, stored["shape"]))] = 0.5
         with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
             model_from_dict(doc)
+
+    def test_stored_integer_alpha_loads_as_a_float(self):
+        model = build_ame(small_config(alpha=0.0))
+        doc = model_to_dict(model)
+        doc["config"]["alpha"] = 0
+        loaded = model_from_dict(doc)
+        assert type(loaded.config.alpha) is float
+        assert model_hash(loaded) == model_hash(model)
 
     def test_document_records_format_2(self):
         assert model_to_dict(build_ame(small_config()))["format"] == 2
