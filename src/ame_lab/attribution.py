@@ -25,7 +25,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import batch_slices, delta_epsilon, omega_targets, per_sample_error
-from .model import AmeModel, ConfigError, _zero_mlp, check_field_types, forward, model_hash
+from .model import (AmeModel, ConfigError, _zero_mlp, atomic_open, check_field_types, forward,
+                    model_hash)
 
 
 @dataclass
@@ -70,11 +71,20 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # baseline_value=0.0) and records in its report's params the values it uses.
 
 
+def _batch_size(model: AmeModel, batch_size: int | None) -> int:
+    """`batch_size`, or the model's when it is None; below 1 is refused."""
+    if batch_size is None:
+        return model.config.batch_size
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    return batch_size
+
+
 def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                 baseline_value: float = 0.0) -> ImportanceReport:
     """Attention read-out: the scores are the forward pass's own gating. Reads
     batch_size rows per forward (default: the model's); no baseline."""
-    bs = batch_size or model.config.batch_size
+    bs = _batch_size(model, batch_size)
     model.reset_pass_counts()
     start = time.perf_counter()
     rows = [forward(model, x[batch]).a.data for batch in batch_slices(x.shape[0], bs)]
@@ -106,7 +116,7 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
                      baseline_value: float = 0.0) -> ImportanceReport:
     """Gradient magnitude per group: sum of |d target / d feature|. Reads
     batch_size rows per forward and backward; no baseline."""
-    bs = batch_size or model.config.batch_size
+    bs = _batch_size(model, batch_size)
     groups = model.config.feature_partition
     model.reset_pass_counts()
     start = time.perf_counter()
@@ -288,7 +298,7 @@ def write_importance_csv(reports: list[ImportanceReport], path) -> None:
     if not reports:
         raise ValueError("write_importance_csv: no reports")
     columns = report_columns(reports[0].n_groups)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for report in reports:
@@ -320,6 +330,6 @@ def write_importance_json(reports: list[ImportanceReport], path) -> None:
             "model_id": report.model_id,
             "rows": report_rows(report),
         })
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

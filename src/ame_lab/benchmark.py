@@ -17,7 +17,7 @@ from scipy import stats
 
 from .attribution import ESTIMATORS, ImportanceReport, explain_ame
 from .granger import evaluate, fit
-from .model import (AmeConfig, AmeModel, ConfigError, build_ame, check_field_types,
+from .model import (AmeConfig, AmeModel, ConfigError, atomic_open, build_ame, check_field_types,
                     config_from_dict, forward, model_hash)
 
 LOG_ODDS_CLIP = 1e-9  # masking can saturate class probabilities
@@ -348,7 +348,9 @@ def timing_protocol(model: AmeModel, x: np.ndarray, estimators: list[str] | None
 
     Ratios are reported against the attention read-out (ame = 1x).
     """
-    names = estimators or ["ame", "saliency", "occlusion"]
+    names = ["ame", "saliency", "occlusion"] if estimators is None else estimators
+    if not names:
+        raise ProtocolError("timing_protocol: estimators must name at least one estimator")
     rows = []
     for name in names:
         if name not in ESTIMATORS:
@@ -379,7 +381,7 @@ class BenchmarkResult:
 
 
 def write_benchmark_csv(result: BenchmarkResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS)
         writer.writeheader()
         for row in result.rows:
@@ -406,7 +408,7 @@ def write_sweep_csv(run_rows: list[dict], agg_rows: list[dict], path) -> None:
     """Run rows and aggregate rows in one file, tagged by row_type."""
     columns = ["row_type"] + sorted(
         {k for row in run_rows for k in row} | {k for row in agg_rows for k in row})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
         for row in sorted(run_rows, key=lambda r: (r["alpha"], r["run"])):

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -44,8 +43,8 @@ from .benchmark import (
     write_sweep_csv,
 )
 from .granger import evaluate, write_training_log
-from .model import (AmeConfig, ConfigError, check_field_types, config_from_dict, load_model,
-                    model_hash, save_model)
+from .model import (AmeConfig, ConfigError, atomic_open, check_field_types, config_from_dict,
+                    load_model, model_hash, save_model)
 
 COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
@@ -153,7 +152,7 @@ def _run_dir(cfg: RunConfig) -> Path:
 
 
 def _write_config(cfg: RunConfig, run_dir: Path) -> None:
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
+    with atomic_open(run_dir / "config.json") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -306,10 +305,8 @@ def run_sweep(cfg: RunConfig) -> int:
           else contextlib.nullcontext()) as pool:
         done = (pool.map if parallel else map)(_sweep_cell, jobs)
         for (alpha, run), row in zip(pending, done):  # written whole as each cell finishes
-            path = _sweep_cell_path(run_dir, alpha, run)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(row, sort_keys=True) + "\n", encoding="utf-8")
-            os.replace(tmp, path)
+            with atomic_open(_sweep_cell_path(run_dir, alpha, run)) as fh:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     run_rows = []
     for alpha, run in cells:
@@ -334,7 +331,7 @@ def run_oracle(cfg: RunConfig) -> int:
     _check_simplex_rows(omega, "oracle targets")
     _write_config(cfg, run_dir)
     p = omega.shape[1]
-    with open(run_dir / "oracle.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(run_dir / "oracle.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id"] + [f"group_{i + 1}" for i in range(p)])
         for s in range(omega.shape[0]):

@@ -25,7 +25,7 @@ from .diffcore import (
     per_sample_cross_entropy,
     per_sample_mae,
 )
-from .model import AmeModel, AmeOutput, forward
+from .model import AmeModel, AmeOutput, atomic_open, forward
 
 OMEGA_FLOOR = 1e-12  # below this total clamped delta, fall back to uniform
 
@@ -288,7 +288,7 @@ def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
 
 
 def write_training_log(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAINING_LOG_COLUMNS)
         for row in rows:

@@ -18,17 +18,21 @@ costs the same number of ops whatever the number of experts.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .diffcore import DenseLayer, Tensor, concat, glorot, softmax, take_columns
 
-MODEL_FORMAT = 2  # model.json layout: 1 = per-expert lists, 2 = stacked
+MODEL_FORMAT = 3  # model.json layout: 1 = per-expert lists, 2 = stacked lists, 3 = stacked base64
 
 
 class ConfigError(ValueError):
@@ -393,21 +397,56 @@ def importance(output: AmeOutput) -> np.ndarray:
 
 # -- serialization ---------------------------------------------------------
 
-def model_to_dict(model: AmeModel) -> dict:
-    params = {p.name: {"shape": list(p.shape), "values": p.data.reshape(-1).tolist()}
-              for p in model.parameters()}
-    return {"format": MODEL_FORMAT, "config": model.config.to_dict(),
-            "seed": model.config.seed, "params": params}
-
-
-def _stored_values(params: dict, name: str, shape: tuple) -> np.ndarray:
+@contextmanager
+def atomic_open(path, newline=None):
+    """Text file to write `path` through: a temporary file beside it that
+    replaces `path` (os.replace) when the block ends, and is removed instead
+    when the block raises, so `path` only ever holds its old bytes or all of
+    the new ones."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        stored = list(params[name]["shape"])
-        values = np.asarray(params[name]["values"], dtype=np.float64)
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def model_to_dict(model: AmeModel) -> dict:
+    """The format-3 document: each parameter's values as the base64 text of
+    its C-order little-endian float64 bytes, plus the model's `model_hash`."""
+    params = {p.name: {"shape": list(p.shape), "values": base64.b64encode(
+        np.ascontiguousarray(p.data, dtype="<f8")).decode("ascii")} for p in model.parameters()}
+    return {"format": MODEL_FORMAT, "config": model.config.to_dict(), "seed": model.config.seed,
+            "model_hash": model_hash(model), "params": params}
+
+
+def _stored_values(params: dict, name: str, shape: tuple, fmt: int) -> np.ndarray:
+    """Parameter `name`'s values, checked against its built `shape`: a list
+    of numbers in formats 1 and 2, base64 `<f8` bytes in format 3."""
+    size = int(np.prod(shape))
+    try:
+        stored, values = list(params[name]["shape"]), params[name]["values"]
+        if fmt < 3:
+            values = np.asarray(values, dtype=np.float64)
+        elif not isinstance(values, str):
+            raise TypeError(f"values must be base64 text, not {type(values).__name__}")
+        else:
+            values = base64.b64decode(values, validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {name}: malformed entry ({exc!r})") from None
-    if stored != list(shape) or values.size != int(np.prod(shape)):
+    if stored != list(shape):
         raise ConfigError(f"parameter {name}: stored shape {stored} != built shape {list(shape)}")
+    if fmt == 3:
+        if len(values) != 8 * size:
+            raise ConfigError(f"parameter {name}: {len(values)} bytes stored; "
+                              f"shape {stored} needs {8 * size}")
+        values = np.frombuffer(values, dtype="<f8")
+    elif values.size != size:
+        raise ConfigError(f"parameter {name}: {values.size} values stored; "
+                          f"shape {stored} needs {size}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"parameter {name}: non-finite value")
     return values.reshape(shape)
@@ -426,14 +465,15 @@ def _without_retired_fields(config: dict) -> dict:
 
 
 def model_from_dict(raw: dict) -> AmeModel:
-    """Rebuild a model from a format-2 document, or from a format-1 one (per-
-    expert lists, no `format` field), which fills the stacks slice by slice."""
+    """Rebuild a model from a format-3 or format-2 document, or from a format-1
+    one (per-expert lists, no `format` field), which fills the stacks slice by
+    slice. A format-3 document must hold the `model_hash` of what it rebuilds."""
     if not (isinstance(raw, dict) and isinstance(raw.get("config"), dict)
             and isinstance(raw.get("params"), dict)):
         raise ConfigError("model document needs 'config' and 'params' objects")
     fmt = raw.get("format", 1)
-    if fmt not in (1, MODEL_FORMAT):
-        raise ConfigError(f"model format {fmt!r} is unknown; expected 1 or {MODEL_FORMAT}")
+    if type(fmt) is not int or fmt not in (1, 2, MODEL_FORMAT):
+        raise ConfigError(f"model format {fmt!r} is unknown; expected 1, 2 or {MODEL_FORMAT}")
     model = _zero_model(AmeConfig.from_dict(_without_retired_fields(raw["config"])))
     params = raw["params"]
     layout = list(_list_layout(model)) if fmt == 1 else [
@@ -445,25 +485,34 @@ def model_from_dict(raw: dict) -> AmeModel:
         raise ConfigError(f"parameter {(missing + extra)[0]}: " + (
             "missing from the model document" if missing else "not part of this architecture"))
     for name, shape, target, columns in layout:
-        target[..., columns] = _stored_values(params, name, shape)
+        target[..., columns] = _stored_values(params, name, shape, fmt)
     pad = (model.group_index == model.config.n_features)[:, None, :]
     for layer, zero in ((model.experts.layers[0], pad),
                         (model.aux_excl.layers[0], model.aux_excl.layers[0].mask == 0)):
         if np.any((layer.weights.data != 0.0) & zero):
             raise ConfigError(f"parameter {layer.weights.name}: non-zero entry in a padded "
                               "column or masked probe block")
+    if fmt == 3 and raw.get("model_hash") != (digest := model_hash(model)):
+        raise ConfigError("model_hash: " + (
+            f"stored {raw['model_hash']!r} != {digest!r} of the stored config and values; "
+            "the document was edited or corrupted" if "model_hash" in raw
+            else "missing from the format-3 model document"))
     return model
 
 
 def save_model(model: AmeModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(model_to_dict(model), fh, indent=1)
         fh.write("\n")
 
 
 def load_model(path) -> AmeModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, truncated, or not UTF-8 text
+            raise ConfigError(f"{path}: not a model document ({exc})") from None
+    return model_from_dict(raw)
 
 
 def model_hash(model: AmeModel) -> str:

@@ -111,6 +111,16 @@ class TestExplainAme:
         assert report.backwards == 0
 
 
+class TestBatchSize:
+    @pytest.mark.parametrize("explain", [explain_ame, explain_saliency])
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_below_one_is_refused(self, explain, batch_size):
+        model = two_group_model()
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            explain(model, np.zeros((5, 2)), batch_size=batch_size)
+        assert model.forward_passes == 0
+
+
 class TestExplainSaliency:
     def test_linear_model_puts_everything_on_the_live_group(self):
         # at x = 0 the tanh path is exactly linear, and the silenced second

@@ -314,6 +314,11 @@ class TestTiming:
         with pytest.raises(ProtocolError, match="shap"):
             timing_protocol(model, splits.test.x[:2], ["shap"])
 
+    def test_empty_estimator_list_rejected(self, trained):
+        model, splits = trained
+        with pytest.raises(ValueError, match="at least one estimator"):
+            timing_protocol(model, splits.test.x[:2], [])
+
 
 class TestResultIO:
     def test_benchmark_csv_round_trips(self, tmp_path):

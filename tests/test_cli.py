@@ -1,14 +1,19 @@
 """Tests for the command-line interface and its artifact layout."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ame_lab import cli
-from ame_lab.benchmark import sweep_single
+from ame_lab import model as model_module
+from ame_lab.attribution import explain_ame, write_importance_csv, write_importance_json
+from ame_lab.benchmark import (BenchmarkResult, aggregate_sweep, sweep_single,
+                               write_benchmark_csv, write_sweep_csv)
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
-from ame_lab.model import load_model, model_hash
+from ame_lab.granger import TRAINING_LOG_COLUMNS, write_training_log
+from ame_lab.model import AmeConfig, build_ame, load_model, model_hash, save_model
 
 def base_config(tmp_path, **overrides):
     cfg = {
@@ -347,6 +352,37 @@ class TestExplainCommand:
         assert "config error: parameter gates.context" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated", "not a model document"),
+        ("flipped_base64", "model_hash: stored"),
+        ("edited_hash", "model_hash: stored '0000000000000000'"),
+        ("edited_config", "model_hash: stored"),
+    ], ids=["truncated", "flipped_base64", "edited_hash", "edited_config"])
+    def test_damaged_model_file_is_a_config_error_and_writes_no_importance(
+            self, tmp_path, capsys, damage, message):
+        model_path = Path(self.trained_model_path(tmp_path))
+        text = model_path.read_text()
+        doc = json.loads(text)
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        elif damage == "flipped_base64":
+            values = doc["params"]["gates.context"]["values"]
+            doc["params"]["gates.context"]["values"] = (
+                values[:3] + ("A" if values[3] != "A" else "B") + values[4:])
+        elif damage == "edited_hash":
+            doc["model_hash"] = "0" * 16
+        else:
+            doc["config"]["learning_rate"] = 0.02
+        model_path.write_text(text if damage == "truncated" else json.dumps(doc, indent=1))
+        cfg = base_config(tmp_path, model_path=str(model_path))
+        capsys.readouterr()
+        assert main(["explain", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert not list(run_dir_of(tmp_path, cfg).glob("importance.*"))
+
+
 class TestBenchmarkCommand:
     def test_rows_carry_seed_and_hash(self, tmp_path):
         cfg = base_config(tmp_path, protocols=["masking", "recall", "timing"],
@@ -520,3 +556,119 @@ class TestHelpers:
         changed["model"]["alpha"] = 0.07
         b = RunConfig.from_dict(changed)
         assert run_id(a) != run_id(b)
+
+
+class FailingFile:
+    """A text file handle that writes `budget` characters, then raises."""
+
+    def __init__(self, fh, budget=30):
+        self.fh, self.budget = fh, budget
+
+    def write(self, text):
+        if len(text) > self.budget:
+            self.fh.write(text[:self.budget])
+            raise OSError("simulated failure partway through the write")
+        self.budget -= len(text)
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture
+def fail_writes_to(monkeypatch):
+    """Make every write through `atomic_open` to a file whose name starts with
+    the given prefix fail partway; a writer that opens its target itself is
+    not affected, so its test sees no failure."""
+    def arm(prefix):
+        def failing_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return FailingFile(fh) if "w" in mode and Path(file).name.startswith(prefix) else fh
+        monkeypatch.setattr(model_module, "open", failing_open, raising=False)
+    return arm
+
+
+def artifact_writers(tmp_path):
+    """(artifact name, call writing it to a path) for every library writer."""
+    cfg = base_config(tmp_path)
+    model = build_ame(AmeConfig(**cfg["model"]))
+    report = explain_ame(model, np.zeros((20, 4)))
+    result = BenchmarkResult(rows=[], seed=1)
+    for i in range(10):
+        result.add("timing", f"ame.metric_{i}", 0.5, "0123456789abcdef")
+    log = [{c: 0.25 for c in TRAINING_LOG_COLUMNS} for _ in range(10)]
+    runs = [{"alpha": 0.1, "run": r, "seed": r, "test_main_loss": 0.5, "test_mge": 0.25,
+             "test_metric": 0.75, "model_hash": "0123456789abcdef"} for r in range(3)]
+    run_cfg = resolve_config(RunConfig.from_dict(cfg))
+    return {
+        "model.json": lambda path: save_model(model, path),
+        "config.json": lambda path: cli._write_config(run_cfg, path.parent),
+        "training_log.csv": lambda path: write_training_log(log, path),
+        "importance.csv": lambda path: write_importance_csv([report], path),
+        "importance.json": lambda path: write_importance_json([report], path),
+        "benchmark.csv": lambda path: write_benchmark_csv(result, path),
+        "sweep.csv": lambda path: write_sweep_csv(runs, aggregate_sweep(runs), path),
+    }
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["model.json", "config.json", "training_log.csv",
+                                      "importance.csv", "importance.json", "benchmark.csv",
+                                      "sweep.csv"])
+    def test_writer_failing_partway_keeps_the_earlier_file(self, tmp_path, fail_writes_to,
+                                                           name):
+        out = tmp_path / "out"
+        out.mkdir()
+        write = artifact_writers(tmp_path)[name]
+        write(out / name)
+        before = (out / name).read_bytes()
+        assert len(before) > 30
+        fail_writes_to(name)
+        with pytest.raises(OSError, match="simulated failure"):
+            write(out / name)
+        assert (out / name).read_bytes() == before
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_writer_failing_partway_leaves_no_file_where_there_was_none(
+            self, tmp_path, fail_writes_to):
+        fail_writes_to("model.json")
+        with pytest.raises(OSError):
+            save_model(build_ame(AmeConfig(**base_config(tmp_path)["model"])),
+                       tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_table_failing_partway_keeps_the_earlier_table(
+            self, tmp_path, capsys, fail_writes_to):
+        cfg = base_config(tmp_path)
+        cfg["probe"] = {"hidden": [4], "epochs": 2}
+        path = write_config(tmp_path, cfg)
+        assert main(["oracle", "--config", path]) == 0
+        run_dir = run_dir_of(tmp_path, cfg)
+        before = (run_dir / "oracle.csv").read_bytes()
+        fail_writes_to("oracle.csv")
+        capsys.readouterr()
+        assert main(["oracle", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: simulated failure")
+        assert (run_dir / "oracle.csv").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "oracle.csv"]
+
+    def test_sweep_cell_failing_partway_leaves_no_cell_and_resumes(
+            self, tmp_path, capsys, monkeypatch, fail_writes_to):
+        cfg = base_config(tmp_path, alphas=[0.0], runs=1)
+        cfg["model"]["epochs"] = 2
+        path = write_config(tmp_path, cfg)
+        fail_writes_to("alpha_0.0_run_0.json")
+        assert main(["sweep", "--config", path]) == 1
+        cells = run_dir_of(tmp_path, cfg) / "sweep_cells"
+        assert list(cells.iterdir()) == []
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["sweep", "--config", path]) == 0
+        assert "0 already complete" in capsys.readouterr().out
+        assert [p.name for p in cells.iterdir()] == ["alpha_0.0_run_0.json"]

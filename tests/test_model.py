@@ -1,5 +1,6 @@
 """Tests for the mixture architecture: building, attention, forward, IO."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -41,6 +42,39 @@ def small_config(**overrides):
                 gate_hidden=4, aux_hidden=[4], task="regression", seed=3)
     base.update(overrides)
     return AmeConfig(**base)
+
+
+def decoded(entry) -> np.ndarray:
+    """A format-3 entry's values, flat, read the way the README says."""
+    return np.frombuffer(base64.b64decode(entry["values"]), "<f8").copy()
+
+
+def encoded(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def document(model, fmt):
+    """`model_to_dict(model)`, or, for fmt 2, the same document written the
+    format-2 way: values as lists of numbers and no stored hash."""
+    doc = model_to_dict(model)
+    if fmt == 2:
+        doc = {"format": 2, "config": doc["config"], "seed": doc["seed"],
+               "params": {name: {"shape": e["shape"], "values": decoded(e).tolist()}
+                          for name, e in doc["params"].items()}}
+    return doc
+
+
+def stored(values, fmt):
+    """`values` as a format-`fmt` document stores them."""
+    return list(map(float, values)) if fmt == 2 else encoded(values)
+
+
+def set_value(doc, name, index, value):
+    """Set flat entry `index` of parameter `name`'s stored values, in either format."""
+    entry = doc["params"][name]
+    values = np.array(entry["values"]) if doc["format"] == 2 else decoded(entry)
+    values[index] = value
+    entry["values"] = stored(values, doc["format"])
 
 
 class TestConfigValidation:
@@ -307,11 +341,14 @@ class TestSerialization:
         # padded expert columns and masked probe blocks must stay zero
         model.experts.layers[0].weights.data[1, :, 1] = 0.0  # group [2] pads one column
         model.aux_excl.layers[0].weights.data *= model.aux_excl.layers[0].mask
+        # every bit survives, the sign of zero, subnormals and extremes included
+        model.gate_context.data.reshape(-1)[:4] = [-0.0, 5e-324, -1.7976931348623157e308,
+                                                   0.1 + 0.2]
         path = tmp_path / "model.json"
         save_model(model, path)
         clone = load_model(path)
         for a, b in zip(model.parameters(), clone.parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+            assert a.data.tobytes() == b.data.tobytes(), a.name
         x = np.random.default_rng(12).normal(size=(4, 5))
         np.testing.assert_array_equal(forward(model, x).y.data, forward(clone, x).y.data)
 
@@ -320,11 +357,12 @@ class TestSerialization:
         assert doc["seed"] == 21
         assert doc["config"]["feature_partition"] == [[0, 1], [2], [3, 4]]
 
-    def test_shape_mismatch_on_load_rejected(self):
-        doc = model_to_dict(build_ame(small_config()))
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_shape_mismatch_on_load_rejected(self, fmt):
+        doc = document(build_ame(small_config()), fmt)
         name = next(iter(doc["params"]))
         doc["params"][name]["shape"] = [1, 1]
-        doc["params"][name]["values"] = [0.0]
+        doc["params"][name]["values"] = stored([0.0], fmt)
         with pytest.raises(ConfigError, match=name):
             model_from_dict(doc)
 
@@ -378,7 +416,7 @@ class TestSerialization:
         with open(path) as fh:
             json.load(fh)
 
-    @pytest.mark.parametrize("fmt", [0, 3, "2"])
+    @pytest.mark.parametrize("fmt", [0, 4, "2", True, 3.0])
     def test_unknown_format_rejected(self, fmt):
         doc = model_to_dict(build_ame(small_config()))
         doc["format"] = fmt
@@ -396,16 +434,18 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"aux_excl\.head\.bias: missing"):
             model_from_dict(doc)
 
-    def test_extra_parameter_named(self):
-        doc = model_to_dict(build_ame(small_config()))
-        doc["params"]["gates.temperature"] = {"shape": [1], "values": [1.0]}
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_extra_parameter_named(self, fmt):
+        doc = document(build_ame(small_config()), fmt)
+        doc["params"]["gates.temperature"] = {"shape": [1], "values": stored([1.0], fmt)}
         with pytest.raises(ConfigError, match=r"gates\.temperature: not part"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("fmt", [2, 3])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_value_named(self, bad):
-        doc = model_to_dict(build_ame(small_config()))
-        doc["params"]["gates.context"]["values"][2] = bad
+    def test_non_finite_value_named(self, bad, fmt):
+        doc = document(build_ame(small_config()), fmt)
+        set_value(doc, "gates.context", 2, bad)
         with pytest.raises(ConfigError, match=r"gates\.context: non-finite"):
             model_from_dict(doc)
 
@@ -413,10 +453,11 @@ class TestSerialization:
         ("aux_excl.hidden_0.weights", (0, 0, 1)),  # probe 0 reading expert 0's block
         ("experts.hidden_0.weights", (1, 0, 1)),   # group [2] padded to two columns
     ])
-    def test_non_zero_structural_entry_named(self, name, entry):
-        doc = model_to_dict(build_ame(small_config()))
-        stored = doc["params"][name]
-        stored["values"][int(np.ravel_multi_index(entry, stored["shape"]))] = 0.5
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_non_zero_structural_entry_named(self, name, entry, fmt):
+        doc = document(build_ame(small_config()), fmt)
+        flat = int(np.ravel_multi_index(entry, doc["params"][name]["shape"]))
+        set_value(doc, name, flat, 0.5)
         with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
             model_from_dict(doc)
 
@@ -428,8 +469,15 @@ class TestSerialization:
         assert type(loaded.config.alpha) is float
         assert model_hash(loaded) == model_hash(model)
 
-    def test_document_records_format_2(self):
-        assert model_to_dict(build_ame(small_config()))["format"] == 2
+    def test_document_records_format_3(self):
+        model = build_ame(small_config())
+        doc = model_to_dict(model)
+        assert doc["format"] == 3
+        assert doc["model_hash"] == model_hash(model)
+        for p in model.parameters():
+            entry = doc["params"][p.name]
+            assert isinstance(entry["values"], str) and entry["shape"] == list(p.shape)
+            np.testing.assert_array_equal(decoded(entry).reshape(entry["shape"]), p.data)
 
     def test_format_1_file_reads_bit_identical_attention(self):
         # written by the per-expert list layout: partition [[0, 1], [2], [3, 4]],
@@ -442,7 +490,7 @@ class TestSerialization:
         np.testing.assert_allclose(out.y_aux_all.data, ref["y_aux_all"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.y_aux_excl.data, np.stack(ref["y_aux_excl"], axis=1),
                                    rtol=0, atol=1e-12)
-        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 2
+        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 3
         np.testing.assert_array_equal(forward(clone, np.array(ref["x"])).a.data, out.a.data)
 
     @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
@@ -464,6 +512,71 @@ class TestSerialization:
         del doc["params"]["aux_excl_1.hidden_0.weights"]
         with pytest.raises(ConfigError, match=r"aux_excl_1\.hidden_0\.weights"):
             model_from_dict(doc)
+
+    def test_format_2_file_loads_bit_identical_values(self, tmp_path):
+        # written by the format-2 writer (values as decimal lists): partition
+        # [[0, 3], [1], [2, 4, 5]], two classes, trained for a few epochs
+        doc = json.loads((DATA / "format2_model.json").read_text())
+        assert doc["format"] == 2 and "model_hash" not in doc
+        model = load_model(DATA / "format2_model.json")
+        for p in model.parameters():
+            np.testing.assert_array_equal(
+                p.data, np.array(doc["params"][p.name]["values"]).reshape(p.shape))
+        assert model_hash(model) == "c02ed1dafc680187"  # as the format-2 code hashed it
+        save_model(model, tmp_path / "model.json")
+        resaved = json.loads((tmp_path / "model.json").read_text())
+        assert resaved["format"] == 3 and resaved["model_hash"] == "c02ed1dafc680187"
+        clone = load_model(tmp_path / "model.json")
+        for a, b in zip(model.parameters(), clone.parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    @pytest.mark.parametrize("values, match", [
+        ([0.0] * 12, r"malformed entry .*base64 text, not list"),
+        (7, r"malformed entry .*base64 text, not int"),
+        (None, r"malformed entry .*base64 text, not NoneType"),
+        ("AAAA!AAAAAAAAAA=", r"malformed entry"),             # not base64
+        ("AAAAAAAAAAA", r"malformed entry"),                  # padding missing
+        (encoded([0.5] * 11), r"88 bytes stored; shape \[3, 4\] needs 96"),
+        (encoded([0.5] * 13), r"104 bytes stored; shape \[3, 4\] needs 96"),
+        (encoded([0.5] * 12)[:-4], r"93 bytes stored; shape \[3, 4\] needs 96"),  # cut short
+    ], ids=["list", "int", "null", "not_base64", "no_padding", "short", "long", "cut"])
+    def test_format_3_bad_values_named(self, values, match):
+        doc = model_to_dict(build_ame(small_config()))
+        assert doc["params"]["gates.context"]["shape"] == [3, 4]
+        doc["params"]["gates.context"]["values"] = values
+        with pytest.raises(ConfigError, match=r"^parameter gates\.context: " + match):
+            model_from_dict(doc)
+
+    def test_format_3_hash_must_match_the_document(self):
+        model = build_ame(small_config())
+        doc = model_to_dict(model)
+        assert model_hash(model_from_dict(doc)) == doc["model_hash"]
+        edited = [dict(doc, model_hash="0" * 16),
+                  dict(doc, config=dict(doc["config"], learning_rate=0.5)),
+                  dict(doc, config=dict(doc["config"], seed=4))]
+        one_value = json.loads(json.dumps(doc))
+        bias = decoded(doc["params"]["aux_all.head.bias"])[0]
+        set_value(one_value, "aux_all.head.bias", 0, bias + 2.0 ** -40)
+        for bad in edited + [one_value]:
+            with pytest.raises(ConfigError, match="^model_hash: stored '[0-9a-f]{16}' != "):
+                model_from_dict(bad)
+        del doc["model_hash"]
+        with pytest.raises(ConfigError, match="^model_hash: missing"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("cut", [0, 1, 100, -40, -2])
+    def test_truncated_or_garbled_file_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "model.json"
+        save_model(build_ame(small_config()), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ConfigError, match=f"^{path}: not a model document"):
+            load_model(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format": 3, "config": "\xff\xfe"}')
+        with pytest.raises(ConfigError, match="not a model document"):
+            load_model(path)
 
 
 @st.composite
