@@ -25,8 +25,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import batch_slices, delta_epsilon, omega_targets, per_sample_error
-from .model import (AmeModel, ConfigError, _zero_mlp, atomic_open, check_field_types, forward,
-                    model_hash)
+from .model import (TASKS, AmeModel, Config, ConfigError, _zero_mlp, at_least, atomic_open, choice,
+                    forward, model_hash, setting)
 
 
 @dataclass
@@ -186,28 +186,15 @@ ESTIMATORS = {
 
 
 @dataclass
-class ProbeConfig:
+class ProbeConfig(Config):
     """Architecture and training settings for the oracle's probe MLPs."""
 
-    hidden: list[int] = field(default_factory=lambda: [8])
-    learning_rate: float = 0.01
-    optimizer: str = "adam"
-    epochs: int = 40
-    batch_size: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        check_field_types(self)
-        for name, bad, need in (
-                ("hidden", any(w < 1 for w in self.hidden), "widths >= 1"),
-                ("learning_rate", self.learning_rate <= 0, "positive"),
-                ("optimizer", self.optimizer not in ("sgd", "adam"), "'sgd' or 'adam'"),
-                ("epochs", self.epochs < 1, ">= 1"), ("batch_size", self.batch_size < 1, ">= 1")):
-            if bad:
-                raise ConfigError(f"probe {name} must be {need}, got {getattr(self, name)!r}")
+    hidden: list[int] = setting([8], lambda v: all(w >= 1 for w in v), "widths >= 1")
+    learning_rate: float = setting(0.01, lambda v: v > 0.0, "> 0")
+    optimizer: str = choice("adam", dc.OPTIMIZERS)
+    epochs: int = at_least(40, 1)
+    batch_size: int = at_least(32, 1)
+    seed: int = at_least(0, 0)
 
 
 def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
@@ -228,8 +215,8 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     gradient and update. A seed draws every probe's initial values and
     orders in the order of training the probes one after another.
     """
-    probe.validate()
-    if task not in ("regression", "classification"):
+    probe.check()
+    if task not in TASKS:
         raise ConfigError(f"task must be 'regression' or 'classification', got {task!r}")
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy

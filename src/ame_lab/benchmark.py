@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from .attribution import ESTIMATORS, ImportanceReport, explain_ame
 from .granger import evaluate, fit
-from .model import (AmeConfig, AmeModel, ConfigError, atomic_open, build_ame, check_field_types,
-                    config_from_dict, forward, model_hash)
+from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, atomic_open,
+                    build_ame, choice, forward, model_hash, setting)
 
 LOG_ODDS_CLIP = 1e-9  # masking can saturate class probabilities
 
@@ -32,7 +32,7 @@ class ProtocolError(ValueError):
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(Config):
     """Recipe for one dataset with known ground truth.
 
     informative lists the 0-based features that actually drive the target;
@@ -40,62 +40,38 @@ class SyntheticSpec:
     target independent of every feature.
     """
 
-    kind: str = "additive_regression"
-    total_features: int = 8
-    informative: list[int] = field(default_factory=lambda: [0])
-    weights: list[float] = field(default_factory=lambda: [1.0])
+    kind: str = choice("additive_regression", KINDS)
+    total_features: int = at_least(8, 1)
+    informative: list[int] = setting([0])
+    weights: list[float] = setting([1.0], lambda v: all(map(math.isfinite, v)), "finite")
     noise_scale: float = 0.1
-    link: str = "identity"
-    label_rule: str = "threshold"
-    task: str = ""  # derived from kind unless set; noise_control allows either
-    n_train: int = 1000
-    n_val: int = 200
-    n_test: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.task == "":
-            self.task = ("classification" if self.kind == "informative_subset_classification"
-                         else "regression")
-        self.validate()
+    link: str = choice("identity", ("identity", "tanh"))
+    label_rule: str = choice("threshold", ("threshold", "sample"))
+    task: str = choice("", ("", *TASKS))  # "" takes the kind's; noise_control allows either
+    n_train: int = at_least(1000, 1)
+    n_val: int = at_least(200, 1)
+    n_test: int = at_least(200, 1)
+    seed: int = at_least(0, 0)
 
     def validate(self) -> None:
-        check_field_types(self)
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         derived = ("classification" if self.kind == "informative_subset_classification"
                    else "regression")
-        if self.kind != "noise_control" and self.task != derived:
+        self.task = self.task or derived
+        if self.kind == "noise_control":
+            return
+        if self.task != derived:
             raise ConfigError(f"kind {self.kind!r} implies task {derived!r}, got {self.task!r}")
-        if self.task not in ("regression", "classification"):
-            raise ConfigError(f"task must be 'regression' or 'classification', got {self.task!r}")
-        if self.kind != "noise_control":
-            if not self.informative:
-                raise ConfigError("informative set must be non-empty")
-            if len(self.informative) > self.total_features:
-                raise ConfigError(
-                    f"informative set size {len(self.informative)} exceeds "
-                    f"{self.total_features} total features")
-            if any(i < 0 or i >= self.total_features for i in self.informative):
-                raise ConfigError(f"informative indices out of range: {self.informative}")
-            if len(self.weights) != len(self.informative):
-                raise ConfigError(
-                    f"{len(self.weights)} weights for {len(self.informative)} informative features")
-            if not all(math.isfinite(w) for w in self.weights):
-                raise ConfigError(f"weights must be finite, got {self.weights}")
-        if self.link not in ("identity", "tanh"):
-            raise ConfigError(f"link must be 'identity' or 'tanh', got {self.link!r}")
-        if self.label_rule not in ("threshold", "sample"):
-            raise ConfigError(f"label_rule must be 'threshold' or 'sample', got {self.label_rule!r}")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigError("all split sizes must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        return config_from_dict(cls, raw)
+        if not self.informative:
+            raise ConfigError("informative set must be non-empty")
+        if len(self.informative) > self.total_features:
+            raise ConfigError(
+                f"informative set size {len(self.informative)} exceeds "
+                f"{self.total_features} total features")
+        if any(i < 0 or i >= self.total_features for i in self.informative):
+            raise ConfigError(f"informative indices out of range: {self.informative}")
+        if len(self.weights) != len(self.informative):
+            raise ConfigError(
+                f"{len(self.weights)} weights for {len(self.informative)} informative features")
 
 
 @dataclass
@@ -117,7 +93,7 @@ class Splits:
 
 def generate(spec: SyntheticSpec) -> Splits:
     """Draw the three disjoint splits from one seeded stream."""
-    spec.validate()
+    spec.check()
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_val + spec.n_test
     x = rng.standard_normal((total, spec.total_features))

@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, asdict, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,8 @@ from .benchmark import (
     write_sweep_csv,
 )
 from .granger import evaluate, write_training_log
-from .model import (AmeConfig, ConfigError, atomic_open, check_field_types, config_from_dict,
-                    load_model, model_hash, save_model)
+from .model import (AmeConfig, Config, ConfigError, at_least, atomic_open, choice, load_model,
+                    model_hash, save_model, setting)
 
 COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
@@ -62,76 +62,52 @@ class InvariantError(RuntimeError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Config):
     """Whole-run description; parsed strictly so configs stay replayable."""
 
     model: AmeConfig = field(default_factory=AmeConfig)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
-    command: str | None = field(default=None, metadata={"like": ""})
+    command: str | None = choice(None, COMMANDS)
     out_dir: str = "runs"
-    seed: int | None = field(default=None, metadata={"like": 0})
-    model_path: str | None = field(default=None, metadata={"like": ""})
-    estimators: list[str] = field(default_factory=lambda: ["ame"])
-    protocols: list[str] = field(default_factory=lambda: ["masking", "recall", "timing"])
-    fraction: float = 0.1
+    seed: int | None = setting(None, lambda v: v >= 0, ">= 0", like=0)
+    model_path: str | None = setting(None, like="")
+    estimators: list[str] = setting(["ame"], lambda v: v and set(v) <= set(ESTIMATORS),
+                                    f"one or more of {sorted(ESTIMATORS)}")
+    protocols: list[str] = setting(["masking", "recall", "timing"],
+                                   lambda v: set(v) <= set(PROTOCOLS), f"any of {list(PROTOCOLS)}")
+    fraction: float = setting(0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     k: int = 1
-    n: int = 100
-    alphas: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHAS))
-    runs: int = 5
+    n: int = at_least(100, 1)
+    alphas: list[float] = setting(DEFAULT_ALPHAS, lambda v: v and len(set(v)) == len(v)
+                                  and all(0.0 <= a <= 1.0 for a in v),
+                                  "non-empty, distinct and in [0, 1]")
+    runs: int = at_least(5, 1)
     baseline_value: float = 0.0
-    jobs: int = 1
+    jobs: int = at_least(1, 1)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def validate(self) -> None:
-        check_field_types(self)
-        if self.command is not None and self.command not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        if not self.estimators:
-            raise ConfigError("estimators must name at least one estimator")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise ConfigError(f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}")
-        for name in self.protocols:
-            if name not in PROTOCOLS:
-                raise ConfigError(f"unknown protocol {name!r}; expected one of {PROTOCOLS}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
+        """k against the model's groups, and the model against the data."""
         if not 1 <= self.k <= self.model.n_experts:
             raise ConfigError(f"k must lie in [1, {self.model.n_experts}] (groups), got {self.k}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not self.alphas or len(set(self.alphas)) != len(self.alphas):
-            raise ConfigError(f"alphas must be non-empty and distinct, got {self.alphas}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        cfg = config_from_dict(cls, raw, model=AmeConfig.from_dict, data=SyntheticSpec.from_dict,
-                               probe=lambda value: config_from_dict(ProbeConfig, value))
-        cfg.validate()
-        return cfg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.model.task != self.data.task:
+            raise ConfigError(
+                f"model task {self.model.task!r} does not match data task {self.data.task!r}")
+        if self.model.n_features != self.data.total_features:
+            raise ConfigError(
+                f"feature_partition covers {self.model.n_features} features but the dataset "
+                f"has {self.data.total_features}")
+        if self.model.task == "classification" and self.model.num_classes != 2:
+            raise ConfigError(
+                f"num_classes must be 2, the data's class count, got {self.model.num_classes}")
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Apply the top-level seed override to the nested seeds, and check that
-    the model fits the data."""
+    """Apply the top-level seed override to the nested seeds."""
     if cfg.seed is not None:
         cfg.model.seed = cfg.seed
         cfg.data.seed = cfg.seed
         cfg.probe.seed = cfg.seed
-    if cfg.model.task != cfg.data.task:
-        raise ConfigError(
-            f"model task {cfg.model.task!r} does not match data task {cfg.data.task!r}")
-    if cfg.model.n_features != cfg.data.total_features:
-        raise ConfigError(
-            f"model partition covers {cfg.model.n_features} features but the dataset "
-            f"has {cfg.data.total_features}")
     return cfg
 
 
@@ -362,11 +338,9 @@ def _field_reference() -> str:
         for f in fields(cls):
             if f.name in ("model", "data", "probe"):
                 continue
-            if f.default_factory is not MISSING:
-                default = f.default_factory()
-            else:
-                default = f.default
-            lines.append(f"    {f.name} (default: {default!r})")
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            rule = f"; must be {f.metadata['text']}" if f.metadata.get("text") else ""
+            lines.append(f"    {f.name} (default: {default!r}{rule})")
     return "\n".join(lines)
 
 
@@ -407,14 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command is not None and cfg.command != args.command:
             raise ConfigError(
                 f"command: config says {cfg.command!r} but {args.command!r} was invoked")
-        cfg.command = args.command
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        cfg = resolve_config(cfg)
+        flags = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
+        cfg = resolve_config(replace(cfg, command=args.command,  # checks the flags too
+                                     **{k: v for k, v in flags.items() if v is not None}))
         return RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -368,6 +368,9 @@ def per_sample_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
 
 # -- optimizers ----------------------------------------------------------
 
+OPTIMIZERS = ("sgd", "adam")
+
+
 class Optimizer:
     """SGD or Adam over an explicit parameter list.
 
@@ -377,7 +380,7 @@ class Optimizer:
     """
 
     def __init__(self, kind: str = "adam", learning_rate: float = 1e-4):
-        if kind not in ("sgd", "adam"):
+        if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}; expected 'sgd' or 'adam'")
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")

@@ -19,20 +19,24 @@ costs the same number of ops whatever the number of experts.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import json
 import numbers
 import os
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .diffcore import DenseLayer, Tensor, concat, glorot, softmax, take_columns
+from .diffcore import OPTIMIZERS, DenseLayer, Tensor, concat, glorot, softmax, take_columns
 
 MODEL_FORMAT = 3  # model.json layout: 1 = per-expert lists, 2 = stacked lists, 3 = stacked base64
+
+TASKS = ("regression", "classification")
 
 
 class ConfigError(ValueError):
@@ -56,23 +60,27 @@ def _has_type(value, like) -> bool:
     return isinstance(value, type(like))
 
 
-def _like(f):
-    """A value of field `f`'s JSON type: its metadata's "like", else its default."""
-    return f.metadata.get("like", f.default_factory() if f.default is MISSING else f.default)
+def setting(default, rule=None, text: str = "", like=None):
+    """A config field with `default` and its single-field `rule`, described by
+    `text` (shown by `ame-lab --help` and in refusals). The rule returns true
+    when a value of the field's type is fine; it may return a string instead,
+    naming what is wrong. A field that defaults to None may be None or of the
+    type of `like`; any other field has the type of its default."""
+    meta = {"like": default if like is None else like, "rule": rule, "text": text}
+    if isinstance(default, list):
+        return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
+    return field(default=default, metadata=meta)
 
 
-def check_field_types(obj) -> None:
-    """Raise a ConfigError naming the first field of dataclass `obj` whose value
-    lacks the JSON type of the field's default (see `_has_type`). A field that
-    defaults to None may be None or of the type of its metadata's "like";
-    dataclass-valued fields check themselves."""
-    for f in fields(obj):
-        like = _like(f)
-        value = getattr(obj, f.name)
-        if is_dataclass(like) or (value is None and f.default is None):
-            continue
-        if not _has_type(value, like):
-            raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
+def choice(default, options: tuple):
+    """A `setting` whose value must be one of `options`."""
+    text = ", ".join(map(repr, options[:-1])) + f" or {options[-1]!r}"
+    return setting(default, lambda v: v in options, text, like=options[0])
+
+
+def at_least(default, low):
+    """A `setting` whose value must be >= `low`."""
+    return setting(default, lambda v: v >= low, f">= {low}")
 
 
 def _as_float(value, like, name: str):
@@ -88,22 +96,83 @@ def _as_float(value, like, name: str):
     return value
 
 
-def config_from_dict(cls, raw, **parsers):
-    """Dataclass `cls` from a JSON object, refusing unknown fields; `parsers`
-    turn the raw value of a nested field into its dataclass. An integer given
-    for a float field (or an item of a list[float] one) reads as a float."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
-    return cls(**{k: parsers[k](v) if k in parsers else _as_float(v, _like(known[k]), k)
-                  for k, v in raw.items()})
+def _block(f):
+    """The config class of a nested block field (its default factory), else None."""
+    return f.default_factory if isinstance(f.default_factory, type) else None
+
+
+def _like(f):
+    """A value of field `f`'s JSON type."""
+    return f.metadata.get("like", f.default)
+
+
+class Config:
+    """Base of the config dataclasses. A field is a `setting`, a plain field
+    (typed by its default, no rule), or a nested config block whose default
+    factory is its class. Construction checks each field's type, then its
+    rule, then `validate()`; `check()` does so again for a config changed
+    after it was built."""
+
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _block(f) is not None or (value is None and f.default is None):
+                continue  # a block checked itself when it was built
+            like, rule = _like(f), f.metadata.get("rule")
+            if not _has_type(value, like):
+                raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
+            verdict = rule is None or rule(value)
+            if isinstance(verdict, str) or not verdict:
+                raise ConfigError(f"{f.name} {verdict}" if verdict
+                                  else f"{f.name} must be {f.metadata['text']}, got {value!r}")
+        self.validate()
+
+    def validate(self) -> None:
+        """The rules that span fields; none unless a subclass has some."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, raw):
+        """The config from a JSON object, refusing unknown fields. A nested
+        block parses through its own class; an integer given for a float field
+        (or an item of a list[float] one) reads as a float."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
+        kwargs = {}
+        for name, value in raw.items():
+            block = _block(known[name])
+            kwargs[name] = (block.from_dict(value) if block is not None
+                            else _as_float(value, _like(known[name]), name))
+        return cls(**kwargs)
+
+
+def _partition_problem(groups):
+    """True for non-empty disjoint groups covering 0..n-1; else what is wrong."""
+    if not groups:
+        return "must contain at least one group"
+    if not all(groups):
+        return "groups must be non-empty"
+    counts = Counter(i for group in groups for i in group)
+    if min(counts) < 0:
+        return f"holds negative index {min(counts)}"
+    overlaps = sorted(i for i, n in counts.items() if n > 1)
+    if overlaps:
+        return f"groups overlap on indices {overlaps}"
+    missing = sorted(set(range(max(counts) + 1)) - set(counts))
+    return f"leaves indices {missing} uncovered" if missing else True
 
 
 @dataclass
-class AmeConfig:
+class AmeConfig(Config):
     """Full architecture plus training description of one model.
 
     feature_partition uses 0-based feature indices; the groups must be
@@ -112,59 +181,25 @@ class AmeConfig:
     predictors.
     """
 
-    feature_partition: list[list[int]] = field(default_factory=lambda: [[0]])
-    expert_hidden: list[int] = field(default_factory=lambda: [8])
-    gate_hidden: int = 8
-    aux_hidden: list[int] = field(default_factory=lambda: [8])
-    task: str = "regression"
+    feature_partition: list[list[int]] = setting(
+        [[0]], _partition_problem, "non-empty disjoint groups covering indices 0..n-1")
+    expert_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
+    gate_hidden: int = at_least(8, 1)
+    aux_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
+    task: str = choice("regression", TASKS)
     num_classes: int = 2
-    alpha: float = 0.0
-    aux_weight: float = 1.0
-    seed: int = 0
-    optimizer: str = "adam"
-    learning_rate: float = 0.0001
-    batch_size: int = 32
-    epochs: int = 100
-    patience: int = 12
-
-    def __post_init__(self):
-        self.validate()
+    alpha: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+    aux_weight: float = at_least(1.0, 0.0)
+    seed: int = at_least(0, 0)
+    optimizer: str = choice("adam", OPTIMIZERS)
+    learning_rate: float = setting(0.0001, lambda v: v > 0.0, "> 0")
+    batch_size: int = at_least(32, 1)
+    epochs: int = at_least(100, 1)
+    patience: int = at_least(12, 1)
 
     def validate(self) -> None:
-        check_field_types(self)
-        if not self.feature_partition:
-            raise ConfigError("feature_partition must contain at least one group")
-        seen: dict[int, int] = {}
-        overlaps: set[int] = set()
-        for group in self.feature_partition:
-            if not group:
-                raise ConfigError("feature_partition groups must be non-empty")
-            for idx in group:
-                if idx < 0:
-                    raise ConfigError(f"feature index {idx} is negative")
-                if idx in seen:
-                    overlaps.add(idx)
-                seen[idx] = seen.get(idx, 0) + 1
-        if overlaps:
-            raise ConfigError(
-                f"feature_partition groups overlap on indices {sorted(overlaps)}")
-        missing = sorted(set(range(max(seen) + 1)) - set(seen))
-        if missing:
-            raise ConfigError(f"feature_partition leaves indices {missing} uncovered")
-        if not self.expert_hidden or any(w < 1 for w in self.expert_hidden):
-            raise ConfigError(f"expert_hidden widths must be >= 1, got {self.expert_hidden}")
-        if not self.aux_hidden or any(w < 1 for w in self.aux_hidden):
-            raise ConfigError(f"aux_hidden widths must be >= 1, got {self.aux_hidden}")
-        if self.gate_hidden < 1:
-            raise ConfigError(f"gate_hidden must be >= 1, got {self.gate_hidden}")
-        if self.task not in ("regression", "classification"):
-            raise ConfigError(f"task must be 'regression' or 'classification', got {self.task!r}")
         if self.task == "classification" and self.num_classes < 2:
             raise ConfigError(f"classification needs num_classes >= 2, got {self.num_classes}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.aux_weight < 0.0:
-            raise ConfigError(f"aux_weight must be non-negative, got {self.aux_weight}")
 
     @property
     def n_experts(self) -> int:
@@ -177,13 +212,6 @@ class AmeConfig:
     @property
     def out_dim(self) -> int:
         return self.num_classes if self.task == "classification" else 1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AmeConfig":
-        return config_from_dict(cls, raw)
 
 
 class Mlp:
@@ -340,7 +368,7 @@ def build_ame(config: AmeConfig) -> AmeModel:
     Gaussian/sqrt(gate_hidden), keeping initial attention near uniform.
     Padded columns and masked probe blocks stay zero.
     """
-    config.validate()
+    config.check()
     model = _zero_model(config)
     rng = np.random.default_rng(config.seed)
     for name, shape, target, columns in _list_layout(model):
@@ -497,6 +525,9 @@ def model_from_dict(raw: dict) -> AmeModel:
             f"stored {raw['model_hash']!r} != {digest!r} of the stored config and values; "
             "the document was edited or corrupted" if "model_hash" in raw
             else "missing from the format-3 model document"))
+    seed = model.config.seed  # model_hash covers this one, not the top-level copy
+    if raw.get("seed", seed) != seed:
+        raise ConfigError(f"seed: stored {raw['seed']!r} != config seed {seed!r}")
     return model
 
 

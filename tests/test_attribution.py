@@ -341,10 +341,12 @@ class TestStackedOracleMatchesSequential:
 
 class TestProbeConfigValidation:
     @pytest.mark.parametrize("field, value, message", [
-        ("hidden", [0], "probe hidden must be widths >= 1"), ("hidden", [4, -1], "probe hidden"),
-        ("epochs", 0, "probe epochs"), ("batch_size", 0, "probe batch_size"),
-        ("learning_rate", 0.0, "probe learning_rate"), ("learning_rate", -0.1, "learning_rate"),
-        ("optimizer", "rmsprop", "probe optimizer"),
+        ("hidden", [0], "^hidden must be widths >= 1"),
+        ("hidden", [4, -1], "^hidden must be widths >= 1"),
+        ("epochs", 0, "^epochs must be >= 1"), ("batch_size", 0, "^batch_size must be >= 1"),
+        ("learning_rate", 0.0, "^learning_rate must be > 0"),
+        ("learning_rate", -0.1, "learning_rate"),
+        ("optimizer", "rmsprop", "^optimizer must be 'sgd' or 'adam'"),
         ("hidden", "8", "hidden must be list"), ("epochs", 2.0, "epochs must be int"),
     ])
     def test_bad_value_names_the_field(self, field, value, message):

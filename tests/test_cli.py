@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its artifact layout."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from ame_lab import cli
 from ame_lab import model as model_module
-from ame_lab.attribution import explain_ame, write_importance_csv, write_importance_json
-from ame_lab.benchmark import (BenchmarkResult, aggregate_sweep, sweep_single,
+from ame_lab.attribution import (ProbeConfig, explain_ame, write_importance_csv,
+                                 write_importance_json)
+from ame_lab.benchmark import (BenchmarkResult, SyntheticSpec, aggregate_sweep, sweep_single,
                                write_benchmark_csv, write_sweep_csv)
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
 from ame_lab.granger import TRAINING_LOG_COLUMNS, write_training_log
@@ -91,6 +93,13 @@ class TestConfigParsing:
         assert code == 2
         assert "task" in capsys.readouterr().err
 
+    def test_model_output_width_must_match_the_data(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["model"]["num_classes"] = 3
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: num_classes must be 2, ")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("gate_hidden", "4"), ("expert_hidden", 3), ("alpha", None),
         ("feature_partition", [[0], ["1"], [2], [3]]),
@@ -108,6 +117,9 @@ class TestConfigParsing:
         ("data", "n_train", "300"), ("data", "weights", [2.0, None]), ("data", "task", None),
         ("probe", "hidden", "8"), ("probe", "hidden", [0]), ("probe", "batch_size", 0),
         ("probe", "epochs", 0), ("probe", "learning_rate", 0.0), ("probe", "optimizer", "rmsprop"),
+        ("model", "batch_size", -1), ("model", "batch_size", 0), ("model", "epochs", 0),
+        ("model", "patience", 0), ("model", "optimizer", "rmsprop"),
+        ("model", "learning_rate", 0.0),
     ])
     def test_bad_run_data_or_probe_field_is_a_config_error(self, tmp_path, capsys, block,
                                                            field, value):
@@ -116,10 +128,12 @@ class TestConfigParsing:
             cfg[field] = value
         else:
             cfg.setdefault(block, {})[field] = value
-        code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+        command = "train" if block == "model" else "oracle"
+        code = main([command, "--config", write_config(tmp_path, cfg)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and f"{field} must be" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_config_root_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -184,18 +198,41 @@ class TestConfigParsing:
             assert field_name in text
         assert "default" in text
 
+    def test_help_prints_the_rule_of_every_field_that_declares_one(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        blocks = capsys.readouterr().out.split("config file reference")[1].split("\n  [")[1:]
+        sections = {block.split("]")[0]: block.splitlines()[1:] for block in blocks}
+        for title, cls in (("top-level", RunConfig), ("model.*", AmeConfig),
+                           ("data.*", SyntheticSpec), ("probe.*", ProbeConfig)):
+            rules = {f.name: f.metadata["text"] for f in fields(cls) if f.metadata.get("text")}
+            assert len(rules) >= 5, title
+            lines = {line.split()[0]: line for line in sections[title]}
+            for name, text in rules.items():
+                assert lines[name].endswith(f"; must be {text})"), (title, name)
+
     @pytest.mark.parametrize("field, value, message", [
         ("k", 0, "k must lie in [1, 4] (groups), got 0"),
         ("k", 9, "k must lie in [1, 4] (groups), got 9"),
         ("n", 0, "n must be >= 1, got 0"), ("n", -5, "n must be >= 1, got -5"),
-        ("estimators", [], "estimators must name at least one estimator"),
-    ], ids=["k-0", "k-9", "n-0", "n-negative", "estimators-empty"])
+        ("estimators", [], "estimators must be one or more of ['ame', 'occlusion', 'saliency'], "
+                           "got []"),
+        ("alphas", [0.0, 1.5], "alphas must be non-empty, distinct and in [0, 1], got [0.0, 1.5]"),
+    ], ids=["k-0", "k-9", "n-0", "n-negative", "estimators-empty", "alphas-out-of-range"])
     def test_setting_that_can_only_give_a_wrong_run_is_refused_before_training(
             self, tmp_path, capsys, monkeypatch, field, value, message):
         monkeypatch.setattr(cli, "train_model", lambda *args, **kw: pytest.fail("trained"))
         cfg = base_config(tmp_path, protocols=["recall", "timing"], **{field: value})
         assert main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--jobs", "0")])
+    def test_flag_is_checked_like_the_field_it_sets(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", cfg, flag, value]) == 2
+        field = flag.removeprefix("--")
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be >= ")
         assert not (tmp_path / "runs").exists()
 
     def test_seed_flag_overrides_nested_seeds(self, tmp_path):
@@ -493,7 +530,8 @@ class TestSweepCommand:
     def test_repeated_alpha_is_a_config_error(self, tmp_path, capsys, alphas):
         cfg = dict(self.sweep_config(tmp_path), alphas=alphas)
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "config error: alphas must be non-empty and distinct" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "config error: alphas must be non-empty, distinct and in [0, 1], got ")
 
     def test_parallel_jobs_match_sequential_bytes(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

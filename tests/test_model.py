@@ -358,6 +358,14 @@ class TestSerialization:
         assert doc["config"]["feature_partition"] == [[0, 1], [2], [3, 4]]
 
     @pytest.mark.parametrize("fmt", [2, 3])
+    def test_top_level_seed_must_match_the_config(self, fmt):
+        doc = document(build_ame(small_config(seed=3)), fmt)
+        assert model_from_dict(dict(doc, seed=3)).config.seed == 3
+        for seed in (99, "3"):
+            with pytest.raises(ConfigError, match=f"^seed: stored {seed!r} != config seed 3$"):
+                model_from_dict(dict(doc, seed=seed))
+
+    @pytest.mark.parametrize("fmt", [2, 3])
     def test_shape_mismatch_on_load_rejected(self, fmt):
         doc = document(build_ame(small_config()), fmt)
         name = next(iter(doc["params"]))
