@@ -99,9 +99,7 @@ def omega_targets(delta_eps: np.ndarray) -> np.ndarray:
 def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     """KL(omega || a) along the last axis, with 0*log(0/a) taken as 0.
 
-    `a` must be strictly positive (softmax output always is). The result is
-    clipped at 0: for rows a few ulps apart the rounded sum can come out as
-    -1e-17, and a KL divergence is never negative.
+    `a` must be strictly positive (softmax output always is).
     """
     omega = np.asarray(omega, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -110,7 +108,7 @@ def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     if np.any(a <= 0.0):
         raise ValueError("kl_divergence: second argument must be strictly positive")
     terms = np.where(omega > 0.0, omega * (np.log(np.where(omega > 0.0, omega, 1.0)) - np.log(a)), 0.0)
-    return np.maximum(terms.sum(axis=-1), 0.0)
+    return terms.sum(axis=-1)
 
 
 def _entropy_rows(omega: np.ndarray) -> np.ndarray:
