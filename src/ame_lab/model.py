@@ -63,9 +63,9 @@ def _has_type(value, like) -> bool:
 def setting(default, rule=None, text: str = "", like=None):
     """A config field with `default` and its single-field `rule`, described by
     `text` (shown by `ame-lab --help` and in refusals). The rule returns true
-    when a value of the field's type is fine; it may return a string instead,
-    naming what is wrong. A field that defaults to None may be None or of the
-    type of `like`; any other field has the type of its default."""
+    when a value of the field's type is fine. A field that defaults to None may
+    be None or of the type of `like`; any other field has the type of its
+    default."""
     meta = {"like": default if like is None else like, "rule": rule, "text": text}
     if isinstance(default, list):
         return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
@@ -124,10 +124,8 @@ class Config:
             like, rule = _like(f), f.metadata.get("rule")
             if not _has_type(value, like):
                 raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
-            verdict = rule is None or rule(value)
-            if isinstance(verdict, str) or not verdict:
-                raise ConfigError(f"{f.name} {verdict}" if verdict
-                                  else f"{f.name} must be {f.metadata['text']}, got {value!r}")
+            if not (rule is None or rule(value)):
+                raise ConfigError(f"{f.name} must be {f.metadata['text']}, got {value!r}")
         self.validate()
 
     def validate(self) -> None:
@@ -155,20 +153,24 @@ class Config:
         return cls(**kwargs)
 
 
-def _partition_problem(groups):
-    """True for non-empty disjoint groups covering 0..n-1; else what is wrong."""
+def _check_partition(groups) -> None:
+    """Refuse unless `groups` are non-empty disjoint groups covering 0..n-1,
+    naming at most the first few indices left uncovered."""
     if not groups:
-        return "must contain at least one group"
+        raise ConfigError("feature_partition must contain at least one group")
     if not all(groups):
-        return "groups must be non-empty"
+        raise ConfigError("feature_partition groups must be non-empty")
     counts = Counter(i for group in groups for i in group)
     if min(counts) < 0:
-        return f"holds negative index {min(counts)}"
+        raise ConfigError(f"feature_partition holds negative index {min(counts)}")
     overlaps = sorted(i for i, n in counts.items() if n > 1)
     if overlaps:
-        return f"groups overlap on indices {overlaps}"
-    missing = sorted(set(range(max(counts) + 1)) - set(counts))
-    return f"leaves indices {missing} uncovered" if missing else True
+        raise ConfigError(f"feature_partition groups overlap on indices {overlaps}")
+    n_missing = max(counts) + 1 - len(counts)
+    if n_missing:
+        first = [i for i in range(len(counts) + 5) if i not in counts][:min(n_missing, 5)]
+        raise ConfigError(f"feature_partition misses {n_missing} of indices 0..{max(counts)}, "
+                          f"first {first}")
 
 
 @dataclass
@@ -181,8 +183,8 @@ class AmeConfig(Config):
     predictors.
     """
 
-    feature_partition: list[list[int]] = setting(
-        [[0]], _partition_problem, "non-empty disjoint groups covering indices 0..n-1")
+    feature_partition: list[list[int]] = setting(  # checked by validate()
+        [[0]], text="non-empty disjoint groups covering indices 0..n-1")
     expert_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
     gate_hidden: int = at_least(8, 1)
     aux_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
@@ -198,6 +200,7 @@ class AmeConfig(Config):
     patience: int = at_least(12, 1)
 
     def validate(self) -> None:
+        _check_partition(self.feature_partition)
         if self.task == "classification" and self.num_classes < 2:
             raise ConfigError(f"classification needs num_classes >= 2, got {self.num_classes}")
 
@@ -526,7 +529,7 @@ def model_from_dict(raw: dict) -> AmeModel:
             "the document was edited or corrupted" if "model_hash" in raw
             else "missing from the format-3 model document"))
     seed = model.config.seed  # model_hash covers this one, not the top-level copy
-    if raw.get("seed", seed) != seed:
+    if "seed" in raw and (type(raw["seed"]) is not int or raw["seed"] != seed):
         raise ConfigError(f"seed: stored {raw['seed']!r} != config seed {seed!r}")
     return model
 

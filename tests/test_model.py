@@ -92,6 +92,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\[1, 2\]"):
             AmeConfig(feature_partition=[[0], [3]])
 
+    def test_huge_index_is_refused_with_a_short_message(self):
+        # coverage is checked from the number of indices, never by listing 0..10**12
+        message = (r"^feature_partition misses 999999999999 of indices 0\.\.1000000000000, "
+                   r"first \[1, 2, 3, 4, 5\]$")
+        with pytest.raises(ConfigError, match=message):
+            AmeConfig(feature_partition=[[0], [10**12]])
+
     def test_six_groups_build_six_experts_and_seven_probes(self):
         cfg = AmeConfig(feature_partition=[[i] for i in range(6)], seed=1)
         model = build_ame(cfg)
@@ -359,11 +366,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("fmt", [2, 3])
     def test_top_level_seed_must_match_the_config(self, fmt):
-        doc = document(build_ame(small_config(seed=3)), fmt)
-        assert model_from_dict(dict(doc, seed=3)).config.seed == 3
-        for seed in (99, "3"):
-            with pytest.raises(ConfigError, match=f"^seed: stored {seed!r} != config seed 3$"):
-                model_from_dict(dict(doc, seed=seed))
+        for config_seed, stored in ((3, 99), (3, "3"), (3, 3.0), (1, True)):
+            doc = document(build_ame(small_config(seed=config_seed)), fmt)
+            assert model_from_dict(dict(doc, seed=config_seed)).config.seed == config_seed
+            with pytest.raises(ConfigError, match=rf"^seed: stored {stored!r} != config seed "
+                                                  rf"{config_seed}$"):
+                model_from_dict(dict(doc, seed=stored))
 
     @pytest.mark.parametrize("fmt", [2, 3])
     def test_shape_mismatch_on_load_rejected(self, fmt):
