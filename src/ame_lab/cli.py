@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import diffcore
 from .attribution import (
     ESTIMATORS,
     ProbeConfig,
@@ -112,11 +113,14 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
 
 
 def run_id(cfg: RunConfig) -> str:
-    """Identity of the run: the settings, not the command or where artifacts
-    land, so train/explain/benchmark over one config share a directory."""
+    """Identity of the run: the settings and the version of the forward
+    kernel's numerics, not the command or where artifacts land, so
+    train/explain/benchmark over one config share a directory, and a resumed
+    sweep never mixes cells computed by different numerics."""
     payload = cfg.to_dict()
     for transient in ("out_dir", "jobs", "command"):
         payload.pop(transient)
+    payload["forward_kernel"] = diffcore.FORWARD_KERNEL
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

@@ -7,13 +7,16 @@ accumulates gradients into every participating tensor that requires them.
 An op none of whose operands leads to such a tensor stays off the tape, and
 the linear maps compute no gradient for an input that is off the tape.
 
-Forward matrix products go through ``np.einsum(optimize=False)`` rather
-than BLAS: einsum evaluates each output element with a fixed summation
-order, so a batched forward pass is bit-identical to running the same
-samples one by one. The model layer relies on that equivalence. Gradients
-of the linear maps are BLAS matrix products: their summation order depends
-on the shapes, so they are not batch-independent, and nothing needs them to
-be. A run still replays byte for byte on the same machine.
+Forward matrix products are one BLAS matrix-vector product per output row
+and map (``np.matmul`` over a unit row axis). The arguments of each call
+depend only on the layer's shape, never on the batch extent, so a batched
+forward pass is bit-identical to running the same samples one by one, and a
+stack of maps to separate calls. The model layer relies on that equivalence;
+it assumes BLAS returns the same bits for identical calls, which the bitwise
+tests check. Gradients of the linear maps are BLAS matrix products: their
+summation order depends on the shapes, so they are not batch-independent,
+and nothing needs them to be. A run still replays byte for byte on the same
+machine.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
+
+# Version of the forward kernel's numerics, hashed into run ids so that runs
+# of different numerics never share a directory: 1 was the einsum forward.
+FORWARD_KERNEL = 2
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
@@ -142,10 +149,9 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self, other
-        out = Tensor(a.data + b.data, _parents=(a, b),
-                     _backward_fn=lambda g: (_unbroadcast(g, a.shape),
-                                             _unbroadcast(g, b.shape)))
-        return out
+        return Tensor(a.data + b.data, _parents=(a, b),
+                      _backward_fn=lambda g: (_unbroadcast(g, a.shape) if a._tracked() else None,
+                                              _unbroadcast(g, b.shape) if b._tracked() else None))
 
     def __neg__(self) -> "Tensor":
         a = self
@@ -157,9 +163,9 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self, other
-        return Tensor(a.data * b.data, _parents=(a, b),
-                      _backward_fn=lambda g: (_unbroadcast(g * b.data, a.shape),
-                                              _unbroadcast(g * a.data, b.shape)))
+        return Tensor(a.data * b.data, _parents=(a, b), _backward_fn=lambda g: (
+            _unbroadcast(g * b.data, a.shape) if a._tracked() else None,
+            _unbroadcast(g * a.data, b.shape) if b._tracked() else None))
 
     # -- elementwise functions -----------------------------------------
 
@@ -254,14 +260,16 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ W^T + b for x (n, in), W (out, in), b (out,).
 
-    einsum keeps the per-element summation order independent of the batch
-    extent, which makes batched and single-sample forwards bit-identical.
-    The gradients are BLAS products, ``g @ W`` and ``g.T @ x``.
+    Each output row is its own BLAS matrix-vector product of W with that
+    input row, a call that is the same whatever the batch extent, so batched
+    and single-sample forwards are bit-identical (given a BLAS that returns
+    the same bits for identical calls). The gradients are BLAS products,
+    ``g @ W`` and ``g.T @ x``.
     """
     if x.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
-    out = np.einsum("ni,oi->no", x.data, weights.data, optimize=False) + bias.data
+    out = np.matmul(x.data[:, None, :], weights.data.T)[:, 0] + bias.data
 
     def back(g):
         gx = g @ weights.data if x._tracked() else None
@@ -271,25 +279,26 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """p stacked affine maps in one einsum, output (n, p, out).
+    """p stacked affine maps in one matmul, output (n, p, out).
 
     weights is (p, out, in) and bias (p, out). x is either (n, in), read by
-    every map, or (n, p, in), whose slice i map i reads. Each output element
-    sums over `in` in the same fixed order as :func:`linear`, so the stack
-    reproduces p separate `linear` calls and stays batch-independent. The
-    gradients are one BLAS product over the flattened stack for a shared
-    input, and a matmul over the stack axis for per-map inputs.
+    every map, or (n, p, in), whose slice i map i reads. Each row of each map
+    is one BLAS matrix-vector product, the same call :func:`linear` makes for
+    that row and map, so the stack reproduces p separate `linear` calls bit
+    for bit and stays batch-independent. The gradients are one BLAS product
+    over the flattened stack for a shared input, and a matmul over the stack
+    axis for per-map inputs.
     """
-    spec = "nk" if x.ndim == 2 else "npk"
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
             or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
         raise DimensionError(
             f"batched_linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
-    out = np.einsum(f"{spec},pak->npa", x.data, weights.data, optimize=False) + bias.data
+    xs = x.data[:, None, :] if x.ndim == 2 else x.data
+    out = np.matmul(xs[:, :, None, :], weights.data.transpose(0, 2, 1))[:, :, 0] + bias.data
 
     def back(g):
         w = weights.data
-        if spec == "nk":  # g (n, p·a) against W (p·a, k)
+        if x.ndim == 2:  # g (n, p·a) against W (p·a, k)
             flat = g.reshape(g.shape[0], -1)
             gx = flat @ w.reshape(-1, w.shape[2]) if x._tracked() else None
             gw = (flat.T @ x.data).reshape(w.shape)

@@ -55,6 +55,8 @@ def _has_type(value, like) -> bool:
     if isinstance(like, bool):
         return isinstance(value, bool)
     if isinstance(like, (int, float)):
+        if type(value) is int or type(value) is type(like):  # skips the slow ABC checks
+            return True
         kind = numbers.Integral if isinstance(like, int) else numbers.Real
         return isinstance(value, kind) and not isinstance(value, bool)
     return isinstance(value, type(like))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ame_lab import cli
+from ame_lab import cli, diffcore
 from ame_lab import model as model_module
 from ame_lab.attribution import (ProbeConfig, explain_ame, write_importance_csv,
                                  write_importance_json)
@@ -503,6 +503,20 @@ class TestSweepCommand:
         whole_csv = tmp_path / "whole" / run_dir_of(tmp_path, cfg).name / "sweep.csv"
         assert (run_dir_of(tmp_path, cfg) / "sweep.csv").read_bytes() == whole_csv.read_bytes()
 
+    def test_cells_of_another_forward_kernel_are_not_resumed(self, tmp_path, monkeypatch, capsys):
+        cfg = self.sweep_config(tmp_path)
+        path = write_config(tmp_path, cfg)
+        monkeypatch.setattr(diffcore, "FORWARD_KERNEL", diffcore.FORWARD_KERNEL - 1)
+        assert main(["sweep", "--config", path]) == 0
+        earlier = run_dir_of(tmp_path, cfg)
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["sweep", "--config", path]) == 0
+        assert "0 already complete" in capsys.readouterr().out
+        assert run_dir_of(tmp_path, cfg) != earlier
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(
+            [earlier.name, run_dir_of(tmp_path, cfg).name])
+
     def test_integer_alphas_give_the_cells_of_the_floats(self, tmp_path):
         run_dirs = []
         for name, alphas in (("ints", [0, 0.1]), ("floats", [0.0, 0.1])):
@@ -587,6 +601,12 @@ class TestHelpers:
         a = RunConfig.from_dict(base_config(tmp_path))
         b = RunConfig.from_dict(base_config(tmp_path, out_dir="elsewhere"))
         assert run_id(a) == run_id(b)
+
+    def test_run_id_tracks_the_forward_kernel(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_dict(base_config(tmp_path))
+        current = run_id(cfg)
+        monkeypatch.setattr(diffcore, "FORWARD_KERNEL", diffcore.FORWARD_KERNEL - 1)
+        assert run_id(cfg) != current
 
     def test_run_id_tracks_settings(self, tmp_path):
         a = RunConfig.from_dict(base_config(tmp_path))

@@ -1,11 +1,16 @@
 """Unit tests for the autodiff engine: ops, losses, optimizers, gradients."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ame_lab import diffcore
 from ame_lab.diffcore import (
     DenseLayer,
     batched_linear,
@@ -171,6 +176,24 @@ class TestBackward:
         loss.backward()
         loss.backward()
         np.testing.assert_array_equal(w.grad, [[6.0]])
+
+    def test_elementwise_ops_unbroadcast_only_tracked_operands(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(4, 2, 3)), rng.random(size=(4, 1, 3)), rng.normal(size=3)
+
+        def loss(w, mask, shift):
+            return ((w * mask + shift) * w).sum()
+
+        every = [Tensor(v, requires_grad=True) for v in values]
+        loss(*every).backward()
+        shapes = []
+        unbroadcast = diffcore._unbroadcast
+        monkeypatch.setattr(diffcore, "_unbroadcast",
+                            lambda g, shape: shapes.append(shape) or unbroadcast(g, shape))
+        w = Tensor(values[0], requires_grad=True)
+        loss(w, Tensor(values[1]), Tensor(values[2])).backward()
+        assert shapes and set(shapes) == {w.shape}
+        np.testing.assert_array_equal(w.grad, every[0].grad)
 
     def test_take_columns_scatters_gradient(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -345,6 +368,51 @@ class TestBatchEquivalence:
         for i in range(32):
             row = linear(Tensor(x[i:i + 1]), w, b).data
             np.testing.assert_array_equal(row[0], full[i])
+
+
+def _check_forward_kernel(p, out, width, n, seed):
+    """Bitwise, for `linear` and both input forms of `batched_linear`: each
+    row of a batched forward equals its batch-1 forward, and map i of a stack
+    equals `linear` on map i."""
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=(p, out, width)), rng.normal(size=(p, out))
+    x = rng.normal(size=(n, width))
+    single = linear(Tensor(x), Tensor(w[0]), Tensor(b[0])).data
+    for r in range(n):
+        np.testing.assert_array_equal(
+            linear(Tensor(x[r:r + 1]), Tensor(w[0]), Tensor(b[0])).data[0], single[r])
+    for form in (x, rng.normal(size=(n, p, width))):
+        stack = batched_linear(Tensor(form), Tensor(w), Tensor(b)).data
+        for r in range(n):
+            np.testing.assert_array_equal(
+                batched_linear(Tensor(form[r:r + 1]), Tensor(w), Tensor(b)).data[0], stack[r])
+        for i in range(p):
+            xi = form if form.ndim == 2 else form[:, i]
+            np.testing.assert_array_equal(
+                stack[:, i], linear(Tensor(xi), Tensor(w[i]), Tensor(b[i])).data)
+
+
+# (p, out, in, n, seed); 97 x 101 weights are past OpenBLAS's threading threshold
+KERNEL_CASES = [(1, 1, 1, 1, 0), (3, 5, 7, 17, 1), (64, 8, 6, 5, 2), (2, 97, 101, 3, 3)]
+
+
+class TestForwardKernel:
+    @given(st.integers(1, 9), st.integers(1, 13), st.integers(1, 23), st.integers(1, 17),
+           st.integers(0, 2**32 - 1))
+    @example(*KERNEL_CASES[-1])
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_maps_are_bitwise_independent(self, p, out, width, n, seed):
+        _check_forward_kernel(p, out, width, n, seed)
+
+    def test_rows_and_maps_are_bitwise_independent_on_one_blas_thread(self):
+        # OpenBLAS reads its thread count when numpy loads: a fresh process
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_diffcore as t\n"
+                "for case in t.KERNEL_CASES: t._check_forward_kernel(*case)")
+        src = Path(diffcore.__file__).parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), str(src)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestBatchedLinear:

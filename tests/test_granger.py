@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ame_lab.diffcore import Optimizer, Tensor, clear_grads, optimizer_step
 from ame_lab.granger import (
@@ -136,11 +136,21 @@ class TestKlDivergence:
             kl_divergence([0.5, 0.5], [1.0, 0.0])
 
     @given(simplex_rows(4, n=2))
+    @example(np.array([  # a few ulps apart: the unclipped sum rounds to about -2.3e-17
+        [0.4773161101732765, 0.018697591345727335, 0.4061985461052819, 0.09778775237571424],
+        [0.4773161101732765, 0.018697591345727356, 0.40619854610528183, 0.09778775237571428]]))
     @settings(max_examples=300, deadline=None)
     def test_non_negative_and_identity_of_indiscernibles(self, rows):
         omega, a = rows[0], rows[1]
         kl = kl_divergence(omega, a)
         assert kl >= 0.0
+        # every entry is positive here; the sum of the terms may round below 0
+        # by no more than 4 eps of the summed magnitudes of its logs
+        unclipped = np.sum(omega * (np.log(omega) - np.log(a)))
+        tolerance = 4 * np.finfo(float).eps * np.sum(omega * (np.abs(np.log(omega))
+                                                             + np.abs(np.log(a))))
+        assert unclipped >= -tolerance
+        assert kl == max(unclipped, 0.0)
         if kl <= 1e-12:
             np.testing.assert_allclose(omega, a, atol=1e-9)
         assert kl_divergence(omega, omega.copy()) == 0.0
