@@ -24,9 +24,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
-from .granger import batch_slices, delta_epsilon, omega_targets, per_sample_error
-from .model import (TASKS, AmeModel, Config, ConfigError, _zero_mlp, at_least, atomic_open, choice,
-                    forward, model_hash, setting)
+from .granger import GrangerTargets, batch_slices, per_sample_error
+from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, at_least, atomic_open,
+                    choice, forward, model_hash, setting)
 
 
 @dataclass
@@ -226,13 +226,12 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
             f"granger_oracle needs at least {10 * p} training samples for {p} groups, "
             f"got {n}")
     features = sorted(i for group in feature_partition for i in group)
-    mask = np.ones((p + 1, 1, len(features)))  # slot 0 reads all, slot i+1 all but group i
-    for gi, group in enumerate(feature_partition):
-        mask[gi + 1, :, np.searchsorted(features, group)] = 0.0
     out_dim = y_train.shape[1]
     head_act = "softmax" if task == "classification" else "identity"
-    net = _zero_mlp("probe", (p + 1,), [len(features), *probe.hidden, out_dim],
-                    "relu", head_act, mask=mask)
+    # slot 0 reads all features, slot i+1 all but group i
+    net = _probe_stack("probe", [np.searchsorted(features, g) for g in feature_partition],
+                       [len(features), *probe.hidden, out_dim], head_act)
+    mask = net.layers[0].mask
 
     rng = np.random.default_rng(probe.seed)
     streams = []  # probe j's minibatch orders continue from just after its init
@@ -260,9 +259,8 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
             clear_grads(params)
 
     pred = net(Tensor(x_held[:, features])).reshape(-1, out_dim)
-    eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)),
-                           task).data.reshape(-1, p + 1)
-    return omega_targets(delta_epsilon(eps[:, 1:], eps[:, 0]))
+    eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)), task)
+    return GrangerTargets.from_errors(eps.reshape(-1, p + 1)).omega
 
 
 # -- report IO ---------------------------------------------------------------

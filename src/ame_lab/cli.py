@@ -113,14 +113,14 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
 
 
 def run_id(cfg: RunConfig) -> str:
-    """Identity of the run: the settings and the version of the forward
-    kernel's numerics, not the command or where artifacts land, so
-    train/explain/benchmark over one config share a directory, and a resumed
-    sweep never mixes cells computed by different numerics."""
+    """Identity of the run: the settings and the numerics version, not the
+    command or where artifacts land, so train/explain/benchmark over one
+    config share a directory, and a resumed sweep never mixes cells computed
+    by different numerics."""
     payload = cfg.to_dict()
     for transient in ("out_dir", "jobs", "command"):
         payload.pop(transient)
-    payload["forward_kernel"] = diffcore.FORWARD_KERNEL
+    payload["numerics_version"] = diffcore.NUMERICS_VERSION
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

@@ -10,13 +10,13 @@ the linear maps compute no gradient for an input that is off the tape.
 Forward matrix products are one BLAS matrix-vector product per output row
 and map (``np.matmul`` over a unit row axis). The arguments of each call
 depend only on the layer's shape, never on the batch extent, so a batched
-forward pass is bit-identical to running the same samples one by one, and a
-stack of maps to separate calls. The model layer relies on that equivalence;
-it assumes BLAS returns the same bits for identical calls, which the bitwise
-tests check. Gradients of the linear maps are BLAS matrix products: their
-summation order depends on the shapes, so they are not batch-independent,
-and nothing needs them to be. A run still replays byte for byte on the same
-machine.
+forward pass is bit-identical to running the same samples one by one, and
+map i of a stack to a stack of map i alone. The model layer relies on that
+equivalence; it assumes BLAS returns the same bits for identical calls,
+which the bitwise tests check. Gradients of the linear maps are BLAS matrix
+products: their summation order depends on the shapes, so they are not
+batch-independent, and nothing needs them to be. A run still replays byte
+for byte on the same machine.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ import numpy as np
 
 EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 
-# Version of the forward kernel's numerics, hashed into run ids so that runs
-# of different numerics never share a directory: 1 was the einsum forward.
-FORWARD_KERNEL = 2
+# Version of the numerics a trained model depends on: the forward and
+# backward kernels, the optimizer, the parameter layout and the order of the
+# initial draws. Run ids hash it, so runs of different numerics never share a
+# directory. 1 was the einsum forward, 2 the BLAS forward with a separate
+# all-experts probe, 3 one probe stack of p+1.
+NUMERICS_VERSION = 3
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
@@ -258,41 +261,21 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
 
 
 def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ W^T + b for x (n, in), W (out, in), b (out,).
+    """p stacked affine maps x @ W[i]^T + b[i], output (n, p, out).
 
-    Each output row is its own BLAS matrix-vector product of W with that
-    input row, a call that is the same whatever the batch extent, so batched
-    and single-sample forwards are bit-identical (given a BLAS that returns
-    the same bits for identical calls). The gradients are BLAS products,
-    ``g @ W`` and ``g.T @ x``.
-    """
-    if x.ndim != 2 or x.shape[1] != weights.shape[1]:
-        raise DimensionError(
-            f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
-    out = np.matmul(x.data[:, None, :], weights.data.T)[:, 0] + bias.data
-
-    def back(g):
-        gx = g @ weights.data if x._tracked() else None
-        return (gx, g.T @ x.data, g.sum(axis=0))
-
-    return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
-
-
-def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """p stacked affine maps in one matmul, output (n, p, out).
-
-    weights is (p, out, in) and bias (p, out). x is either (n, in), read by
-    every map, or (n, p, in), whose slice i map i reads. Each row of each map
-    is one BLAS matrix-vector product, the same call :func:`linear` makes for
-    that row and map, so the stack reproduces p separate `linear` calls bit
-    for bit and stays batch-independent. The gradients are one BLAS product
-    over the flattened stack for a shared input, and a matmul over the stack
-    axis for per-map inputs.
+    weights is (p, out, in) and bias (p, out); one map is a stack of one. x
+    is either (n, in), read by every map, or (n, p, in), whose slice i map i
+    reads. Each row of each map is its own BLAS matrix-vector product, a call
+    that is the same whatever the batch extent and the other maps, so batched
+    and single-sample forwards are bit-identical and map i equals a stack of
+    map i alone (given a BLAS that returns the same bits for identical
+    calls). The gradients are one BLAS product over the flattened stack for a
+    shared input, and a matmul over the stack axis for per-map inputs.
     """
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
             or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
         raise DimensionError(
-            f"batched_linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
+            f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
     xs = x.data[:, None, :] if x.ndim == 2 else x.data
     out = np.matmul(xs[:, :, None, :], weights.data.transpose(0, 2, 1))[:, :, 0] + bias.data
 
@@ -312,19 +295,18 @@ def batched_linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 class DenseLayer:
-    """Fully connected layer: activation(x @ W^T + b).
+    """p stacked fully connected layers: activation(x @ W[i]^T + b[i]).
 
-    W is (out, in), or (p, out, in) for p stacked layers (see
-    :func:`batched_linear`). A `mask`, a fixed array broadcasting to W's
-    shape, multiplies W on every call: entries it zeroes neither act nor
-    receive gradient.
+    W is (p, out, in) and b (p, out) (see :func:`linear`). A `mask`, a fixed
+    array broadcasting to W's shape, multiplies W on every call: entries it
+    zeroes neither act nor receive gradient.
     """
 
     def __init__(self, weights: Tensor, bias: Tensor, activation: str = "identity",
                  mask: np.ndarray | None = None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
-        if weights.ndim not in (2, 3) or bias.shape != weights.shape[:-1]:
+        if weights.ndim != 3 or bias.shape != weights.shape[:-1]:
             raise DimensionError(
                 f"layer weights {weights.shape} and bias {bias.shape} are inconsistent")
         self.weights = weights
@@ -335,7 +317,7 @@ class DenseLayer:
     def __call__(self, x: Tensor) -> Tensor:
         """Run the layer. Softmax activation normalizes the last axis."""
         weights = self.weights if self.mask is None else self.weights * self.mask
-        pre = (linear if weights.ndim == 2 else batched_linear)(x, weights, self.bias)
+        pre = linear(x, weights, self.bias)
         if self.activation == "identity":
             return pre
         if self.activation == "tanh":

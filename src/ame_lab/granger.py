@@ -20,7 +20,6 @@ from .diffcore import (
     Optimizer,
     Tensor,
     clear_grads,
-    concat,
     optimizer_step,
     per_sample_cross_entropy,
     per_sample_mae,
@@ -42,9 +41,10 @@ class GrangerTargets:
     omega: np.ndarray      # (n, p) normalized target distribution
 
     @classmethod
-    def from_errors(cls, eps_excl: Tensor, eps_all: Tensor) -> "GrangerTargets":
-        """Targets from the (n, p) and (n,) error tensors of `aux_errors`."""
-        eps_excl, eps_all = eps_excl.data.copy(), eps_all.data.copy()
+    def from_errors(cls, eps: Tensor) -> "GrangerTargets":
+        """Targets from the (n, p+1) error tensor of `aux_errors`: column 0
+        with all experts, column i+1 without expert i."""
+        eps_excl, eps_all = eps.data[:, 1:].copy(), eps.data[:, 0].copy()
         delta = delta_epsilon(eps_excl, eps_all)
         return cls(eps_excl=eps_excl, eps_all=eps_all, delta_eps=delta,
                    omega=omega_targets(delta))
@@ -56,20 +56,19 @@ def per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
     return per_sample_mae(y_hat, y_true)
 
 
-def aux_errors(output: AmeOutput, y_true, task: str) -> tuple[Tensor, Tensor]:
-    """Per-sample auxiliary errors: eps without expert i, (n, p), and eps
-    with all, (n,).
+def aux_errors(output: AmeOutput, y_true, task: str) -> Tensor:
+    """Per-sample auxiliary errors of the probe stack, (n, p+1): column 0
+    with all experts, column i+1 without expert i.
 
     Uses the task's auxiliary loss: MAE for regression, categorical
     cross-entropy for classification. Entries stay on the tape so the
     auxiliary predictors can be trained from them.
     """
     y = y_true.data if isinstance(y_true, Tensor) else np.asarray(y_true, dtype=np.float64)
-    n, p, out = output.y_aux_excl.shape
+    n, slots, out = output.y_aux.shape
     # one row per (sample, probe), sample-major as the reshape lays them out
-    eps_excl = per_sample_error(output.y_aux_excl.reshape(n * p, out),
-                                Tensor(np.repeat(y, p, axis=0)), task).reshape(n, p)
-    return eps_excl, per_sample_error(output.y_aux_all, Tensor(y), task)
+    return per_sample_error(output.y_aux.reshape(n * slots, out),
+                            Tensor(np.repeat(y, slots, axis=0)), task).reshape(n, slots)
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
@@ -182,9 +181,9 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
                                  "training diverged")
     main = per_sample_error(output.y, y_true, cfg.task).mean()
 
-    eps_excl, eps_all = aux_errors(output, y_true, cfg.task)
-    targets = GrangerTargets.from_errors(eps_excl, eps_all)
-    aux_losses = concat([eps_excl, eps_all.reshape(-1, 1)], axis=1).mean(axis=0)  # one per probe
+    eps = aux_errors(output, y_true, cfg.task)
+    targets = GrangerTargets.from_errors(eps)
+    aux_losses = eps.mean(axis=0)  # one per probe
     aux_mean = float(np.mean(aux_losses.data))
 
     mge_value = float(np.mean(kl_divergence(targets.omega, output.a.data)))

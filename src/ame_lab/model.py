@@ -7,13 +7,13 @@ representation against a learned context vector; the softmax of those
 scores is the attention vector, which both weights the contributions into
 the prediction and doubles as the per-sample feature-importance read-out.
 
-Auxiliary predictors (one per expert, reading everything except that
-expert's state, plus one reading everything) provide the error estimates
-the Granger-causal objective is built from.
+A Granger probe stack of p+1 auxiliary predictors provides the error
+estimates the Granger-causal objective is built from: slot 0 reads every
+expert's state, and slot i+1 everything except expert i's.
 
-Experts, heads, gates and exclusion probes are each one stack of layers
-over a leading expert axis (`diffcore.batched_linear`), so a forward pass
-costs the same number of ops whatever the number of experts.
+Experts, heads, gates and probes are each one stack of layers over a
+leading axis (`diffcore.linear`), so a forward pass costs the same number
+of ops whatever the number of experts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .diffcore import OPTIMIZERS, DenseLayer, Tensor, concat, glorot, softmax, take_columns
 
-MODEL_FORMAT = 3  # model.json layout: 1 = per-expert lists, 2 = stacked lists, 3 = stacked base64
+MODEL_FORMAT = 4  # model.json: 1 per-expert lists, 2 stacked, 3 base64, 4 one probe stack
 
 TASKS = ("regression", "classification")
 
@@ -237,19 +237,29 @@ class Mlp:
         return [p for layer in self.layers for p in layer.parameters()]
 
 
-def _zero_mlp(name, stack, dims, hidden_act, out_act, mask=None, head="head") -> Mlp:
-    """All-zero layers `name.hidden_k`, then `name.<head>`, from dims[k] to dims[k+1];
-    `stack` is () for one network or (p,) for p stacked ones."""
+def _zero_mlp(name, p, dims, hidden_act, out_act, mask=None, head="head") -> Mlp:
+    """p stacked networks of all-zero layers `name.hidden_k`, then `name.<head>`,
+    from dims[k] to dims[k+1]; `mask` masks the first layer."""
     layers = []
     for k in range(len(dims) - 1):
         last = k == len(dims) - 2
         label = f"{name}.{head}" if last else f"{name}.hidden_{k}"
-        shape = (*stack, dims[k + 1], dims[k])
+        shape = (p, dims[k + 1], dims[k])
         layers.append(DenseLayer(
             Tensor(np.zeros(shape), requires_grad=True, name=f"{label}.weights"),
             Tensor(np.zeros(shape[:-1]), requires_grad=True, name=f"{label}.bias"),
             out_act if last else hidden_act, mask=None if k else mask))
     return Mlp(layers)
+
+
+def _probe_stack(name, blocks, dims, out_act) -> Mlp:
+    """A Granger probe stack of p+1 all-zero relu networks over dims[0] input
+    columns, p = len(blocks): slot 0 reads every column, and slot i+1's first
+    layer is masked off columns blocks[i]."""
+    mask = np.ones((len(blocks) + 1, 1, dims[0]))
+    for i, cols in enumerate(blocks):
+        mask[i + 1, :, cols] = 0.0
+    return _zero_mlp(name, len(blocks) + 1, dims, "relu", out_act, mask=mask)
 
 
 @dataclass
@@ -258,12 +268,13 @@ class AmeOutput:
 
     y is the prediction ((n, 1) values or (n, k) class probabilities) and
     `combined` the attention-weighted contributions before the task head;
-    c and y_aux_excl are (n, p, out): experts on axis 1.
+    c is (n, p, out), experts on axis 1.
 
-    The Granger probe outputs y_aux_excl and y_aux_all are built from h_all
-    by `model`'s probe stacks when first read, so a caller that reads only
-    the attention or the prediction puts no probe op on the tape. Read them
-    before the parameters change (the training loss does).
+    The Granger probe outputs y_aux, (n, p+1, out) with slot 0 reading every
+    expert and slot i+1 all but expert i, are built from h_all by `model`'s
+    probe stack when first read, so a caller that reads only the attention
+    or the prediction puts no probe op on the tape. Read them before the
+    parameters change (the training loss does).
     """
 
     y: Tensor
@@ -274,36 +285,31 @@ class AmeOutput:
     model: AmeModel
 
     @cached_property
-    def y_aux_excl(self) -> Tensor:
-        return self.model.aux_excl(self.h_all)
-
-    @cached_property
-    def y_aux_all(self) -> Tensor:
-        return self.model.aux_all(self.h_all)
+    def y_aux(self) -> Tensor:
+        return self.model.aux(self.h_all)
 
 
 class AmeModel:
-    """Built model: stacked experts, heads, gates and exclusion probes, plus
-    the probe that reads all experts."""
+    """Built model: stacked experts, heads and gates, and the probe stack."""
 
     def __init__(self, config: AmeConfig, experts: Mlp, heads: Mlp, gate_projection: DenseLayer,
-                 gate_context: Tensor, aux_excl: Mlp, aux_all: Mlp, group_index: np.ndarray):
+                 gate_context: Tensor, aux: Mlp, group_index: np.ndarray):
         self.config = config
         self.experts = experts          # hidden stacks over the feature groups
         self.heads = heads              # contribution heads: one stacked layer
         self.gate_projection = gate_projection
         self.gate_context = gate_context
-        self.aux_excl = aux_excl        # first layer masked off expert i's block
-        self.aux_all = aux_all
+        self.aux = aux                  # p+1 probes; slot i+1 masked off expert i's block
         self.group_index = group_index  # (p, g_max) input columns; n_features pads
         self.forward_passes = 0
         self.backward_passes = 0
 
-    def parameters(self) -> list[Tensor]:
-        return self.main_parameters() + self.aux_parameters()
+    # Read-only alias of `aux` under its two former names; only perfbench's
+    # tracer reads them, to tag the probe stack.
+    aux_excl = aux_all = property(lambda self: self.aux)
 
-    def aux_parameters(self) -> list[Tensor]:
-        return self.aux_excl.parameters() + self.aux_all.parameters()
+    def parameters(self) -> list[Tensor]:
+        return self.main_parameters() + self.aux.parameters()
 
     def main_parameters(self) -> list[Tensor]:
         """Experts, heads, and gates; the sub-networks the prediction reads."""
@@ -323,52 +329,61 @@ def _zero_model(config: AmeConfig) -> AmeModel:
     p, out, h = config.n_experts, config.out_dim, config.expert_hidden[-1]
     width = p * (h + out)
     group_index = np.full((p, max(map(len, config.feature_partition))), config.n_features)
-    probe_mask = np.ones((p, 1, width))
     for i, group in enumerate(config.feature_partition):
         group_index[i, :len(group)] = group
-        probe_mask[i, :, i * (h + out):(i + 1) * (h + out)] = 0.0
     head_act = "softmax" if config.task == "classification" else "identity"
-    aux_dims = [width, *config.aux_hidden, out]
-    experts = _zero_mlp("experts", (p,), [group_index.shape[1], *config.expert_hidden, out],
+    experts = _zero_mlp("experts", p, [group_index.shape[1], *config.expert_hidden, out],
                         "tanh", "identity")
     return AmeModel(
         config, Mlp(experts.layers[:-1]), Mlp(experts.layers[-1:]),
-        _zero_mlp("gates", (p,), [width, config.gate_hidden], None, "tanh",
+        _zero_mlp("gates", p, [width, config.gate_hidden], None, "tanh",
                   head="projection").layers[0],
         Tensor(np.zeros((p, config.gate_hidden)), requires_grad=True, name="gates.context"),
-        _zero_mlp("aux_excl", (p,), aux_dims, "relu", head_act, mask=probe_mask),
-        _zero_mlp("aux_all", (), aux_dims, "relu", head_act), group_index)
+        _probe_stack("aux", [slice(i * (h + out), (i + 1) * (h + out)) for i in range(p)],
+                     [width, *config.aux_hidden, out], head_act), group_index)
 
 
-def _list_layout(model: AmeModel):
-    """Format-1 (per-expert list) parameters in initialization order, as (name,
-    shape, target, columns): the values fill `columns` of the last axis of
-    `target`, expert i's slice of a stacked parameter. A single-expert probe
-    read a constant zero through one weight column; it maps to no column."""
-    cfg = model.config
-    block = cfg.expert_hidden[-1] + cfg.out_dim
-    for prefix, stack in (("expert", model.experts.parameters() + model.heads.parameters()),
-                          ("gate", model.gate_projection.parameters() + [model.gate_context]),
-                          ("aux_excl", model.aux_excl.parameters())):
-        for i in range(cfg.n_experts):
-            for t in stack:
-                columns = slice(None)
-                if t.name == "experts.hidden_0.weights":
-                    columns = slice(0, len(cfg.feature_partition[i]))
-                elif t.name == "aux_excl.hidden_0.weights":
-                    columns = np.r_[0:i * block, (i + 1) * block:t.shape[-1]]
-                width = max(np.arange(t.shape[-1])[columns].size, 1)
-                yield (f"{prefix}_{i}.{t.name.split('.', 1)[1]}", (*t.shape[1:-1], width),
-                       t.data[i], columns)
-    for t in model.aux_all.parameters():
-        yield t.name, t.shape, t.data, slice(None)
+def _layout(model: AmeModel, fmt: int):
+    """Format `fmt`'s parameters in its order, as (name, shape, target, columns):
+    the stored values fill `columns` of the last axis of `target`, a view of
+    the model's parameters. Format 1 held per-expert lists, drawn in this
+    order; a single-expert probe read a constant zero through one weight
+    column, which maps to no column. Formats 1 to 3 held the probe stack as
+    `aux_excl`, slots 1..p, then `aux_all`, slot 0 without the slot axis."""
+    if fmt == MODEL_FORMAT:
+        yield from ((t.name, t.shape, t.data, slice(None)) for t in model.parameters())
+        return
+    cfg, aux = model.config, model.aux.parameters()
+    if fmt > 1:
+        yield from ((t.name, t.shape, t.data, slice(None)) for t in model.main_parameters())
+        yield from ((t.name.replace("aux.", "aux_excl.", 1), (cfg.n_experts, *t.shape[1:]),
+                     t.data[1:], slice(None)) for t in aux)
+    else:
+        block = cfg.expert_hidden[-1] + cfg.out_dim
+        for prefix, stack, first in (
+                ("expert", model.experts.parameters() + model.heads.parameters(), 0),
+                ("gate", model.gate_projection.parameters() + [model.gate_context], 0),
+                ("aux_excl", aux, 1)):
+            for i in range(cfg.n_experts):
+                for t in stack:
+                    columns = slice(None)
+                    if t.name == "experts.hidden_0.weights":
+                        columns = slice(0, len(cfg.feature_partition[i]))
+                    elif t.name == "aux.hidden_0.weights":
+                        columns = np.r_[0:i * block, (i + 1) * block:t.shape[-1]]
+                    width = max(np.arange(t.shape[-1])[columns].size, 1)
+                    yield (f"{prefix}_{i}.{t.name.split('.', 1)[1]}", (*t.shape[1:-1], width),
+                           t.data[first + i], columns)
+    yield from ((t.name.replace("aux.", "aux_all.", 1), t.shape[1:], t.data[0], slice(None))
+                for t in aux)
 
 
 def build_ame(config: AmeConfig) -> AmeModel:
     """Assemble a model with independently initialized sub-networks.
 
     Parameters are drawn expert by expert in the fixed format-1 order
-    (experts, heads, gates, auxiliaries), so a seed fully determines every
+    (experts, heads, gates, probe slots 1..p, then probe slot 0), so a seed
+    gives the same values in every layout and fully determines every
     parameter: Glorot-uniform weights, zero biases, and context vectors
     Gaussian/sqrt(gate_hidden), keeping initial attention near uniform.
     Padded columns and masked probe blocks stay zero.
@@ -376,7 +391,7 @@ def build_ame(config: AmeConfig) -> AmeModel:
     config.check()
     model = _zero_model(config)
     rng = np.random.default_rng(config.seed)
-    for name, shape, target, columns in _list_layout(model):
+    for name, shape, target, columns in _layout(model, 1):
         if name.endswith(".weights"):
             target[..., columns] = glorot(rng, shape)
         elif name.endswith(".context"):
@@ -418,8 +433,8 @@ def forward(model: AmeModel, x) -> AmeOutput:
     combined = (a.reshape(n, cfg.n_experts, 1) * c).sum(axis=1)
     y = softmax(combined, axis=1) if cfg.task == "classification" else combined
 
-    # Granger probes read h_all when read. Probe i's mask removes both expert
-    # i's hidden state and its contribution, so it sees nothing of that expert.
+    # Granger probes read h_all when read. Probe slot i+1's mask removes both
+    # expert i's hidden state and its contribution, so it sees nothing of it.
     return AmeOutput(y=y, a=a, c=c, h_all=h_all, combined=combined, model=model)
 
 
@@ -448,7 +463,7 @@ def atomic_open(path, newline=None):
 
 
 def model_to_dict(model: AmeModel) -> dict:
-    """The format-3 document: each parameter's values as the base64 text of
+    """The format-4 document: each parameter's values as the base64 text of
     its C-order little-endian float64 bytes, plus the model's `model_hash`."""
     params = {p.name: {"shape": list(p.shape), "values": base64.b64encode(
         np.ascontiguousarray(p.data, dtype="<f8")).decode("ascii")} for p in model.parameters()}
@@ -458,7 +473,7 @@ def model_to_dict(model: AmeModel) -> dict:
 
 def _stored_values(params: dict, name: str, shape: tuple, fmt: int) -> np.ndarray:
     """Parameter `name`'s values, checked against its built `shape`: a list
-    of numbers in formats 1 and 2, base64 `<f8` bytes in format 3."""
+    of numbers in formats 1 and 2, base64 `<f8` bytes from format 3 on."""
     size = int(np.prod(shape))
     try:
         stored, values = list(params[name]["shape"]), params[name]["values"]
@@ -472,7 +487,7 @@ def _stored_values(params: dict, name: str, shape: tuple, fmt: int) -> np.ndarra
         raise ConfigError(f"parameter {name}: malformed entry ({exc!r})") from None
     if stored != list(shape):
         raise ConfigError(f"parameter {name}: stored shape {stored} != built shape {list(shape)}")
-    if fmt == 3:
+    if fmt >= 3:
         if len(values) != 8 * size:
             raise ConfigError(f"parameter {name}: {len(values)} bytes stored; "
                               f"shape {stored} needs {8 * size}")
@@ -498,19 +513,19 @@ def _without_retired_fields(config: dict) -> dict:
 
 
 def model_from_dict(raw: dict) -> AmeModel:
-    """Rebuild a model from a format-3 or format-2 document, or from a format-1
-    one (per-expert lists, no `format` field), which fills the stacks slice by
-    slice. A format-3 document must hold the `model_hash` of what it rebuilds."""
+    """Rebuild a model from a document of any format: format 1 (per-expert
+    lists, no `format` field) fills the stacks slice by slice, and formats 2
+    and 3 fill the probe stack's slots. A format-3 or format-4 document must
+    hold the `model_hash` of what it rebuilds, hashed in its own layout."""
     if not (isinstance(raw, dict) and isinstance(raw.get("config"), dict)
             and isinstance(raw.get("params"), dict)):
         raise ConfigError("model document needs 'config' and 'params' objects")
     fmt = raw.get("format", 1)
-    if type(fmt) is not int or fmt not in (1, 2, MODEL_FORMAT):
-        raise ConfigError(f"model format {fmt!r} is unknown; expected 1, 2 or {MODEL_FORMAT}")
+    if type(fmt) is not int or not 1 <= fmt <= MODEL_FORMAT:
+        raise ConfigError(f"model format {fmt!r} is unknown; expected 1 to {MODEL_FORMAT}")
     model = _zero_model(AmeConfig.from_dict(_without_retired_fields(raw["config"])))
     params = raw["params"]
-    layout = list(_list_layout(model)) if fmt == 1 else [
-        (p.name, p.shape, p.data, slice(None)) for p in model.parameters()]
+    layout = list(_layout(model, fmt))
     expected = [name for name, *_ in layout]
     missing = [name for name in expected if name not in params]
     extra = sorted(set(params) - set(expected))
@@ -521,15 +536,15 @@ def model_from_dict(raw: dict) -> AmeModel:
         target[..., columns] = _stored_values(params, name, shape, fmt)
     pad = (model.group_index == model.config.n_features)[:, None, :]
     for layer, zero in ((model.experts.layers[0], pad),
-                        (model.aux_excl.layers[0], model.aux_excl.layers[0].mask == 0)):
+                        (model.aux.layers[0], model.aux.layers[0].mask == 0)):
         if np.any((layer.weights.data != 0.0) & zero):
             raise ConfigError(f"parameter {layer.weights.name}: non-zero entry in a padded "
                               "column or masked probe block")
-    if fmt == 3 and raw.get("model_hash") != (digest := model_hash(model)):
+    if fmt >= 3 and raw.get("model_hash") != (digest := model_hash(model, fmt)):
         raise ConfigError("model_hash: " + (
             f"stored {raw['model_hash']!r} != {digest!r} of the stored config and values; "
             "the document was edited or corrupted" if "model_hash" in raw
-            else "missing from the format-3 model document"))
+            else f"missing from the format-{fmt} model document"))
     seed = model.config.seed  # model_hash covers this one, not the top-level copy
     if "seed" in raw and (type(raw["seed"]) is not int or raw["seed"] != seed):
         raise ConfigError(f"seed: stored {raw['seed']!r} != config seed {seed!r}")
@@ -551,14 +566,14 @@ def load_model(path) -> AmeModel:
     return model_from_dict(raw)
 
 
-def model_hash(model: AmeModel) -> str:
+def model_hash(model: AmeModel, fmt: int = MODEL_FORMAT) -> str:
     """Stable identity of a model (hex digest prefix): sha256 over the
-    sorted-key JSON of its config, then, for each tensor in `parameters()`
-    order, its name and shape (as JSON) and its values as little-endian
-    float64 bytes."""
+    sorted-key JSON of its config, then, for each tensor of format `fmt`'s
+    layout (2 to 4; by default `parameters()`), its name and shape (as JSON)
+    and its values as little-endian float64 bytes."""
     digest = hashlib.sha256(json.dumps(model.config.to_dict(), sort_keys=True,
                                        separators=(",", ":")).encode("utf-8"))
-    for p in model.parameters():
-        digest.update(json.dumps([p.name, list(p.shape)]).encode("utf-8"))
-        digest.update(np.ascontiguousarray(p.data, dtype="<f8"))
+    for name, shape, values, _ in _layout(model, fmt):
+        digest.update(json.dumps([name, list(shape)]).encode("utf-8"))
+        digest.update(np.ascontiguousarray(values, dtype="<f8"))
     return digest.hexdigest()[:16]

@@ -15,7 +15,7 @@ from ame_lab.attribution import (
     report_rows,
     write_importance_csv,
 )
-from ame_lab import attribution
+from ame_lab import granger
 from ame_lab import diffcore as dc
 from ame_lab.diffcore import Optimizer, Tensor, clear_grads
 from ame_lab.granger import delta_epsilon, kl_divergence, omega_targets
@@ -261,10 +261,11 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
     head_act = "softmax" if task == "classification" else "identity"
     rng = np.random.default_rng(probe.seed)
 
-    def build(in_dim):
+    def build(in_dim):  # each layer a stack of one
         dims = [in_dim, *probe.hidden, out_dim]
-        return [dc.DenseLayer(Tensor(dc.glorot(rng, (dims[k + 1], dims[k])), requires_grad=True),
-                              Tensor(np.zeros(dims[k + 1]), requires_grad=True),
+        return [dc.DenseLayer(Tensor(dc.glorot(rng, (dims[k + 1], dims[k]))[None],
+                                     requires_grad=True),
+                              Tensor(np.zeros((1, dims[k + 1])), requires_grad=True),
                               "relu" if k < len(dims) - 2 else head_act)
                 for k in range(len(dims) - 1)]
 
@@ -272,7 +273,7 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
         xt = Tensor(x)
         for layer in layers:
             xt = layer(xt)
-        return xt
+        return xt.reshape(x.shape[0], out_dim)
 
     def errors(pred, y):
         if task == "classification":
@@ -329,7 +330,7 @@ class TestStackedOracleMatchesSequential:
             seen.update(eps_excl=np.array(eps_excl), eps_all=np.array(eps_all))
             return delta_epsilon(eps_excl, eps_all)
 
-        monkeypatch.setattr(attribution, "delta_epsilon", spy)
+        monkeypatch.setattr(granger, "delta_epsilon", spy)
         omega = granger_oracle(train, held, partition, probe, task)
         ref_excl, ref_all = sequential_oracle(train, held, partition, probe, task)
         np.testing.assert_allclose(seen["eps_all"], ref_all, rtol=0, atol=1e-12)

@@ -503,10 +503,11 @@ class TestSweepCommand:
         whole_csv = tmp_path / "whole" / run_dir_of(tmp_path, cfg).name / "sweep.csv"
         assert (run_dir_of(tmp_path, cfg) / "sweep.csv").read_bytes() == whole_csv.read_bytes()
 
-    def test_cells_of_another_forward_kernel_are_not_resumed(self, tmp_path, monkeypatch, capsys):
+    def test_cells_of_another_numerics_version_are_not_resumed(self, tmp_path, monkeypatch,
+                                                               capsys):
         cfg = self.sweep_config(tmp_path)
         path = write_config(tmp_path, cfg)
-        monkeypatch.setattr(diffcore, "FORWARD_KERNEL", diffcore.FORWARD_KERNEL - 1)
+        monkeypatch.setattr(diffcore, "NUMERICS_VERSION", diffcore.NUMERICS_VERSION - 1)
         assert main(["sweep", "--config", path]) == 0
         earlier = run_dir_of(tmp_path, cfg)
         monkeypatch.undo()
@@ -601,10 +602,10 @@ class TestHelpers:
         b = RunConfig.from_dict(base_config(tmp_path, out_dir="elsewhere"))
         assert run_id(a) == run_id(b)
 
-    def test_run_id_tracks_the_forward_kernel(self, tmp_path, monkeypatch):
+    def test_run_id_tracks_the_numerics_version(self, tmp_path, monkeypatch):
         cfg = RunConfig.from_dict(base_config(tmp_path))
         current = run_id(cfg)
-        monkeypatch.setattr(diffcore, "FORWARD_KERNEL", diffcore.FORWARD_KERNEL - 1)
+        monkeypatch.setattr(diffcore, "NUMERICS_VERSION", diffcore.NUMERICS_VERSION - 1)
         assert run_id(cfg) != current
 
     def test_run_id_tracks_settings(self, tmp_path):

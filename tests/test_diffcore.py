@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from ame_lab import diffcore
 from ame_lab.diffcore import (
     DenseLayer,
-    batched_linear,
     DimensionError,
     GradientError,
     Optimizer,
@@ -34,8 +33,9 @@ from ame_lab.model import AmeConfig, build_ame
 
 
 def _layer(weights, bias, activation="identity"):
-    return DenseLayer(Tensor(weights, requires_grad=True),
-                      Tensor(bias, requires_grad=True), activation)
+    """A stack of one layer with (out, in) `weights`; its output is (n, 1, out)."""
+    return DenseLayer(Tensor(np.asarray(weights, dtype=float)[None], requires_grad=True),
+                      Tensor(np.asarray(bias, dtype=float)[None], requires_grad=True), activation)
 
 
 def _glorot_layer(rng, in_dim, out_dim, activation):
@@ -46,27 +46,27 @@ class TestForwardDense:
     def test_identity_weights_pass_input_through(self):
         layer = _layer(np.eye(2), [0.0, 0.0], "identity")
         out = layer(Tensor([[1.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(out.data, [[[1.0, 2.0]]])
 
     def test_zero_weights_with_tanh_give_zeros(self):
         layer = _layer(np.zeros((3, 4)), np.zeros(3), "tanh")
         out = layer(Tensor(np.random.default_rng(0).normal(size=(5, 4))))
-        np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
+        np.testing.assert_array_equal(out.data, np.zeros((5, 1, 3)))
 
     def test_affine_map_hand_value(self):
         # [2, 3] @ [1, 1]^T + 0.5 = 5.5
         layer = _layer([[1.0, 1.0]], [0.5], "identity")
         out = layer(Tensor([[2.0, 3.0]]))
-        np.testing.assert_allclose(out.data, [[5.5]])
+        np.testing.assert_allclose(out.data, [[[5.5]]])
 
     def test_shape_mismatch_names_both_shapes(self):
         layer = _layer(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(DimensionError, match=r"\(1, 4\).*\(2, 3\)"):
+        with pytest.raises(DimensionError, match=r"\(1, 4\).*\(1, 2, 3\)"):
             layer(Tensor(np.zeros((1, 4))))
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="gelu"):
-            DenseLayer(Tensor(np.zeros((1, 1))), Tensor(np.zeros(1)), "gelu")
+            DenseLayer(Tensor(np.zeros((1, 1, 1))), Tensor(np.zeros((1, 1))), "gelu")
 
 
 class TestSoftmax:
@@ -210,19 +210,18 @@ class TestBackward:
     @pytest.mark.parametrize("stacked", [False, True])
     def test_linear_skips_the_gradient_of_an_untracked_input(self, stacked):
         rng = np.random.default_rng(5)
-        shape = (2, 3, 4) if stacked else (3, 4)
+        shape = (2, 3, 4) if stacked else (1, 3, 4)
         w = Tensor(rng.normal(size=shape), requires_grad=True)
         b = Tensor(rng.normal(size=shape[:-1]), requires_grad=True)
         x = rng.normal(size=(5, 4))
-        op = batched_linear if stacked else linear
-        out = op(Tensor(x), w, b)
+        out = linear(Tensor(x), w, b)
         gx, gw, gb = out._backward_fn(np.ones(out.shape))
         assert gx is None
         out.sum().backward()
         grads = (w.grad, b.grad)
         clear_grads([w, b])
         xt = Tensor(x, requires_grad=True)
-        op(xt, w, b).sum().backward()
+        linear(xt, w, b).sum().backward()
         assert xt.grad is not None
         np.testing.assert_array_equal(grads[0], w.grad)
         np.testing.assert_array_equal(grads[1], b.grad)
@@ -236,7 +235,7 @@ class TestBackward:
         params = l1.parameters() + l2.parameters()
 
         def run():
-            return per_sample_cross_entropy(l2(l1(Tensor(x))), Tensor(t)).mean()
+            return per_sample_cross_entropy(l2(l1(Tensor(x))).reshape(6, 2), Tensor(t)).mean()
 
         run().backward()
         analytic = [p.grad.copy() for p in params]
@@ -267,6 +266,7 @@ class TestGradientCheckSmallNets:
             out = Tensor(x)
             for layer in layers:
                 out = layer(out)
+            out = out.reshape(5, dims[-1])
             if acts[-1] == "softmax":
                 targets = Tensor(np.abs(t) / np.abs(t).sum(1, keepdims=True))
                 return per_sample_cross_entropy(out, targets).mean()
@@ -361,8 +361,8 @@ class TestDeterminism:
 class TestBatchEquivalence:
     def test_linear_is_bitwise_batch_independent(self):
         rng = np.random.default_rng(5)
-        w = Tensor(rng.normal(size=(7, 13)))
-        b = Tensor(rng.normal(size=7))
+        w = Tensor(rng.normal(size=(1, 7, 13)))
+        b = Tensor(rng.normal(size=(1, 7)))
         x = rng.normal(size=(32, 13))
         full = linear(Tensor(x), w, b).data
         for i in range(32):
@@ -371,25 +371,25 @@ class TestBatchEquivalence:
 
 
 def _check_forward_kernel(p, out, width, n, seed):
-    """Bitwise, for `linear` and both input forms of `batched_linear`: each
-    row of a batched forward equals its batch-1 forward, and map i of a stack
-    equals `linear` on map i."""
+    """Bitwise, for a stack of one map and both input forms of a stack of p:
+    each row of a batched forward equals its batch-1 forward, and map i of a
+    stack equals a stack of map i alone."""
     rng = np.random.default_rng(seed)
     w, b = rng.normal(size=(p, out, width)), rng.normal(size=(p, out))
     x = rng.normal(size=(n, width))
-    single = linear(Tensor(x), Tensor(w[0]), Tensor(b[0])).data
+    single = linear(Tensor(x), Tensor(w[:1]), Tensor(b[:1])).data
     for r in range(n):
         np.testing.assert_array_equal(
-            linear(Tensor(x[r:r + 1]), Tensor(w[0]), Tensor(b[0])).data[0], single[r])
+            linear(Tensor(x[r:r + 1]), Tensor(w[:1]), Tensor(b[:1])).data[0], single[r])
     for form in (x, rng.normal(size=(n, p, width))):
-        stack = batched_linear(Tensor(form), Tensor(w), Tensor(b)).data
+        stack = linear(Tensor(form), Tensor(w), Tensor(b)).data
         for r in range(n):
             np.testing.assert_array_equal(
-                batched_linear(Tensor(form[r:r + 1]), Tensor(w), Tensor(b)).data[0], stack[r])
+                linear(Tensor(form[r:r + 1]), Tensor(w), Tensor(b)).data[0], stack[r])
         for i in range(p):
             xi = form if form.ndim == 2 else form[:, i]
             np.testing.assert_array_equal(
-                stack[:, i], linear(Tensor(xi), Tensor(w[i]), Tensor(b[i])).data)
+                stack[:, i], linear(Tensor(xi), Tensor(w[i:i + 1]), Tensor(b[i:i + 1])).data[:, 0])
 
 
 # (p, out, in, n, seed); OpenBLAS runs a gemv of 700 x 700 weights on more than
@@ -416,21 +416,21 @@ class TestForwardKernel:
         assert done.returncode == 0, done.stderr
 
 
-class TestBatchedLinear:
+class TestLinearStack:
     @pytest.mark.parametrize("shared", [True, False])
     def test_stack_reproduces_separate_linear_calls_bitwise(self, shared):
         rng = np.random.default_rng(6)
         w = Tensor(rng.normal(size=(5, 3, 11)))
         b = Tensor(rng.normal(size=(5, 3)))
         x = rng.normal(size=(9, 11) if shared else (9, 5, 11))
-        out = batched_linear(Tensor(x), w, b).data
+        out = linear(Tensor(x), w, b).data
         assert out.shape == (9, 5, 3)
         for i in range(5):
             xi = x if shared else x[:, i]
-            np.testing.assert_array_equal(
-                out[:, i], linear(Tensor(xi), Tensor(w.data[i]), Tensor(b.data[i])).data)
+            np.testing.assert_array_equal(out[:, i], linear(
+                Tensor(xi), Tensor(w.data[i:i + 1]), Tensor(b.data[i:i + 1])).data[:, 0])
         for n in range(9):
-            np.testing.assert_array_equal(batched_linear(Tensor(x[n:n + 1]), w, b).data[0], out[n])
+            np.testing.assert_array_equal(linear(Tensor(x[n:n + 1]), w, b).data[0], out[n])
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_masked_stacked_layer_matches_finite_differences(self, shared):
@@ -451,17 +451,20 @@ class TestBatchedLinear:
         assert not np.any(analytic[0][np.broadcast_to(mask == 0, (4, 2, 6))])
 
     def test_mismatched_stack_rejected(self):
-        with pytest.raises(DimensionError, match="batched_linear"):
-            batched_linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 1, 4))),
-                           Tensor(np.zeros((5, 1))))
+        with pytest.raises(DimensionError, match="linear"):
+            linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 1, 4))),
+                   Tensor(np.zeros((5, 1))))
+
+    def test_unstacked_weights_rejected(self):
+        with pytest.raises(DimensionError, match=r"weights shape \(1, 4\)"):
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
+        with pytest.raises(DimensionError, match="inconsistent"):
+            DenseLayer(Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
 
 
 def _einsum_grads(x, w, g):
     """The linear maps' gradients as fixed-order einsums: the reference the
     BLAS products are held to."""
-    if w.ndim == 2:
-        return (np.einsum("no,oi->ni", g, w, optimize=False),
-                np.einsum("no,ni->oi", g, x, optimize=False))
     spec = "nk" if x.ndim == 2 else "npk"
     return (np.einsum(f"npa,pak->{spec}", g, w, optimize=False),
             np.einsum(f"npa,{spec}->pak", g, x, optimize=False))
@@ -473,7 +476,7 @@ def _assert_close(actual, expected, rel=1e-12):
 
 
 class TestLinearGradients:
-    CASES = {"linear": ((37, 19), (7, 19)), "shared": ((37, 19), (5, 7, 19)),
+    CASES = {"one_map": ((37, 19), (1, 7, 19)), "shared": ((37, 19), (5, 7, 19)),
              "per_map": ((37, 5, 19), (5, 7, 19))}
 
     @pytest.mark.parametrize("form", sorted(CASES))
@@ -485,8 +488,7 @@ class TestLinearGradients:
         x = rng.normal(size=x_shape)
         w = Tensor(rng.normal(size=w_shape), requires_grad=True)
         b = Tensor(rng.normal(size=w_shape[:-1]), requires_grad=True)
-        op = linear if form == "linear" else batched_linear
-        out = op(Tensor(x, requires_grad=tracked), w, b)
+        out = linear(Tensor(x, requires_grad=tracked), w, b)
         g = np.asarray(rng.normal(size=out.shape), order=layout)
         gx, gw, gb = out._backward_fn(g)
         ref_gx, ref_gw = _einsum_grads(x, w.data, g)
@@ -505,13 +507,14 @@ class TestLinearGradients:
         b = Tensor(rng.normal(size=(p, 7)), requires_grad=True)
         x = Tensor(rng.normal(size=(37, 19) if shared else (37, p, 19)), requires_grad=True)
         target = rng.normal(size=(37, p, 7))
-        (batched_linear(x, w, b) * target).sum().backward()
+        (linear(x, w, b) * target).sum().backward()
         input_grads = []
-        for i in range(p):
+        for i in range(p):  # map i as a stack of one
             xi = Tensor(x.data if shared else x.data[:, i], requires_grad=True)
-            wi, bi = Tensor(w.data[i], requires_grad=True), Tensor(b.data[i], requires_grad=True)
-            (linear(xi, wi, bi) * target[:, i]).sum().backward()
-            _assert_close(w.grad[i], wi.grad)
-            _assert_close(b.grad[i], bi.grad)
+            wi = Tensor(w.data[i:i + 1], requires_grad=True)
+            bi = Tensor(b.data[i:i + 1], requires_grad=True)
+            (linear(xi, wi, bi) * target[:, i:i + 1]).sum().backward()
+            _assert_close(w.grad[i], wi.grad[0])
+            _assert_close(b.grad[i], bi.grad[0])
             input_grads.append(xi.grad)
         _assert_close(x.grad, sum(input_grads) if shared else np.stack(input_grads, axis=1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ame_lab import granger
 from ame_lab.diffcore import Optimizer, Tensor, clear_grads, optimizer_step
 from ame_lab.granger import (
     GrangerTargets,
@@ -17,6 +18,7 @@ from ame_lab.granger import (
     kl_divergence,
     mge_loss,
     omega_targets,
+    per_sample_error,
     total_loss,
     train_epoch,
     write_training_log,
@@ -26,12 +28,12 @@ from ame_lab.model import AmeConfig, AmeOutput, build_ame, forward
 
 def fake_output(y, a, y_aux_excl, y_aux_all):
     """AmeOutput with only the fields the objective reads; the probe outputs
-    are set directly instead of being built from h_all by a model."""
+    (the all-experts probe's in slot 0) are set directly instead of being
+    built from h_all by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
     out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h_all=dummy,
                     combined=dummy, model=None)
-    out.y_aux_excl = Tensor(np.stack(y_aux_excl, axis=1))
-    out.y_aux_all = Tensor(y_aux_all)
+    out.y_aux = Tensor(np.stack([y_aux_all, *y_aux_excl], axis=1))
     return out
 
 
@@ -45,15 +47,15 @@ class TestAuxErrors:
     def test_perfect_full_probe_has_zero_error(self):
         y = np.array([[1.0], [2.0]])
         out = fake_output(y, [[1.0], [1.0]], [y + 1.0], y.copy())
-        _, eps_all = aux_errors(out, y, "regression")
-        np.testing.assert_array_equal(eps_all.data, [0.0, 0.0])
+        eps = aux_errors(out, y, "regression")
+        np.testing.assert_array_equal(eps.data, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_perfect_excluded_probes_make_deltas_non_positive(self):
         y = np.array([[1.0], [2.0]])
         out = fake_output(y, [[0.5, 0.5], [0.5, 0.5]], [y.copy(), y.copy()], y + 0.25)
-        eps_excl_t, eps_all_t = aux_errors(out, y, "regression")
-        eps_excl = eps_excl_t.data
-        delta = delta_epsilon(eps_excl, eps_all_t.data)
+        eps = aux_errors(out, y, "regression").data
+        eps_excl = eps[:, 1:]
+        delta = delta_epsilon(eps_excl, eps[:, 0])
         np.testing.assert_array_equal(eps_excl, np.zeros((2, 2)))
         np.testing.assert_allclose(delta, -0.25 * np.ones((2, 2)))
         assert np.all(delta <= 0)
@@ -63,8 +65,8 @@ class TestAuxErrors:
         y = np.eye(k)[[0, 2]]
         uniform = np.full((2, k), 1.0 / k)
         out = fake_output(y, [[1.0], [1.0]], [uniform], uniform)
-        _, eps_all = aux_errors(out, y, "classification")
-        np.testing.assert_allclose(eps_all.data, math.log(k), atol=1e-9)
+        eps = aux_errors(out, y, "classification")
+        np.testing.assert_allclose(eps.data, math.log(k), atol=1e-9)
 
 
 class TestDeltaEpsilon:
@@ -218,11 +220,30 @@ class TestDetachedTargets:
         x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 1))
         losses = batch_losses(model, forward(model, x), y)
         losses.total.backward()
-        for p in model.aux_parameters():
+        for p in model.aux.parameters():
             assert p.grad is None or not np.any(p.grad)
         # while the gates do receive signal
         assert any(p.grad is not None and np.any(p.grad)
                    for p in model.gate_projection.parameters() + [model.gate_context])
+
+
+class TestOneProbeStack:
+    def test_loss_scores_all_probes_with_one_error_call(self, monkeypatch):
+        model = build_ame(AmeConfig(feature_partition=[[0], [1, 2]], seed=4))
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
+        rows = []
+
+        def counted(y_hat, y_true, task):
+            rows.append(y_hat.shape[0])
+            return per_sample_error(y_hat, y_true, task)
+
+        monkeypatch.setattr(granger, "per_sample_error", counted)
+        batch_losses(model, forward(model, x), y)
+        assert rows == [5, 5 * 3]  # the prediction's, then every (sample, probe) row
+        assert model.aux_excl is model.aux and model.aux_all is model.aux
+        with pytest.raises(AttributeError):
+            model.aux_all = model.aux
 
 
 class TestLazyProbeTape:
@@ -239,13 +260,11 @@ class TestLazyProbeTape:
 
         def run(hand: bool):
             out = forward(model, x)
-            if hand:  # both probe stacks, layer by layer, before the loss reads them
-                excl, full = out.h_all, out.h_all
-                for layer in model.aux_excl.layers:
-                    excl = layer(excl)
-                for layer in model.aux_all.layers:
-                    full = layer(full)
-                out.y_aux_excl, out.y_aux_all = excl, full
+            if hand:  # the probe stack, layer by layer, before the loss reads it
+                probes = out.h_all
+                for layer in model.aux.layers:
+                    probes = layer(probes)
+                out.y_aux = probes
             losses = batch_losses(model, out, y)
             losses.total.backward()
             grads = [p.grad.copy() for p in model.parameters()]
@@ -317,7 +336,7 @@ class TestGrangerTargetsRecord:
         model = build_ame(cfg)
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 1))
-        targets = GrangerTargets.from_errors(*aux_errors(forward(model, x), y, "regression"))
+        targets = GrangerTargets.from_errors(aux_errors(forward(model, x), y, "regression"))
         assert isinstance(targets, GrangerTargets)
         np.testing.assert_allclose(targets.delta_eps,
                                    targets.eps_excl - targets.eps_all[:, None], atol=1e-15)

@@ -1,6 +1,7 @@
 """Tests for the mixture architecture: building, attention, forward, IO."""
 
 import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from ame_lab.granger import aux_errors, batch_losses, mge_loss, total_loss
 from ame_lab.model import (
     AmeConfig,
     ConfigError,
-    _list_layout,
+    _layout,
     attention,
     build_ame,
     combined_state,
@@ -55,14 +56,30 @@ def encoded(values) -> str:
 
 
 def document(model, fmt):
-    """`model_to_dict(model)`, or, for fmt 2, the same document written the
-    format-2 way: values as lists of numbers and no stored hash."""
+    """`model_to_dict(model)`, or the same model written the format-2 or
+    format-3 way: the probe stack as `aux_excl.*` and `aux_all.*`, values as
+    lists of numbers and no stored hash in format 2, base64 and the hash over
+    that layout in format 3."""
     doc = model_to_dict(model)
-    if fmt == 2:
-        doc = {"format": 2, "config": doc["config"], "seed": doc["seed"],
-               "params": {name: {"shape": e["shape"], "values": decoded(e).tolist()}
-                          for name, e in doc["params"].items()}}
+    if fmt < 4:
+        doc = {"format": fmt, "config": doc["config"], "seed": doc["seed"],
+               "params": {name: {"shape": list(shape), "values": stored(target.ravel(), fmt)}
+                          for name, shape, target, _ in _layout(model, fmt)}}
+        if fmt == 3:
+            doc["model_hash"] = model_hash(model, 3)
     return doc
+
+
+def parent_values(model, name):
+    """The values that parameter `name` of a format-2 or format-3 document
+    holds in `model`: `aux_excl.*` is probe slots 1..p, `aux_all.*` slot 0."""
+    prefix, rest = name.split(".", 1)
+    params = {t.name: t.data for t in model.parameters()}
+    if prefix == "aux_excl":
+        return params[f"aux.{rest}"][1:]
+    if prefix == "aux_all":
+        return params[f"aux.{rest}"][0]
+    return params[name]
 
 
 def stored(values, fmt):
@@ -106,7 +123,7 @@ class TestConfigValidation:
         stacks = [model.experts.layers[0].weights, model.heads.layers[0].weights,
                   model.gate_projection.weights, model.gate_context]
         assert [t.shape[0] for t in stacks] == [6] * 4
-        assert model.aux_excl.layers[0].weights.shape[0] + 1 == 7
+        assert model.aux.layers[0].weights.shape[0] == 7
 
     def test_alpha_range_checked(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -242,8 +259,7 @@ class TestForward:
             single = forward(model, x[i:i + 1])
             np.testing.assert_array_equal(single.y.data[0], full.y.data[i])
             np.testing.assert_array_equal(single.a.data[0], full.a.data[i])
-            np.testing.assert_array_equal(single.y_aux_all.data[0], full.y_aux_all.data[i])
-            np.testing.assert_array_equal(single.y_aux_excl.data[0], full.y_aux_excl.data[i])
+            np.testing.assert_array_equal(single.y_aux.data[0], full.y_aux.data[i])
 
     def test_classification_head_produces_probabilities(self):
         model = build_ame(small_config(task="classification", num_classes=4))
@@ -259,19 +275,19 @@ class TestForward:
         x = rng.normal(size=(4, 5))
         bumped = x.copy()
         bumped[:, 2] += 2.0  # group 1
-        np.testing.assert_array_equal(forward(model, x).y_aux_excl.data[:, 1],
-                                      forward(model, bumped).y_aux_excl.data[:, 1])
+        np.testing.assert_array_equal(forward(model, x).y_aux.data[:, 2],
+                                      forward(model, bumped).y_aux.data[:, 2])
 
 
     def test_masked_probe_block_and_padding_neither_act_nor_learn(self):
         model = build_ame(small_config())
-        first = model.aux_excl.layers[0]
+        first = model.aux.layers[0]
         blocked = np.broadcast_to(first.mask == 0, first.weights.shape)
         rng = np.random.default_rng(13)
         x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 1))
-        before = forward(model, x).y_aux_excl.data
+        before = forward(model, x).y_aux.data
         first.weights.data[blocked] = 5.0  # the forward multiplies by the mask
-        np.testing.assert_array_equal(forward(model, x).y_aux_excl.data, before)
+        np.testing.assert_array_equal(forward(model, x).y_aux.data, before)
         batch_losses(model, forward(model, x), y).total.backward()
         assert not np.any(first.weights.grad[blocked])
         assert np.all(np.any(first.weights.grad != 0.0, axis=1)[~blocked[:, 0, :]])
@@ -298,7 +314,7 @@ class TestLazyProbes:
     @staticmethod
     def spied_model():
         model = build_ame(small_config(task="classification", num_classes=2))
-        model.aux_excl, model.aux_all = ProbeSpy(model.aux_excl), ProbeSpy(model.aux_all)
+        model.aux = ProbeSpy(model.aux)
         return model
 
     def test_read_only_paths_build_no_probe(self):
@@ -310,7 +326,7 @@ class TestLazyProbes:
         explain_saliency(model, x, batch_size=4)
         explain_occlusion(model, x[:2])
         masking_drop(model, x, [np.array([0])] * 6, 0.0)
-        assert (model.aux_excl.calls, model.aux_all.calls) == (0, 0)
+        assert model.aux.calls == 0
 
     def test_loss_builds_each_probe_once_per_forward(self):
         model = self.spied_model()
@@ -318,8 +334,8 @@ class TestLazyProbes:
         x, y = rng.normal(size=(6, 5)), np.eye(2)[rng.integers(0, 2, size=6)]
         out = forward(model, x)
         batch_losses(model, out, y)
-        assert out.y_aux_excl is out.y_aux_excl and out.y_aux_all is out.y_aux_all
-        assert (model.aux_excl.calls, model.aux_all.calls) == (1, 1)
+        assert out.y_aux is out.y_aux
+        assert model.aux.calls == 1
 
 
 class TestImportance:
@@ -350,7 +366,7 @@ class TestSerialization:
             p.data = p.data + 0.125
         # padded expert columns and masked probe blocks must stay zero
         model.experts.layers[0].weights.data[1, :, 1] = 0.0  # group [2] pads one column
-        model.aux_excl.layers[0].weights.data *= model.aux_excl.layers[0].mask
+        model.aux.layers[0].weights.data *= model.aux.layers[0].mask
         # every bit survives, the sign of zero, subnormals and extremes included
         model.gate_context.data.reshape(-1)[:4] = [-0.0, 5e-324, -1.7976931348623157e308,
                                                    0.1 + 0.2]
@@ -367,7 +383,7 @@ class TestSerialization:
         assert doc["seed"] == 21
         assert doc["config"]["feature_partition"] == [[0, 1], [2], [3, 4]]
 
-    @pytest.mark.parametrize("fmt", [2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3, 4])
     def test_top_level_seed_must_match_the_config(self, fmt):
         for config_seed, stored in ((3, 99), (3, "3"), (3, 3.0), (1, True)):
             doc = document(build_ame(small_config(seed=config_seed)), fmt)
@@ -376,7 +392,7 @@ class TestSerialization:
                                                   rf"{config_seed}$"):
                 model_from_dict(dict(doc, seed=stored))
 
-    @pytest.mark.parametrize("fmt", [2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3, 4])
     def test_shape_mismatch_on_load_rejected(self, fmt):
         doc = document(build_ame(small_config()), fmt)
         name = next(iter(doc["params"]))
@@ -388,8 +404,11 @@ class TestSerialization:
     def test_hash_golden_digest(self):
         # sha256 over the config JSON and each parameter's name, shape and
         # float64 bytes; changing the definition changes every stored hash
-        assert model_hash(build_ame(small_config())) == "1cfa1bc97a3ac31d"
-        assert model_hash(load_model(DATA / "format1_model.json")) == "f5acb54d5bf1fce2"
+        assert model_hash(build_ame(small_config())) == "0413c5f8c1a73ce8"
+        assert model_hash(load_model(DATA / "format1_model.json")) == "f36069e3d4fab528"
+        # hashed in the format-3 layout, the digests the format-3 code gave
+        assert model_hash(build_ame(small_config()), 3) == "1cfa1bc97a3ac31d"
+        assert model_hash(load_model(DATA / "format1_model.json"), 3) == "f5acb54d5bf1fce2"
 
     @pytest.mark.parametrize("source", ["built", "format1"])
     def test_hash_survives_save_and_load(self, tmp_path, source):
@@ -401,7 +420,7 @@ class TestSerialization:
     def test_hash_changes_with_one_entry_of_any_parameter(self):
         model = build_ame(small_config())
         names = [t.name for t in model.parameters()]
-        assert {"aux_excl.head.bias", "aux_all.hidden_0.weights"} <= set(names)
+        assert {"aux.head.bias", "aux.hidden_0.weights"} <= set(names)
         before = model_hash(model)
         rng = np.random.default_rng(14)
         for t in model.parameters():
@@ -423,6 +442,17 @@ class TestSerialization:
         model.parameters()[0].data[0, 0] += 1.0
         assert model_hash(model) != before
 
+    def test_untrained_draws_are_those_of_the_format_3_layout(self):
+        # sha256 of each parameter's <f8 bytes as built by the code that kept
+        # aux_excl (p probes) and aux_all apart, for p = 1, 3, 8 and 64
+        for case in json.loads((DATA / "parent_draws.json").read_text()):
+            model = build_ame(AmeConfig(**case["config"]))
+            for name, digest in case["sha256"].items():
+                values = np.ascontiguousarray(parent_values(model, name), dtype="<f8")
+                assert hashlib.sha256(values.tobytes()).hexdigest() == digest, name
+            assert len(case["sha256"]) == len(model.main_parameters()) + 2 * len(
+                model.aux.parameters())
+
     def test_same_seed_same_model_bitwise(self):
         a = build_ame(small_config(seed=42))
         b = build_ame(small_config(seed=42))
@@ -435,7 +465,7 @@ class TestSerialization:
         with open(path) as fh:
             json.load(fh)
 
-    @pytest.mark.parametrize("fmt", [0, 4, "2", True, 3.0])
+    @pytest.mark.parametrize("fmt", [0, 5, "2", True, 3.0])
     def test_unknown_format_rejected(self, fmt):
         doc = model_to_dict(build_ame(small_config()))
         doc["format"] = fmt
@@ -449,18 +479,18 @@ class TestSerialization:
 
     def test_missing_parameter_named(self):
         doc = model_to_dict(build_ame(small_config()))
-        del doc["params"]["aux_excl.head.bias"]
-        with pytest.raises(ConfigError, match=r"aux_excl\.head\.bias: missing"):
+        del doc["params"]["aux.head.bias"]
+        with pytest.raises(ConfigError, match=r"aux\.head\.bias: missing"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("fmt", [2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3, 4])
     def test_extra_parameter_named(self, fmt):
         doc = document(build_ame(small_config()), fmt)
         doc["params"]["gates.temperature"] = {"shape": [1], "values": stored([1.0], fmt)}
         with pytest.raises(ConfigError, match=r"gates\.temperature: not part"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("fmt", [2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3, 4])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_named(self, bad, fmt):
         doc = document(build_ame(small_config()), fmt)
@@ -469,16 +499,15 @@ class TestSerialization:
             model_from_dict(doc)
 
     @pytest.mark.parametrize("name, entry", [
-        ("aux_excl.hidden_0.weights", (0, 0, 1)),  # probe 0 reading expert 0's block
-        ("experts.hidden_0.weights", (1, 0, 1)),   # group [2] padded to two columns
+        ("aux.hidden_0.weights", (1, 0, 1)),      # probe slot 1 reading expert 0's block
+        ("experts.hidden_0.weights", (1, 0, 1)),  # group [2] padded to two columns
     ])
-    @pytest.mark.parametrize("fmt", [2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3, 4])
     def test_non_zero_structural_entry_named(self, name, entry, fmt):
-        doc = document(build_ame(small_config()), fmt)
-        flat = int(np.ravel_multi_index(entry, doc["params"][name]["shape"]))
-        set_value(doc, name, flat, 0.5)
+        model = build_ame(small_config())
+        next(t for t in model.parameters() if t.name == name).data[entry] = 0.5
         with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
-            model_from_dict(doc)
+            model_from_dict(document(model, fmt))
 
     def test_stored_integer_alpha_loads_as_a_float(self):
         model = build_ame(small_config(alpha=0.0))
@@ -488,10 +517,10 @@ class TestSerialization:
         assert type(loaded.config.alpha) is float
         assert model_hash(loaded) == model_hash(model)
 
-    def test_document_records_format_3(self):
+    def test_document_records_format_4(self):
         model = build_ame(small_config())
         doc = model_to_dict(model)
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         assert doc["model_hash"] == model_hash(model)
         for p in model.parameters():
             entry = doc["params"][p.name]
@@ -503,7 +532,7 @@ class TestSerialization:
         # three classes, two hidden layers per expert and per probe
         model = load_model(DATA / "format1_model.json")
         doc = json.loads((DATA / "format1_model.json").read_text())
-        for name, shape, target, columns in _list_layout(model):
+        for name, shape, target, columns in _layout(model, 1):
             np.testing.assert_array_equal(
                 target[..., columns], np.array(doc["params"][name]["values"]).reshape(shape))
         ref = json.loads((DATA / "format1_outputs.json").read_text())
@@ -512,10 +541,10 @@ class TestSerialization:
         # another order than the BLAS forward: equal to within 2 ulp
         np.testing.assert_array_max_ulp(out.a.data, np.array(ref["attention"]), maxulp=2)
         np.testing.assert_allclose(out.y.data, ref["y"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.y_aux_all.data, ref["y_aux_all"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.y_aux_excl.data, np.stack(ref["y_aux_excl"], axis=1),
+        np.testing.assert_allclose(out.y_aux.data[:, 0], ref["y_aux_all"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.y_aux.data[:, 1:], np.stack(ref["y_aux_excl"], axis=1),
                                    rtol=0, atol=1e-12)
-        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 3
+        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 4
         np.testing.assert_array_equal(forward(clone, np.array(ref["x"])).a.data, out.a.data)
 
     @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
@@ -544,16 +573,62 @@ class TestSerialization:
         doc = json.loads((DATA / "format2_model.json").read_text())
         assert doc["format"] == 2 and "model_hash" not in doc
         model = load_model(DATA / "format2_model.json")
-        for p in model.parameters():
-            np.testing.assert_array_equal(
-                p.data, np.array(doc["params"][p.name]["values"]).reshape(p.shape))
-        assert model_hash(model) == "c02ed1dafc680187"  # as the format-2 code hashed it
+        for name in doc["params"]:
+            np.testing.assert_array_equal(parent_values(model, name), np.array(
+                doc["params"][name]["values"]).reshape(doc["params"][name]["shape"]))
+        assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
+            p.size for p in model.parameters())
+        assert model_hash(model, 2) == "c02ed1dafc680187"  # as the format-2 code hashed it
         save_model(model, tmp_path / "model.json")
         resaved = json.loads((tmp_path / "model.json").read_text())
-        assert resaved["format"] == 3 and resaved["model_hash"] == "c02ed1dafc680187"
+        assert resaved["format"] == 4 and resaved["model_hash"] == model_hash(model)
         clone = load_model(tmp_path / "model.json")
         for a, b in zip(model.parameters(), clone.parameters()):
             assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    def test_format_3_file_loads_each_value_into_its_slot(self):
+        # written by the format-3 writer, trained for five epochs: partition
+        # [[0, 2], [1], [3, 4, 5]], three classes, two hidden layers per probe
+        doc = json.loads((DATA / "format3_model.json").read_text())
+        assert doc["format"] == 3
+        model = load_model(DATA / "format3_model.json")  # checks the stored hash
+        assert model_hash(model, 3) == doc["model_hash"]
+        for name, entry in doc["params"].items():
+            assert parent_values(model, name).tobytes() == base64.b64decode(entry["values"]), name
+        assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
+            p.size for p in model.parameters())
+
+    def test_format_3_file_reads_bit_identical_outputs(self):
+        # outputs recorded by the format-3 code; its y_aux_all is probe slot 0
+        model = load_model(DATA / "format3_model.json")
+        ref = json.loads((DATA / "format3_outputs.json").read_text())
+        out = forward(model, np.array(ref["x"]))
+        np.testing.assert_array_equal(out.a.data, ref["attention"])
+        np.testing.assert_array_equal(out.y.data, ref["y"])
+        np.testing.assert_array_equal(out.y_aux.data[:, 0], ref["y_aux_all"])
+        np.testing.assert_array_equal(out.y_aux.data[:, 1:], ref["y_aux_excl"])
+
+    def test_format_3_file_saves_again_as_format_4(self, tmp_path):
+        model = load_model(DATA / "format3_model.json")
+        save_model(model, tmp_path / "model.json")
+        resaved = json.loads((tmp_path / "model.json").read_text())
+        assert resaved["format"] == 4 and resaved["model_hash"] == model_hash(model)
+        assert [name for name in resaved["params"] if name.startswith("aux")] == [
+            "aux.hidden_0.weights", "aux.hidden_0.bias", "aux.hidden_1.weights",
+            "aux.hidden_1.bias", "aux.head.weights", "aux.head.bias"]
+        assert resaved["params"]["aux.head.weights"]["shape"] == [4, 3, 3]  # p+1 slots
+        clone = load_model(tmp_path / "model.json")
+        for a, b in zip(model.parameters(), clone.parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    def test_format_3_file_edited_in_place_is_refused(self):
+        doc = json.loads((DATA / "format3_model.json").read_text())
+        before = doc["params"]["aux_all.head.bias"]["values"]
+        set_value(doc, "aux_all.head.bias", 1, decoded(doc["params"]["aux_all.head.bias"])[1] * 2)
+        assert len(doc["params"]["aux_all.head.bias"]["values"]) == len(before)
+        assert doc["params"]["aux_all.head.bias"]["values"] != before
+        with pytest.raises(ConfigError, match="^model_hash: stored '[0-9a-f]{16}' != "):
+            model_from_dict(doc)
 
     @pytest.mark.parametrize("values, match", [
         ([0.0] * 12, r"malformed entry .*base64 text, not list"),
@@ -572,16 +647,17 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"^parameter gates\.context: " + match):
             model_from_dict(doc)
 
-    def test_format_3_hash_must_match_the_document(self):
+    @pytest.mark.parametrize("fmt, bias_name", [(3, "aux_all.head.bias"), (4, "aux.head.bias")])
+    def test_format_3_hash_must_match_the_document(self, fmt, bias_name):
         model = build_ame(small_config())
-        doc = model_to_dict(model)
-        assert model_hash(model_from_dict(doc)) == doc["model_hash"]
+        doc = document(model, fmt)
+        assert model_hash(model_from_dict(doc), fmt) == doc["model_hash"]
         edited = [dict(doc, model_hash="0" * 16),
                   dict(doc, config=dict(doc["config"], learning_rate=0.5)),
                   dict(doc, config=dict(doc["config"], seed=4))]
         one_value = json.loads(json.dumps(doc))
-        bias = decoded(doc["params"]["aux_all.head.bias"])[0]
-        set_value(one_value, "aux_all.head.bias", 0, bias + 2.0 ** -40)
+        bias = decoded(doc["params"][bias_name])[0]
+        set_value(one_value, bias_name, 0, bias + 2.0 ** -40)
         for bad in edited + [one_value]:
             with pytest.raises(ConfigError, match="^model_hash: stored '[0-9a-f]{16}' != "):
                 model_from_dict(bad)
@@ -637,7 +713,7 @@ class TestStackedProperties:
         full = forward(model, x)
         for i in range(x.shape[0]):
             single = forward(model, x[i:i + 1])
-            for field in ("y", "a", "y_aux_all", "y_aux_excl"):
+            for field in ("y", "a", "y_aux"):
                 np.testing.assert_array_equal(getattr(single, field).data[0],
                                               getattr(full, field).data[i])
 
@@ -651,11 +727,11 @@ class TestStackedProperties:
 
         def loss_with_frozen_targets():
             out = forward(model, x)
-            eps_excl, eps_all = aux_errors(out, y, model.config.task)
+            eps = aux_errors(out, y, model.config.task).data  # column 0 reads every expert
             error = (per_sample_cross_entropy if model.config.task == "classification"
                      else per_sample_mae)
             main = error(out.y, Tensor(y)).mean()
-            aux = Tensor(np.append(eps_excl.data.mean(axis=0), eps_all.data.mean()))
+            aux = Tensor(np.append(eps[:, 1:].mean(axis=0), eps[:, 0].mean()))
             return total_loss(main, mge_loss(omega, out.a), aux, 0.5, 1.0).item()
 
         losses.total.backward()
