@@ -70,7 +70,7 @@ def document(model, fmt):
     return doc
 
 
-def parent_values(model, name):
+def old_layout_values(model, name):
     """The values that parameter `name` of a format-2 or format-3 document
     holds in `model`: `aux_excl.*` is probe slots 1..p, `aux_all.*` slot 0."""
     prefix, rest = name.split(".", 1)
@@ -445,10 +445,10 @@ class TestSerialization:
     def test_untrained_draws_are_those_of_the_format_3_layout(self):
         # sha256 of each parameter's <f8 bytes as built by the code that kept
         # aux_excl (p probes) and aux_all apart, for p = 1, 3, 8 and 64
-        for case in json.loads((DATA / "parent_draws.json").read_text()):
+        for case in json.loads((DATA / "format3_draws.json").read_text()):
             model = build_ame(AmeConfig(**case["config"]))
             for name, digest in case["sha256"].items():
-                values = np.ascontiguousarray(parent_values(model, name), dtype="<f8")
+                values = np.ascontiguousarray(old_layout_values(model, name), dtype="<f8")
                 assert hashlib.sha256(values.tobytes()).hexdigest() == digest, name
             assert len(case["sha256"]) == len(model.main_parameters()) + 2 * len(
                 model.aux.parameters())
@@ -574,7 +574,7 @@ class TestSerialization:
         assert doc["format"] == 2 and "model_hash" not in doc
         model = load_model(DATA / "format2_model.json")
         for name in doc["params"]:
-            np.testing.assert_array_equal(parent_values(model, name), np.array(
+            np.testing.assert_array_equal(old_layout_values(model, name), np.array(
                 doc["params"][name]["values"]).reshape(doc["params"][name]["shape"]))
         assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
             p.size for p in model.parameters())
@@ -594,7 +594,8 @@ class TestSerialization:
         model = load_model(DATA / "format3_model.json")  # checks the stored hash
         assert model_hash(model, 3) == doc["model_hash"]
         for name, entry in doc["params"].items():
-            assert parent_values(model, name).tobytes() == base64.b64decode(entry["values"]), name
+            stored_bytes = base64.b64decode(entry["values"])
+            assert old_layout_values(model, name).tobytes() == stored_bytes, name
         assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
             p.size for p in model.parameters())
 
