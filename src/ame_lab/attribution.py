@@ -1,8 +1,8 @@
 """Importance estimators behind one report schema.
 
 Three estimators over a trained model: the attention read-out (one forward
-pass), gradient saliency (forward + backward), and occlusion (one extra
-forward per feature group per sample). All raw scores pass through the
+pass), gradient saliency (forward + backward), and occlusion (one forward
+over each batch and its p masked copies). All raw scores pass through the
 same absolute-value normalizing transform so estimates land on the
 simplex and are comparable across estimators.
 
@@ -37,7 +37,7 @@ class ImportanceReport:
     params: dict
     per_sample: np.ndarray          # (n, p), rows on the simplex
     seconds: float
-    forwards: int
+    forwards: int                   # batch slices forwarded, times p+1 input copies for occlusion
     backwards: int
     model_id: str
     degenerate: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -136,43 +136,52 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
         model_id=model_hash(model), degenerate=flags)
 
 
+def _mask_groups(x: np.ndarray, groups: list[list[int]], picked: np.ndarray,
+                 baseline_value: float) -> np.ndarray:
+    """Copy of the batch x with the groups (a partition of its columns) that
+    row s of the (n, p) boolean matrix `picked` picks set to baseline_value."""
+    group_of = np.empty(x.shape[1], dtype=np.intp)  # column -> its group
+    for gi, group in enumerate(groups):
+        group_of[group] = gi
+    return np.where(picked[:, group_of], baseline_value, x)
+
+
 def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                       baseline_value: float = 0.0) -> ImportanceReport:
-    """Group-replacement degradation, one sample at a time (p+1 forwards each,
-    whatever batch_size says): each group in turn is set to baseline_value.
+    """Group-replacement degradation, each group in turn set to baseline_value.
+    One forward reads each slice of batch_size samples (default: the model's)
+    as batch_size·(p+1) rows, the unmasked rows and a copy per masked group;
+    every row is computed as it would be alone, so scores do not depend on
+    batch_size. `forwards` counts one per slice and copy.
 
-    Classification scores a group by the drop in log-probability of the
-    originally predicted class; regression by the absolute shift of the
-    prediction. Negative degradations clamp to zero.
+    Classification scores the drop in log-probability of the class the
+    unmasked copy predicts, regression the absolute shift; both clamp at 0.
     """
-    cfg = model.config
-    groups = cfg.feature_partition
+    bs = _batch_size(model, batch_size)
+    p, groups = model.config.n_experts, model.config.feature_partition
+    # copy 0 of a sample is unmasked, copy i+1 masks group i
+    copies = np.concatenate([np.zeros((1, p), dtype=bool), np.eye(p, dtype=bool)])
     model.reset_pass_counts()
     start = time.perf_counter()
-    raw = np.zeros((x.shape[0], len(groups)))
-    for s in range(x.shape[0]):
-        sample = x[s:s + 1]
-        base_out = forward(model, sample)
-        if cfg.task == "classification":
-            pick = int(np.argmax(base_out.y.data[0]))
-            ref = np.log(base_out.y.data[0, pick] + dc.EPS_LOG)
+    raw = np.zeros((x.shape[0], p))
+    for batch in batch_slices(x.shape[0], bs):
+        b = x[batch].shape[0]
+        masked = _mask_groups(np.repeat(x[batch], p + 1, axis=0), groups,
+                              np.tile(copies, (b, 1)), baseline_value)
+        y = forward(model, masked).y.data.reshape(b, p + 1, -1)
+        if model.config.task == "classification":
+            picks = np.argmax(y[:, 0], axis=1)
+            logq = np.log(y[np.arange(b), :, picks] + dc.EPS_LOG)  # (b, p+1)
+            degradation = logq[:, :1] - logq[:, 1:]
         else:
-            ref = base_out.y.data[0, 0]
-        for gi, group in enumerate(groups):
-            masked = sample.copy()
-            masked[0, group] = baseline_value
-            out = forward(model, masked)
-            if cfg.task == "classification":
-                degradation = ref - np.log(out.y.data[0, pick] + dc.EPS_LOG)
-            else:
-                degradation = abs(out.y.data[0, 0] - ref)
-            raw[s, gi] = max(0.0, degradation)
+            degradation = np.abs(y[:, 1:, 0] - y[:, :1, 0])
+        raw[batch] = np.where(degradation > 0.0, degradation, 0.0)
     seconds = time.perf_counter() - start
     scores, flags = normalize_scores(raw)
     return ImportanceReport(
-        estimator="occlusion", params={"baseline_value": baseline_value}, per_sample=scores,
-        seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
-        model_id=model_hash(model), degenerate=flags)
+        estimator="occlusion", params={"batch_size": bs, "baseline_value": baseline_value},
+        per_sample=scores, seconds=seconds, forwards=model.forward_passes * (p + 1),
+        backwards=model.backward_passes, model_id=model_hash(model), degenerate=flags)
 
 
 ESTIMATORS = {

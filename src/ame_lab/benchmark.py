@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .attribution import ESTIMATORS, ImportanceReport, explain_ame
+from .attribution import ESTIMATORS, ImportanceReport, _mask_groups, explain_ame
 from .granger import evaluate, fit
 from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, atomic_open,
                     build_ame, choice, forward, model_hash, setting)
@@ -149,18 +149,6 @@ def log_odds(q: np.ndarray | float) -> np.ndarray | float:
     return np.log(q / (1.0 - q))
 
 
-def _mask_groups(x: np.ndarray, groups: list[list[int]], picked_per_sample: list[np.ndarray],
-                 baseline_value: float) -> np.ndarray:
-    """Copy of the batch x with row s's picked groups set to baseline_value."""
-    membership = np.zeros((len(groups), x.shape[1]), dtype=bool)  # (p, n_features)
-    for gi, group in enumerate(groups):
-        membership[gi, group] = True
-    picked = np.zeros((x.shape[0], len(groups)), dtype=bool)
-    rows = np.repeat(np.arange(x.shape[0]), [len(pick) for pick in picked_per_sample])
-    picked[rows, np.concatenate(picked_per_sample)] = True
-    return np.where(picked @ membership, baseline_value, x)
-
-
 def _top_groups(scores: np.ndarray, m: int) -> np.ndarray:
     # ties broken toward the lowest group index
     order = np.lexsort((np.arange(scores.size), -scores))
@@ -171,10 +159,13 @@ def masking_drop(model: AmeModel, x: np.ndarray, picked_per_sample: list[np.ndar
                  baseline_value: float) -> np.ndarray:
     """Per-sample change in log odds of the originally predicted class
     after masking the picked groups. Positive = prediction degraded."""
-    groups = model.config.feature_partition
+    picked = np.zeros((x.shape[0], model.config.n_experts), dtype=bool)
+    for s, pick in enumerate(picked_per_sample):
+        picked[s, pick] = True
     before = forward(model, x).y.data
     picks = np.argmax(before, axis=1)
-    after = forward(model, _mask_groups(x, groups, picked_per_sample, baseline_value)).y.data
+    masked = _mask_groups(x, model.config.feature_partition, picked, baseline_value)
+    after = forward(model, masked).y.data
     q_before = before[np.arange(x.shape[0]), picks]
     q_after = after[np.arange(x.shape[0]), picks]
     return log_odds(q_before) - log_odds(q_after)

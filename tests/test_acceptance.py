@@ -300,7 +300,7 @@ class TestCriterion7SpeedOrdering:
         model, _ = train_model(cfg, splits, epochs=2)
 
         readout = explain_ame(model, splits.test.x, batch_size=1)
-        occlusion = explain_occlusion(model, splits.test.x)
+        occlusion = explain_occlusion(model, splits.test.x, batch_size=1)
         assert readout.forwards == n
         assert readout.backwards == 0
         assert occlusion.forwards == n * (p + 1)

@@ -1,5 +1,7 @@
 """Tests for the importance estimators, normalizing transform, and oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -112,7 +114,7 @@ class TestExplainAme:
 
 
 class TestBatchSize:
-    @pytest.mark.parametrize("explain", [explain_ame, explain_saliency])
+    @pytest.mark.parametrize("explain", [explain_ame, explain_saliency, explain_occlusion])
     @pytest.mark.parametrize("batch_size", [0, -2])
     def test_below_one_is_refused(self, explain, batch_size):
         model = two_group_model()
@@ -183,11 +185,29 @@ class TestExplainOcclusion:
         np.testing.assert_array_equal(report.per_sample[:, 1], np.zeros(4))
         np.testing.assert_array_equal(report.per_sample[:, 0], np.ones(4))
 
-    def test_pass_counts_are_p_plus_one_per_sample(self):
+    def test_pass_counts_are_p_plus_one_per_batch(self):
         model = two_group_model()
-        report = explain_occlusion(model, np.zeros((6, 2)))
-        assert report.forwards == 6 * 3
+        report = explain_occlusion(model, np.zeros((6, 2)), batch_size=4)
+        assert model.forward_passes == 2
+        assert report.forwards == 3 * math.ceil(6 / 4)
         assert report.backwards == 0
+        assert report.params == {"batch_size": 4, "baseline_value": 0.0}
+
+    def test_batch_size_defaults_to_the_models(self):
+        model = two_group_model()
+        report = explain_occlusion(model, np.zeros((20, 2)), baseline_value=0.5)
+        assert report.params == {"batch_size": 8, "baseline_value": 0.5}
+        assert report.forwards == 3 * math.ceil(20 / 8)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 7, 11, 40])
+    def test_forwards_are_p_plus_one_times_the_readouts(self, batch_size):
+        model = build_ame(AmeConfig(feature_partition=[[0, 2], [1], [3]], expert_hidden=[2],
+                                    gate_hidden=3, aux_hidden=[3], seed=3))
+        x = np.random.default_rng(3).normal(size=(11, 4))
+        readout = explain_ame(model, x, batch_size=batch_size)
+        occlusion = explain_occlusion(model, x, batch_size=batch_size)
+        assert readout.forwards == math.ceil(11 / batch_size)
+        assert occlusion.forwards == (3 + 1) * readout.forwards
 
     def test_masking_at_the_sample_value_is_degenerate(self):
         # baseline equal to the sample leaves predictions unchanged everywhere
@@ -201,6 +221,53 @@ class TestExplainOcclusion:
         report = explain_occlusion(model, x)
         assert np.all(report.per_sample >= 0)
         np.testing.assert_allclose(report.per_sample.sum(axis=1), 1.0, atol=1e-9)
+
+
+def occlusion_loop(model, x, baseline_value):
+    """Occlusion as p+1 batch-1 forwards per sample, masking one group at a
+    time: an independent reference for the batched one. Returns the scores
+    and the degenerate flags."""
+    cfg = model.config
+    raw = np.zeros((x.shape[0], cfg.n_experts))
+    for s in range(x.shape[0]):
+        sample = x[s:s + 1]
+        base = forward(model, sample).y.data[0]
+        pick = int(np.argmax(base))
+        for gi, group in enumerate(cfg.feature_partition):
+            masked = sample.copy()
+            masked[0, group] = baseline_value
+            out = forward(model, masked).y.data[0]
+            if cfg.task == "classification":
+                degradation = np.log(base[pick] + dc.EPS_LOG) - np.log(out[pick] + dc.EPS_LOG)
+            else:
+                degradation = abs(out[0] - base[0])
+            raw[s, gi] = max(0.0, degradation)
+    return normalize_scores(raw)
+
+
+class TestOcclusionMatchesTheLoop:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scores_and_flags_are_bitwise_those_of_the_loop(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6), label="sizes")
+        features = data.draw(st.permutations(range(sum(sizes))), label="features")
+        bounds = np.cumsum([0, *sizes])
+        partition = [sorted(features[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        task = data.draw(st.sampled_from(["regression", "classification"]), label="task")
+        n = data.draw(st.integers(1, 9), label="n")
+        batch_size = data.draw(st.integers(1, n + 2), label="batch_size")
+        baseline = data.draw(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0), label="baseline")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        model = build_ame(AmeConfig(feature_partition=partition, expert_hidden=[3],
+                                    gate_hidden=3, aux_hidden=[3], task=task, num_classes=3,
+                                    seed=seed))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, len(features)))
+        x[rng.random(n) < 0.3] = baseline  # masking changes nothing: a degenerate row
+        expected, flags = occlusion_loop(model, x, baseline)
+        report = explain_occlusion(model, x, batch_size=batch_size, baseline_value=baseline)
+        assert report.per_sample.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(report.degenerate, flags)
 
 
 class TestGrangerOracle:

@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ame_lab.attribution import ESTIMATORS, ImportanceReport, explain_ame
+from ame_lab.attribution import ESTIMATORS, ImportanceReport, _mask_groups, explain_ame
 from ame_lab.benchmark import (
     BenchmarkResult,
-    _mask_groups,
     ProtocolError,
     SyntheticSpec,
     aggregate_sweep,
@@ -147,7 +146,10 @@ class TestMasking:
         for s, pick in enumerate(picks):
             for gi in pick:
                 expected[s, groups[gi]] = -1.5
-        masked = _mask_groups(x, groups, picks, -1.5)
+        picked = np.zeros((40, 4), dtype=bool)
+        for s, pick in enumerate(picks):
+            picked[s, pick] = True
+        masked = _mask_groups(x, groups, picked, -1.5)
         assert masked.dtype == x.dtype
         np.testing.assert_array_equal(masked, expected)
         assert masked.tobytes() == expected.tobytes()
@@ -295,7 +297,8 @@ class TestTiming:
         rows = timing_protocol(model, splits.test.x[:12], ["ame", "occlusion"])
         by_name = {r["estimator"]: r for r in rows}
         assert by_name["ame"]["forwards"] == math.ceil(12 / model.config.batch_size)
-        assert by_name["occlusion"]["forwards"] == 12 * (model.config.n_experts + 1)
+        assert by_name["occlusion"]["forwards"] == \
+            (model.config.n_experts + 1) * by_name["ame"]["forwards"]
         assert by_name["ame"]["ratio_vs_ame"] == 1.0
 
     def test_every_estimator_gets_the_baseline(self, trained, monkeypatch):

@@ -327,7 +327,7 @@ class TestExplainCommand:
         assert main(["explain", "--config", write_config(tmp_path, cfg)]) == 0
         blocks = json.loads((run_dir_of(tmp_path, cfg) / "importance.json").read_text())
         assert [b["params"] for b in blocks] == [{"batch_size": 64}, {"batch_size": 64},
-                                                 {"baseline_value": 0.5}]
+                                                 {"batch_size": 64, "baseline_value": 0.5}]
 
     def test_estimator_blocks_share_sample_ids(self, tmp_path):
         model_path = self.trained_model_path(tmp_path)
