@@ -193,12 +193,6 @@ class TestExplainOcclusion:
         assert report.backwards == 0
         assert report.params == {"batch_size": 4, "baseline_value": 0.0}
 
-    def test_batch_size_defaults_to_the_models(self):
-        model = two_group_model()
-        report = explain_occlusion(model, np.zeros((20, 2)), baseline_value=0.5)
-        assert report.params == {"batch_size": 8, "baseline_value": 0.5}
-        assert report.forwards == 3 * math.ceil(20 / 8)
-
     @pytest.mark.parametrize("batch_size", [1, 2, 4, 7, 11, 40])
     def test_forwards_are_p_plus_one_times_the_readouts(self, batch_size):
         model = build_ame(AmeConfig(feature_partition=[[0, 2], [1], [3]], expert_hidden=[2],
