@@ -26,7 +26,7 @@ from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import GrangerTargets, batch_slices, per_sample_error
 from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, at_least, atomic_open,
-                    choice, forward, model_hash, setting)
+                    choice, forward, setting)
 
 
 @dataclass
@@ -39,7 +39,6 @@ class ImportanceReport:
     seconds: float
     forwards: int                   # batch slices forwarded, times p+1 input copies for occlusion
     backwards: int
-    model_id: str
     degenerate: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     @property
@@ -93,7 +92,7 @@ def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None
     return ImportanceReport(
         estimator="ame", params={"batch_size": bs}, per_sample=scores,
         seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
-        model_id=model_hash(model), degenerate=np.zeros(x.shape[0], dtype=bool))
+        degenerate=np.zeros(x.shape[0], dtype=bool))
 
 
 def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
@@ -133,7 +132,7 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
     return ImportanceReport(
         estimator="saliency", params={"batch_size": bs}, per_sample=scores,
         seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
-        model_id=model_hash(model), degenerate=flags)
+        degenerate=flags)
 
 
 def _mask_groups(x: np.ndarray, groups: list[list[int]], picked: np.ndarray,
@@ -181,7 +180,7 @@ def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None 
     return ImportanceReport(
         estimator="occlusion", params={"batch_size": bs, "baseline_value": baseline_value},
         per_sample=scores, seconds=seconds, forwards=model.forward_passes * (p + 1),
-        backwards=model.backward_passes, model_id=model_hash(model), degenerate=flags)
+        backwards=model.backward_passes, degenerate=flags)
 
 
 ESTIMATORS = {
@@ -315,15 +314,11 @@ def read_importance_csv(path) -> list[dict]:
         return rows
 
 
-def write_importance_json(reports: list[ImportanceReport], path) -> None:
-    payload = []
-    for report in reports:
-        payload.append({
-            "estimator": report.estimator,
-            "params": report.params,
-            "model_id": report.model_id,
-            "rows": report_rows(report),
-        })
+def write_importance_json(reports: list[ImportanceReport], path, model_id: str) -> None:
+    """Each report as an entry that names the model it read by `model_id`
+    (the caller's `model_hash`; reports carry no model identity)."""
+    payload = [{"estimator": report.estimator, "params": report.params,
+                "model_id": model_id, "rows": report_rows(report)} for report in reports]
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

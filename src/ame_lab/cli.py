@@ -138,7 +138,8 @@ def _write_config(cfg: RunConfig, run_dir: Path) -> None:
 
 
 def _check_simplex_rows(per_sample: np.ndarray, what: str) -> None:
-    if np.any(per_sample < 0) or np.any(np.abs(per_sample.sum(axis=1) - 1.0) > 1e-6):
+    # stated as what must hold, so a NaN (false under every comparison) fails it
+    if not (np.all(per_sample >= 0) and np.all(np.abs(per_sample.sum(axis=1) - 1.0) <= 1e-6)):
         raise InvariantError(f"{what}: rows are not valid distributions")
 
 
@@ -194,7 +195,7 @@ def run_explain(cfg: RunConfig) -> int:
               f"{report.backwards} backwards, {report.seconds:.3f}s")
     _write_config(cfg, run_dir)
     write_importance_csv(reports, run_dir / "importance.csv")
-    write_importance_json(reports, run_dir / "importance.json")
+    write_importance_json(reports, run_dir / "importance.json", model_hash(model))
     print(f"artifacts in {run_dir}")
     return 0
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ame_lab.attribution import (
+    ESTIMATORS,
     ProbeConfig,
     explain_ame,
     explain_occlusion,
@@ -17,8 +18,9 @@ from ame_lab.attribution import (
     report_rows,
     write_importance_csv,
 )
-from ame_lab import granger
+from ame_lab import attribution, granger
 from ame_lab import diffcore as dc
+from ame_lab import model as model_module
 from ame_lab.diffcore import Optimizer, Tensor, clear_grads
 from ame_lab.granger import delta_epsilon, kl_divergence, omega_targets
 from ame_lab.model import AmeConfig, ConfigError, build_ame, forward
@@ -461,3 +463,13 @@ class TestReportIO:
         rows = report_rows(report)
         assert all(r["forwards"] == report.forwards for r in rows)
         assert all(r["seconds"] == report.seconds for r in rows)
+
+    def test_estimators_do_not_hash_the_model(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimator hashed the model")
+        monkeypatch.setattr(model_module, "model_hash", refuse)
+        monkeypatch.setattr(attribution, "model_hash", refuse, raising=False)
+        model = two_group_model(task="classification", seed=10)
+        x = np.random.default_rng(10).normal(size=(5, 2))
+        for name, explain in ESTIMATORS.items():
+            assert explain(model, x).estimator == name

@@ -73,7 +73,7 @@ def cli_sweep(tmp_path, config, spec, alphas, runs):
 def fake_report(scores):
     scores = np.asarray(scores, dtype=np.float64)
     return ImportanceReport(estimator="fake", params={}, per_sample=scores,
-                            seconds=0.0, forwards=0, backwards=0, model_id="x")
+                            seconds=0.0, forwards=0, backwards=0)
 
 
 class TestSyntheticSpec:

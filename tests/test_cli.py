@@ -389,6 +389,39 @@ class TestExplainCommand:
         assert "config error: parameter gates.context" in capsys.readouterr().err
 
 
+    def test_importance_json_names_the_loaded_model_hashed_once(self, tmp_path, monkeypatch):
+        model_path = self.trained_model_path(tmp_path)
+        calls = []
+
+        def counted(model):
+            calls.append(model_hash(model))
+            return calls[-1]
+        monkeypatch.setattr(cli, "model_hash", counted)
+        cfg = base_config(tmp_path, model_path=model_path,
+                          estimators=["ame", "saliency", "occlusion"])
+        cfg["data"]["n_test"] = 5
+        assert main(["explain", "--config", write_config(tmp_path, cfg)]) == 0
+        blocks = json.loads((run_dir_of(tmp_path, cfg) / "importance.json").read_text())
+        assert [b["model_id"] for b in blocks] == [model_hash(load_model(model_path))] * 3
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("estimator", ["ame", "saliency"])
+    def test_non_finite_scores_exit_1_and_write_no_importance(self, tmp_path, capsys,
+                                                              estimator):
+        model = build_ame(AmeConfig(**base_config(tmp_path)["model"]))
+        for t in model.parameters():
+            if t.name == "gates.context":
+                t.data[...] = 1e308  # finite, so it saves and loads; the attention is not
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        cfg = base_config(tmp_path, model_path=str(model_path), estimators=[estimator])
+        with np.errstate(all="ignore"):
+            code = main(["explain", "--config", write_config(tmp_path, cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: estimator {estimator}: rows are not valid distributions")
+        assert not list(run_dir_of(tmp_path, cfg).glob("importance.*"))
+
     @pytest.mark.parametrize("damage, message", [
         ("truncated", "not a model document"),
         ("flipped_base64", "model_hash: stored"),
@@ -593,6 +626,13 @@ class TestOracleCommand:
 
 
 class TestHelpers:
+    @pytest.mark.parametrize("rows", [[[np.nan, np.nan], [0.5, 0.5]], [[np.inf, 0.0]],
+                                      [[np.inf, -np.inf]], [[1.5, -0.5]], [[0.5, 0.4]]])
+    def test_simplex_check_refuses_non_finite_negative_and_unnormalized_rows(self, rows):
+        with pytest.raises(cli.InvariantError, match="^x: rows are not valid distributions"):
+            cli._check_simplex_rows(np.array(rows), "x")
+        cli._check_simplex_rows(np.array([[0.25, 0.75], [1.0, 0.0]]), "x")
+
     def test_informative_groups_maps_features_to_groups(self):
         groups = informative_groups([[0, 1], [2], [3, 4]], [1, 4])
         assert groups == {0, 2}
@@ -669,7 +709,8 @@ def artifact_writers(tmp_path):
         "config.json": lambda path: cli._write_config(run_cfg, path.parent),
         "training_log.csv": lambda path: write_training_log(log, path),
         "importance.csv": lambda path: write_importance_csv([report], path),
-        "importance.json": lambda path: write_importance_json([report], path),
+        "importance.json": lambda path: write_importance_json([report], path,
+                                                           model_hash(model)),
         "benchmark.csv": lambda path: write_benchmark_csv(result, path),
         "sweep.csv": lambda path: write_sweep_csv(runs, aggregate_sweep(runs), path),
     }
