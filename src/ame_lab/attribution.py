@@ -25,8 +25,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import GrangerTargets, batch_slices, per_sample_error
-from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, at_least, atomic_open,
-                    choice, forward, setting)
+from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, _check_partition,
+                    at_least, atomic_open, choice, forward, setting, write_csv)
 
 
 @dataclass
@@ -174,7 +174,7 @@ def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None 
             degradation = logq[:, :1] - logq[:, 1:]
         else:
             degradation = np.abs(y[:, 1:, 0] - y[:, :1, 0])
-        raw[batch] = np.where(degradation > 0.0, degradation, 0.0)
+        raw[batch] = np.maximum(degradation, 0.0)  # keeps NaN for the caller to refuse
     seconds = time.perf_counter() - start
     scores, flags = normalize_scores(raw)
     return ImportanceReport(
@@ -216,7 +216,8 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     data and normalizes the error increases. Independent of any model's
     internal auxiliary pathway. The probes predict the targets' columns: a
     regression value, or for classification one-hot classes through a
-    softmax.
+    softmax. `feature_partition` must split x's columns into groups the way
+    `AmeConfig` requires; any other is a ConfigError.
 
     The probes are one masked layer stack trained side by side; each has its
     own minibatch order and batch-mean loss, so it gets exactly its own
@@ -226,19 +227,22 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     probe.check()
     if task not in TASKS:
         raise ConfigError(f"task must be 'regression' or 'classification', got {task!r}")
+    _check_partition(feature_partition)
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy
+    width = sum(map(len, feature_partition))
+    if x_train.shape[1] != width or x_held.shape[1] != width:
+        raise ConfigError(f"feature_partition covers {width} columns, but x has "
+                          f"{x_train.shape[1]} and held-out x {x_held.shape[1]}")
     n, p = x_train.shape[0], len(feature_partition)
     if n < 10 * p:
         raise ValueError(
             f"granger_oracle needs at least {10 * p} training samples for {p} groups, "
             f"got {n}")
-    features = sorted(i for group in feature_partition for i in group)
     out_dim = y_train.shape[1]
     head_act = "softmax" if task == "classification" else "identity"
     # slot 0 reads all features, slot i+1 all but group i
-    net = _probe_stack("probe", [np.searchsorted(features, g) for g in feature_partition],
-                       [len(features), *probe.hidden, out_dim], head_act)
+    net = _probe_stack("probe", feature_partition, [width, *probe.hidden, out_dim], head_act)
     mask = net.layers[0].mask
 
     rng = np.random.default_rng(probe.seed)
@@ -254,7 +258,7 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
         for _ in range(probe.epochs):
             rng.permutation(n)
 
-    x_train, params = x_train[:, features], net.parameters()
+    params = net.parameters()
     opt = Optimizer(probe.optimizer, probe.learning_rate)
     for _ in range(probe.epochs):
         orders = np.stack([s.permutation(n) for s in streams], axis=1)  # (n, p+1)
@@ -266,7 +270,7 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
             dc.optimizer_step(opt, params)
             clear_grads(params)
 
-    pred = net(Tensor(x_held[:, features])).reshape(-1, out_dim)
+    pred = net(Tensor(x_held)).reshape(-1, out_dim)
     eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)), task)
     return GrangerTargets.from_errors(eps.reshape(-1, p + 1)).omega
 
@@ -288,15 +292,10 @@ def report_rows(report: ImportanceReport) -> list[dict]:
 
 
 def write_importance_csv(reports: list[ImportanceReport], path) -> None:
-    if not reports:
-        raise ValueError("write_importance_csv: no reports")
-    columns = report_columns(reports[0].n_groups)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for report in reports:
-            for row in report_rows(report):
-                writer.writerow(row)
+    if len({report.n_groups for report in reports}) != 1:
+        raise ValueError("write_importance_csv: needs one or more reports over the same groups")
+    write_csv(path, report_columns(reports[0].n_groups),
+              [row for report in reports for row in report_rows(report)])
 
 
 def read_importance_csv(path) -> list[dict]:

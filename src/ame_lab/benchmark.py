@@ -17,8 +17,8 @@ from scipy import stats
 
 from .attribution import ESTIMATORS, ImportanceReport, _mask_groups, explain_ame
 from .granger import evaluate, fit
-from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, atomic_open,
-                    build_ame, choice, forward, model_hash, setting)
+from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, build_ame,
+                    choice, forward, model_hash, setting, write_csv)
 
 LOG_ODDS_CLIP = 1e-9  # masking can saturate class probabilities
 
@@ -348,11 +348,7 @@ class BenchmarkResult:
 
 
 def write_benchmark_csv(result: BenchmarkResult, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCHMARK_COLUMNS)
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(row)
+    write_csv(path, BENCHMARK_COLUMNS, result.rows)
 
 
 def read_benchmark_csv(path) -> list[dict]:
@@ -365,20 +361,13 @@ def read_benchmark_csv(path) -> list[dict]:
         return rows
 
 
-SWEEP_RUN_COLUMNS = ("row_type", "alpha", "run", "seed", "test_main_loss",
-                     "test_mge", "test_metric", "model_hash")
-SWEEP_AGG_COLUMNS = ("row_type", "alpha", "runs", "metric_mean", "metric_sd",
-                     "mge_mean", "mge_sd")
-
-
 def write_sweep_csv(run_rows: list[dict], agg_rows: list[dict], path) -> None:
-    """Run rows and aggregate rows in one file, tagged by row_type."""
-    columns = ["row_type"] + sorted(
-        {k for row in run_rows for k in row} | {k for row in agg_rows for k in row})
-    with atomic_open(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in sorted(run_rows, key=lambda r: (r["alpha"], r["run"])):
-            writer.writerow({"row_type": "run", **row})
-        for row in sorted(agg_rows, key=lambda r: r["alpha"]):
-            writer.writerow({"row_type": "aggregate", **row})
+    """Run rows and aggregate rows in one file, tagged by row_type; each row
+    leaves blank the columns only the other kind has."""
+    run_keys = {k for row in run_rows for k in row}
+    agg_keys = {k for row in agg_rows for k in row}
+    rows = ([{"row_type": "run", **dict.fromkeys(agg_keys - run_keys, ""), **row}
+             for row in sorted(run_rows, key=lambda r: (r["alpha"], r["run"]))]
+            + [{"row_type": "aggregate", **dict.fromkeys(run_keys - agg_keys, ""), **row}
+               for row in sorted(agg_rows, key=lambda r: r["alpha"])])
+    write_csv(path, ["row_type"] + sorted(run_keys | agg_keys), rows)

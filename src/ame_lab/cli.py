@@ -4,7 +4,9 @@ One JSON config describes a whole run; flags only override top-level
 scalars (seed, output directory, worker count). Every run writes its
 artifacts under <out_dir>/<run-id>/ where the run-id hashes the resolved
 config, so re-running the same config lands in the same place and sweeps
-can resume by skipping completed cells.
+can resume by skipping completed cells. `main` makes that directory, passes
+it to the command's runner and, once the runner has written its artifacts,
+echoes the resolved config there as config.json.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import csv
 import hashlib
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from .benchmark import (
 )
 from .granger import evaluate, write_training_log
 from .model import (AmeConfig, Config, ConfigError, at_least, atomic_open, choice, load_model,
-                    model_hash, save_model, setting)
+                    model_hash, save_model, setting, write_csv)
 
 COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
@@ -125,12 +127,6 @@ def run_id(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _run_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out_dir) / run_id(cfg)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_config(cfg: RunConfig, run_dir: Path) -> None:
     with atomic_open(run_dir / "config.json") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
@@ -152,21 +148,17 @@ def informative_groups(partition: list[list[int]], informative: list[int]) -> se
 # -- commands -----------------------------------------------------------------
 
 
-def run_train(cfg: RunConfig) -> int:
-    run_dir = _run_dir(cfg)
+def run_train(cfg: RunConfig, run_dir: Path) -> None:
     splits = generate(cfg.data)
     model, rows = train_model(cfg.model, splits)
     test_metrics = evaluate(model, splits.test.x, splits.test.y)
 
-    _write_config(cfg, run_dir)
     save_model(model, run_dir / "model.json")
     write_training_log(rows, run_dir / "training_log.csv")
     print(f"run {run_id(cfg)}: trained {len(rows)} logged epochs "
           f"(alpha={cfg.model.alpha}, seed={cfg.model.seed})")
     print(f"test main_loss={test_metrics['main_loss']:.6f} "
           f"mge={test_metrics['mge']:.6f} aux_loss_mean={test_metrics['aux_loss_mean']:.6f}")
-    print(f"artifacts in {run_dir}")
-    return 0
 
 
 def _load_model_for(cfg: RunConfig):
@@ -182,8 +174,7 @@ def _load_model_for(cfg: RunConfig):
     return model
 
 
-def run_explain(cfg: RunConfig) -> int:
-    run_dir = _run_dir(cfg)
+def run_explain(cfg: RunConfig, run_dir: Path) -> None:
     model = _load_model_for(cfg)
     splits = generate(cfg.data)
     reports = []
@@ -193,15 +184,11 @@ def run_explain(cfg: RunConfig) -> int:
         reports.append(report)
         print(f"{name}: {report.n_samples} samples, {report.forwards} forwards, "
               f"{report.backwards} backwards, {report.seconds:.3f}s")
-    _write_config(cfg, run_dir)
     write_importance_csv(reports, run_dir / "importance.csv")
     write_importance_json(reports, run_dir / "importance.json", model_hash(model))
-    print(f"artifacts in {run_dir}")
-    return 0
 
 
-def run_benchmark(cfg: RunConfig) -> int:
-    run_dir = _run_dir(cfg)
+def run_benchmark(cfg: RunConfig, run_dir: Path) -> None:
     splits = generate(cfg.data)
     if cfg.model_path is not None:
         model = _load_model_for(cfg)
@@ -240,12 +227,9 @@ def run_benchmark(cfg: RunConfig) -> int:
                 for key in ("seconds", "forwards", "backwards", "ratio_vs_ame"):
                     result.add("timing", f"{row['estimator']}.{key}", row[key], mh)
 
-    _write_config(cfg, run_dir)
     write_benchmark_csv(result, run_dir / "benchmark.csv")
     for row in result.rows:
         print(f"{row['protocol']}.{row['metric']} = {row['value']}")
-    print(f"artifacts in {run_dir}")
-    return 0
 
 
 def _mge_quality_variants(cfg: RunConfig, splits):
@@ -267,24 +251,17 @@ def _sweep_cell_path(run_dir: Path, alpha: float, run: int) -> Path:
     return run_dir / "sweep_cells" / f"alpha_{alpha!r}_run_{run}.json"
 
 
-def _sweep_cell(args) -> dict:
-    model_cfg_raw, spec_raw, alpha, run = args
-    return sweep_single(AmeConfig.from_dict(model_cfg_raw),
-                        SyntheticSpec.from_dict(spec_raw), alpha, run)
-
-
-def run_sweep(cfg: RunConfig) -> int:
-    run_dir = _run_dir(cfg)
+def run_sweep(cfg: RunConfig, run_dir: Path) -> None:
     (run_dir / "sweep_cells").mkdir(exist_ok=True)
     cells = [(alpha, run) for alpha in cfg.alphas for run in range(cfg.runs)]
     pending = [(a, r) for a, r in cells if not _sweep_cell_path(run_dir, a, r).exists()]
     print(f"sweep: {len(cells)} cells, {len(cells) - len(pending)} already complete")
 
-    jobs = [(cfg.model.to_dict(), cfg.data.to_dict(), a, r) for a, r in pending]
-    parallel = cfg.jobs > 1 and len(jobs) > 0
+    parallel = cfg.jobs > 1 and len(pending) > 0
     with (concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) if parallel
           else contextlib.nullcontext()) as pool:
-        done = (pool.map if parallel else map)(_sweep_cell, jobs)
+        done = (pool.map if parallel else map)(partial(sweep_single, cfg.model, cfg.data),
+                                               [a for a, _ in pending], [r for _, r in pending])
         for (alpha, run), row in zip(pending, done):  # written whole as each cell finishes
             with atomic_open(_sweep_cell_path(run_dir, alpha, run)) as fh:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -294,33 +271,23 @@ def run_sweep(cfg: RunConfig) -> int:
         with open(_sweep_cell_path(run_dir, alpha, run), "r", encoding="utf-8") as fh:
             run_rows.append(json.load(fh))
     agg_rows = aggregate_sweep(run_rows)
-    _write_config(cfg, run_dir)
     write_sweep_csv(run_rows, agg_rows, run_dir / "sweep.csv")
     for row in agg_rows:
         print(f"alpha={row['alpha']}: metric {row['metric_mean']:.6f}±{row['metric_sd']:.6f} "
               f"mge {row['mge_mean']:.6f}±{row['mge_sd']:.6f}")
-    print(f"artifacts in {run_dir}")
-    return 0
 
 
-def run_oracle(cfg: RunConfig) -> int:
-    run_dir = _run_dir(cfg)
+def run_oracle(cfg: RunConfig, run_dir: Path) -> None:
     splits = generate(cfg.data)
     omega = granger_oracle((splits.train.x, splits.train.y),
                            (splits.test.x, splits.test.y),
                            cfg.model.feature_partition, cfg.probe, cfg.data.task)
     _check_simplex_rows(omega, "oracle targets")
-    _write_config(cfg, run_dir)
-    p = omega.shape[1]
-    with atomic_open(run_dir / "oracle.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"group_{i + 1}" for i in range(p)])
-        for s in range(omega.shape[0]):
-            writer.writerow([s] + [float(v) for v in omega[s]])
+    columns = ["sample_id"] + [f"group_{i + 1}" for i in range(omega.shape[1])]
+    write_csv(run_dir / "oracle.csv", columns,
+              [dict(zip(columns, [s, *row])) for s, row in enumerate(omega.tolist())])
     print(f"oracle targets for {omega.shape[0]} held-out samples "
           f"(mean: {np.array2string(omega.mean(axis=0), precision=4)})")
-    print(f"artifacts in {run_dir}")
-    return 0
 
 
 RUNNERS = {
@@ -389,7 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         flags = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
         cfg = resolve_config(replace(cfg, command=args.command,  # checks the flags too
                                      **{k: v for k, v in flags.items() if v is not None}))
-        return RUNNERS[args.command](cfg)
+        run_dir = Path(cfg.out_dir) / run_id(cfg)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        RUNNERS[args.command](cfg, run_dir)
+        _write_config(cfg, run_dir)  # once the command's artifacts are written
+        print(f"artifacts in {run_dir}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

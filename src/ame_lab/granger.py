@@ -11,7 +11,6 @@ for the importance estimates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .diffcore import (
     per_sample_cross_entropy,
     per_sample_mae,
 )
-from .model import AmeModel, AmeOutput, atomic_open, forward
+from .model import AmeModel, AmeOutput, forward, write_csv
 
 OMEGA_FLOOR = 1e-12  # below this total clamped delta, fall back to uniform
 
@@ -289,8 +288,4 @@ def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
 
 
 def write_training_log(rows: list[dict], path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in TRAINING_LOG_COLUMNS])
+    write_csv(path, TRAINING_LOG_COLUMNS, rows)

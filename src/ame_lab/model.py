@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import copy
+import csv
 import hashlib
 import json
 import numbers
@@ -359,7 +360,6 @@ def _layout(model: AmeModel, fmt: int):
         yield from ((t.name.replace("aux.", "aux_excl.", 1), (cfg.n_experts, *t.shape[1:]),
                      t.data[1:], slice(None)) for t in aux)
     else:
-        block = cfg.expert_hidden[-1] + cfg.out_dim
         for prefix, stack, first in (
                 ("expert", model.experts.parameters() + model.heads.parameters(), 0),
                 ("gate", model.gate_projection.parameters() + [model.gate_context], 0),
@@ -370,7 +370,7 @@ def _layout(model: AmeModel, fmt: int):
                     if t.name == "experts.hidden_0.weights":
                         columns = slice(0, len(cfg.feature_partition[i]))
                     elif t.name == "aux.hidden_0.weights":
-                        columns = np.r_[0:i * block, (i + 1) * block:t.shape[-1]]
+                        columns = np.flatnonzero(model.aux.layers[0].mask[1 + i, 0])
                     width = max(np.arange(t.shape[-1])[columns].size, 1)
                     yield (f"{prefix}_{i}.{t.name.split('.', 1)[1]}", (*t.shape[1:-1], width),
                            t.data[first + i], columns)
@@ -460,6 +460,16 @@ def atomic_open(path, newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, columns, rows) -> None:
+    """A CSV table at `path` (through `atomic_open`): the header `columns`,
+    then `[row[c] for c in columns]` for each row dict, so a row missing a
+    column raises."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
 
 
 def model_to_dict(model: AmeModel) -> dict:

@@ -429,6 +429,23 @@ class TestProbeConfigValidation:
         with pytest.raises(TypeError, match=field):
             ProbeConfig(**{field: "classification" if field == "task" else 2})
 
+    @pytest.mark.parametrize("partition, message", [
+        ([[0], [0]], "groups overlap on indices \\[0\\]"),
+        ([[0, 1], [1, 2]], "groups overlap on indices \\[1\\]"),
+        ([[0], [-1]], "holds negative index -1"),
+        ([[0], [2]], "misses 1 of indices 0..2"),
+        ([[0], []], "groups must be non-empty"),
+        ([], "must contain at least one group"),
+        ([[0], [1]], "covers 2 columns, but x has 3"),
+        ([[0], [1], [2, 3]], "covers 4 columns, but x has 3"),
+    ], ids=["repeat", "overlap", "negative", "gap", "empty_group", "no_group", "too_few",
+            "too_many"])
+    def test_oracle_refuses_a_partition_that_does_not_split_the_columns(self, partition,
+                                                                         message):
+        x, y = np.zeros((40, 3)), np.zeros((40, 1))
+        with pytest.raises(ConfigError, match=f"^feature_partition {message}"):
+            granger_oracle((x, y), (x, y), partition, ProbeConfig(epochs=1), "regression")
+
     def test_oracle_refuses_an_unknown_task(self):
         x, y = np.zeros((40, 2)), np.zeros((40, 1))
         with pytest.raises(ConfigError, match="task must be"):
@@ -457,6 +474,14 @@ class TestReportIO:
         flat = [row for report in reports for row in report_rows(report)]
         for got, want in zip(rows, flat):
             assert got == want
+
+    def test_csv_refuses_no_reports_or_reports_over_other_groups(self, tmp_path):
+        three = explain_ame(build_ame(AmeConfig(feature_partition=[[0], [1], [2]], seed=1)),
+                            np.zeros((4, 3)))
+        for reports in ([], [three, self.make_reports()[0]]):
+            with pytest.raises(ValueError, match="reports over the same groups"):
+                write_importance_csv(reports, tmp_path / "importance.csv")
+        assert not (tmp_path / "importance.csv").exists()
 
     def test_rows_carry_run_totals(self, tmp_path):
         report = self.make_reports()[2]

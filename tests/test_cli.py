@@ -405,7 +405,7 @@ class TestExplainCommand:
         assert [b["model_id"] for b in blocks] == [model_hash(load_model(model_path))] * 3
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("estimator", ["ame", "saliency"])
+    @pytest.mark.parametrize("estimator", ["ame", "saliency", "occlusion"])
     def test_non_finite_scores_exit_1_and_write_no_importance(self, tmp_path, capsys,
                                                               estimator):
         model = build_ame(AmeConfig(**base_config(tmp_path)["model"]))
@@ -421,6 +421,7 @@ class TestExplainCommand:
         assert capsys.readouterr().err.startswith(
             f"error: estimator {estimator}: rows are not valid distributions")
         assert not list(run_dir_of(tmp_path, cfg).glob("importance.*"))
+        assert not (run_dir_of(tmp_path, cfg) / "config.json").exists()
 
     @pytest.mark.parametrize("damage, message", [
         ("truncated", "not a model document"),
@@ -623,6 +624,28 @@ class TestOracleCommand:
         assert main(["oracle", "--config", path]) == 0
         (run_dir,) = (tmp_path / "runs").iterdir()
         assert (run_dir / "model.json").exists() and (run_dir / "oracle.csv").exists()
+
+
+class TestRunEpilogue:
+    """`main` makes the run directory and, once the command has written its
+    artifacts, echoes the resolved config there and names the directory (a
+    failing command writes no echo: see the non-finite explain test)."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_echoes_the_resolved_config_and_names_the_directory(self, tmp_path, capsys,
+                                                                  command):
+        cfg = base_config(tmp_path, probe={"hidden": [4], "epochs": 2}, alphas=[0.0], runs=1,
+                          protocols=["recall"], n=30)
+        cfg["model"]["epochs"] = 2
+        if command == "explain":
+            assert main(["train", "--config", write_config(tmp_path, cfg, "train.json")]) == 0
+            cfg["model_path"] = str(run_dir_of(tmp_path, cfg) / "model.json")
+        capsys.readouterr()
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        run_dir = run_dir_of(tmp_path, cfg)
+        resolved = resolve_config(RunConfig.from_dict(dict(cfg, command=command)))
+        assert json.loads((run_dir / "config.json").read_text()) == resolved.to_dict()
+        assert capsys.readouterr().out.endswith(f"artifacts in {run_dir}\n")
 
 
 class TestHelpers:
