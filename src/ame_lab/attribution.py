@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
-from .granger import GrangerTargets, batch_slices, per_sample_error
+from .granger import GrangerTargets, aux_errors, batch_slices
 from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, _check_partition,
                     at_least, atomic_open, choice, forward, setting, write_csv)
 
@@ -37,7 +37,7 @@ class ImportanceReport:
     params: dict
     per_sample: np.ndarray          # (n, p), rows on the simplex
     seconds: float
-    forwards: int                   # batch slices forwarded, times p+1 input copies for occlusion
+    forwards: int                   # model forwards, times the input copies each one reads
     backwards: int
     degenerate: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
@@ -70,29 +70,34 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # baseline_value=0.0) and records in its report's params the values it uses.
 
 
-def _batch_size(model: AmeModel, batch_size: int | None) -> int:
-    """`batch_size`, or the model's when it is None; below 1 is refused."""
-    if batch_size is None:
-        return model.config.batch_size
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
+def _estimate(name: str, model: AmeModel, x: np.ndarray, batch_size: int | None, score,
+              copies: int = 1, **params) -> ImportanceReport:
+    """The one estimator loop: `score` maps each slice of x of at most batch_size
+    rows (default: the model's) to its simplex rows and degenerate flags.
+    `seconds` times every slice's scoring; `forwards` counts model forwards
+    times the `copies` of each input row that one forward reads."""
+    bs = model.config.batch_size if batch_size is None else batch_size
+    if bs < 1:
+        raise ValueError(f"batch_size must be >= 1, got {bs}")
+    if x.shape[0] == 0:
+        raise ValueError(f"the {name} estimator needs at least one row, got 0")
+    model.reset_pass_counts()
+    start = time.perf_counter()
+    parts = [score(x[batch]) for batch in batch_slices(x.shape[0], bs)]
+    seconds = time.perf_counter() - start
+    scores, flags = (np.concatenate(arrays) for arrays in zip(*parts))
+    return ImportanceReport(
+        estimator=name, params={"batch_size": bs, **params}, per_sample=scores,
+        seconds=seconds, forwards=model.forward_passes * copies,
+        backwards=model.backward_passes, degenerate=flags)
 
 
 def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                 baseline_value: float = 0.0) -> ImportanceReport:
     """Attention read-out: the scores are the forward pass's own gating. Reads
     batch_size rows per forward (default: the model's); no baseline."""
-    bs = _batch_size(model, batch_size)
-    model.reset_pass_counts()
-    start = time.perf_counter()
-    rows = [forward(model, x[batch]).a.data for batch in batch_slices(x.shape[0], bs)]
-    seconds = time.perf_counter() - start
-    scores = np.concatenate(rows, axis=0)
-    return ImportanceReport(
-        estimator="ame", params={"batch_size": bs}, per_sample=scores,
-        seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
-        degenerate=np.zeros(x.shape[0], dtype=bool))
+    return _estimate("ame", model, x, batch_size, lambda xb: (
+        forward(model, xb).a.data, np.zeros(xb.shape[0], dtype=bool)))
 
 
 def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
@@ -115,24 +120,14 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
                      baseline_value: float = 0.0) -> ImportanceReport:
     """Gradient magnitude per group: sum of |d target / d feature|. Reads
     batch_size rows per forward and backward; no baseline."""
-    bs = _batch_size(model, batch_size)
-    groups = model.config.feature_partition
-    model.reset_pass_counts()
-    start = time.perf_counter()
-    raw_rows = []
-    for batch in batch_slices(x.shape[0], bs):
-        xt = Tensor(x[batch], requires_grad=True)
-        target = _saliency_target(model, xt)
-        target.backward()
+    def score(xb):
+        xt = Tensor(xb, requires_grad=True)
+        _saliency_target(model, xt).backward()
         model.count_backward()
         grad = np.abs(xt.grad)
-        raw_rows.append(np.stack([grad[:, g].sum(axis=1) for g in groups], axis=1))
-    seconds = time.perf_counter() - start
-    scores, flags = normalize_scores(np.concatenate(raw_rows, axis=0))
-    return ImportanceReport(
-        estimator="saliency", params={"batch_size": bs}, per_sample=scores,
-        seconds=seconds, forwards=model.forward_passes, backwards=model.backward_passes,
-        degenerate=flags)
+        return normalize_scores(np.stack(
+            [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))
+    return _estimate("saliency", model, x, batch_size, score)
 
 
 def _mask_groups(x: np.ndarray, groups: list[list[int]], picked: np.ndarray,
@@ -145,42 +140,42 @@ def _mask_groups(x: np.ndarray, groups: list[list[int]], picked: np.ndarray,
     return np.where(picked[:, group_of], baseline_value, x)
 
 
+def _masked_forward(model: AmeModel, x: np.ndarray, picked: np.ndarray,
+                    baseline_value: float) -> np.ndarray:
+    """Outputs (n, c, out) of c copies of each row of x, in copy k of row s the
+    groups that picked[s, k] (an (n, c, p) boolean array) picks set to
+    baseline_value. One forward reads all n·c rows, each as it would alone."""
+    n, c, p = picked.shape
+    masked = _mask_groups(np.repeat(x, c, axis=0), model.config.feature_partition,
+                          picked.reshape(n * c, p), baseline_value)
+    return forward(model, masked).y.data.reshape(n, c, -1)
+
+
 def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                       baseline_value: float = 0.0) -> ImportanceReport:
     """Group-replacement degradation, each group in turn set to baseline_value.
     One forward reads each slice of batch_size samples (default: the model's)
-    as batch_size·(p+1) rows, the unmasked rows and a copy per masked group;
-    every row is computed as it would be alone, so scores do not depend on
-    batch_size. `forwards` counts one per slice and copy.
+    and its p masked copies, so scores do not depend on batch_size and
+    `forwards` counts one per slice and input copy.
 
     Classification scores the drop in log-probability of the class the
     unmasked copy predicts, regression the absolute shift; both clamp at 0.
     """
-    bs = _batch_size(model, batch_size)
-    p, groups = model.config.n_experts, model.config.feature_partition
+    p = model.config.n_experts
     # copy 0 of a sample is unmasked, copy i+1 masks group i
     copies = np.concatenate([np.zeros((1, p), dtype=bool), np.eye(p, dtype=bool)])
-    model.reset_pass_counts()
-    start = time.perf_counter()
-    raw = np.zeros((x.shape[0], p))
-    for batch in batch_slices(x.shape[0], bs):
-        b = x[batch].shape[0]
-        masked = _mask_groups(np.repeat(x[batch], p + 1, axis=0), groups,
-                              np.tile(copies, (b, 1)), baseline_value)
-        y = forward(model, masked).y.data.reshape(b, p + 1, -1)
+
+    def score(xb):
+        b = xb.shape[0]
+        y = _masked_forward(model, xb, np.tile(copies, (b, 1, 1)), baseline_value)
         if model.config.task == "classification":
-            picks = np.argmax(y[:, 0], axis=1)
-            logq = np.log(y[np.arange(b), :, picks] + dc.EPS_LOG)  # (b, p+1)
+            logq = np.log(y[np.arange(b), :, np.argmax(y[:, 0], axis=1)] + dc.EPS_LOG)
             degradation = logq[:, :1] - logq[:, 1:]
         else:
             degradation = np.abs(y[:, 1:, 0] - y[:, :1, 0])
-        raw[batch] = np.maximum(degradation, 0.0)  # keeps NaN for the caller to refuse
-    seconds = time.perf_counter() - start
-    scores, flags = normalize_scores(raw)
-    return ImportanceReport(
-        estimator="occlusion", params={"batch_size": bs, "baseline_value": baseline_value},
-        per_sample=scores, seconds=seconds, forwards=model.forward_passes * (p + 1),
-        backwards=model.backward_passes, degenerate=flags)
+        return normalize_scores(np.maximum(degradation, 0.0))  # keeps NaN for the caller to refuse
+    return _estimate("occlusion", model, x, batch_size, score, copies=p + 1,
+                     baseline_value=baseline_value)
 
 
 ESTIMATORS = {
@@ -264,15 +259,12 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
         orders = np.stack([s.permutation(n) for s in streams], axis=1)  # (n, p+1)
         for rows in batch_slices(n, probe.batch_size):
             idx = orders[rows]  # probe j reads rows idx[:, j]
-            pred = net(Tensor(x_train[idx])).reshape(-1, out_dim)
-            errors = per_sample_error(pred, Tensor(y_train[idx].reshape(-1, out_dim)), task)
+            errors = aux_errors(net(Tensor(x_train[idx])), y_train[idx], task)
             (errors.sum() * (1.0 / idx.shape[0])).backward()  # sum of per-probe batch means
             dc.optimizer_step(opt, params)
             clear_grads(params)
 
-    pred = net(Tensor(x_held)).reshape(-1, out_dim)
-    eps = per_sample_error(pred, Tensor(np.repeat(y_held, p + 1, axis=0)), task)
-    return GrangerTargets.from_errors(eps.reshape(-1, p + 1)).omega
+    return GrangerTargets.from_errors(aux_errors(net(Tensor(x_held)), y_held, task)).omega
 
 
 # -- report IO ---------------------------------------------------------------

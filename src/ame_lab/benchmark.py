@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .attribution import ESTIMATORS, ImportanceReport, _mask_groups, explain_ame
+from .attribution import ESTIMATORS, ImportanceReport, _masked_forward, explain_ame
 from .granger import evaluate, fit
 from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, build_ame,
                     choice, forward, model_hash, setting, write_csv)
@@ -155,20 +155,16 @@ def _top_groups(scores: np.ndarray, m: int) -> np.ndarray:
     return order[:m]
 
 
-def masking_drop(model: AmeModel, x: np.ndarray, picked_per_sample: list[np.ndarray],
+def masking_drop(model: AmeModel, x: np.ndarray, picked: np.ndarray,
                  baseline_value: float) -> np.ndarray:
-    """Per-sample change in log odds of the originally predicted class
-    after masking the picked groups. Positive = prediction degraded."""
-    picked = np.zeros((x.shape[0], model.config.n_experts), dtype=bool)
-    for s, pick in enumerate(picked_per_sample):
-        picked[s, pick] = True
-    before = forward(model, x).y.data
-    picks = np.argmax(before, axis=1)
-    masked = _mask_groups(x, model.config.feature_partition, picked, baseline_value)
-    after = forward(model, masked).y.data
-    q_before = before[np.arange(x.shape[0]), picks]
-    q_after = after[np.arange(x.shape[0]), picks]
-    return log_odds(q_before) - log_odds(q_after)
+    """Per-sample change in log odds of the originally predicted class, (n, k),
+    when copy j of row s masks the groups picked[s, j] picks ((n, k, p) bools).
+    Positive = prediction degraded. One forward reads the rows and all copies."""
+    n, _, p = picked.shape
+    unmasked = np.zeros((n, 1, p), dtype=bool)
+    y = _masked_forward(model, x, np.concatenate([unmasked, picked], axis=1), baseline_value)
+    q = y[np.arange(n), :, np.argmax(y[:, 0], axis=1)]  # (n, k+1)
+    return log_odds(q[:, :1]) - log_odds(q[:, 1:])
 
 
 def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
@@ -177,8 +173,9 @@ def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
     """Informed vs random masking of the top-ranked feature groups.
 
     Masks the ceil(fraction*p) highest-scored groups per sample (at least
-    one) and the same number of uniformly chosen groups as the control.
-    Reports mean drops and the paired-test p-value, not a verdict.
+    one) and the same number of uniformly chosen groups as the control, both
+    arms in one forward. Reports mean drops and the paired-test p-value, not
+    a verdict.
     """
     if model.config.task != "classification":
         raise ProtocolError("masking protocol needs a classification model")
@@ -186,14 +183,14 @@ def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
         raise ProtocolError(f"fraction must lie in (0, 1], got {fraction}")
     p = model.config.n_experts
     n = min(n, x.shape[0], report.n_samples)
-    x = x[:n]
     m = max(1, math.ceil(fraction * p))
     rng = np.random.default_rng(seed)
 
-    informed_picks = [_top_groups(report.per_sample[s], m) for s in range(n)]
-    random_picks = [rng.choice(p, size=m, replace=False) for s in range(n)]
-    informed = masking_drop(model, x, informed_picks, baseline_value)
-    random_arm = masking_drop(model, x, random_picks, baseline_value)
+    picked = np.zeros((n, 2, p), dtype=bool)  # arm 0 informed, arm 1 random
+    for s in range(n):
+        picked[s, 0, _top_groups(report.per_sample[s], m)] = True
+        picked[s, 1, rng.choice(p, size=m, replace=False)] = True
+    informed, random_arm = masking_drop(model, x[:n], picked, baseline_value).T
 
     if np.allclose(informed, random_arm):
         p_value = 1.0
@@ -313,7 +310,8 @@ def timing_protocol(model: AmeModel, x: np.ndarray, estimators: list[str] | None
     """Wall-clock and pass counts per estimator on identical samples, each
     called at its default batch size and at `baseline_value`.
 
-    Ratios are reported against the attention read-out (ame = 1x).
+    Ratios are reported against the attention read-out (ame = 1x); without
+    ame among the estimators they are NaN.
     """
     names = ["ame", "saliency", "occlusion"] if estimators is None else estimators
     if not names:
@@ -325,8 +323,7 @@ def timing_protocol(model: AmeModel, x: np.ndarray, estimators: list[str] | None
         report = ESTIMATORS[name](model, x, baseline_value=baseline_value)
         rows.append({"estimator": name, "seconds": report.seconds,
                      "forwards": report.forwards, "backwards": report.backwards})
-    base = next(r["seconds"] for r in rows if r["estimator"] == "ame") if any(
-        r["estimator"] == "ame" for r in rows) else rows[0]["seconds"]
+    base = next((r["seconds"] for r in rows if r["estimator"] == "ame"), float("nan"))
     for row in rows:
         row["ratio_vs_ame"] = row["seconds"] / base if base > 0 else float("nan")
     return rows

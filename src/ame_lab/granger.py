@@ -55,19 +55,19 @@ def per_sample_error(y_hat: Tensor, y_true: Tensor, task: str) -> Tensor:
     return per_sample_mae(y_hat, y_true)
 
 
-def aux_errors(output: AmeOutput, y_true, task: str) -> Tensor:
-    """Per-sample auxiliary errors of the probe stack, (n, p+1): column 0
-    with all experts, column i+1 without expert i.
+def aux_errors(y_slots: Tensor, y_true, task: str) -> Tensor:
+    """Per-sample errors (n, s) of stacked probe predictions y_slots, (n, s, out),
+    against y_true: (n, out), shared by every slot, or (n, s, out), one per slot.
 
     Uses the task's auxiliary loss: MAE for regression, categorical
     cross-entropy for classification. Entries stay on the tape so the
     auxiliary predictors can be trained from them.
     """
     y = y_true.data if isinstance(y_true, Tensor) else np.asarray(y_true, dtype=np.float64)
-    n, slots, out = output.y_aux.shape
-    # one row per (sample, probe), sample-major as the reshape lays them out
-    return per_sample_error(output.y_aux.reshape(n * slots, out),
-                            Tensor(np.repeat(y, slots, axis=0)), task).reshape(n, slots)
+    n, slots, out = y_slots.shape
+    # one row per (sample, slot), sample-major as the reshape lays them out
+    y = np.repeat(y, slots, axis=0) if y.ndim == 2 else y.reshape(n * slots, out)
+    return per_sample_error(y_slots.reshape(n * slots, out), Tensor(y), task).reshape(n, slots)
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
@@ -180,7 +180,7 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
                                  "training diverged")
     main = per_sample_error(output.y, y_true, cfg.task).mean()
 
-    eps = aux_errors(output, y_true, cfg.task)
+    eps = aux_errors(output.y_aux, y_true, cfg.task)
     targets = GrangerTargets.from_errors(eps)
     aux_losses = eps.mean(axis=0)  # one per probe
     aux_mean = float(np.mean(aux_losses.data))

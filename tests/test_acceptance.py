@@ -120,7 +120,7 @@ class TestCriterion1Gradients:
             yt = Tensor(y)
             from ame_lab.diffcore import per_sample_mae
             main = per_sample_mae(out.y, yt).mean()
-            eps = aux_errors(out, yt, "regression").data  # column 0 reads every expert
+            eps = aux_errors(out.y_aux, yt, "regression").data  # column 0 reads every expert
             aux = Tensor(np.append(eps[:, 1:].mean(axis=0), eps[:, 0].mean()))
             mge = mge_loss(frozen_omega, out.a)
             return total_loss(main, mge, aux, 0.5, 1.0).item()
@@ -163,7 +163,7 @@ class TestCriterion2Simplex:
             attention_rows += a.shape[0]
 
             y = rng.normal(size=(100, 1))
-            targets = GrangerTargets.from_errors(aux_errors(out, y, "regression"))
+            targets = GrangerTargets.from_errors(aux_errors(out.y_aux, y, "regression"))
             assert np.all(targets.omega >= 0)
             assert np.max(np.abs(targets.omega.sum(axis=1) - 1.0)) <= 1e-6
             omega_rows += targets.omega.shape[0]
@@ -327,7 +327,7 @@ class TestCriterion8OracleCrossCheck:
                         seed=5, learning_rate=0.01, batch_size=64, epochs=40, patience=12)
         model, _ = train_model(cfg, splits)
         in_model = GrangerTargets.from_errors(
-            aux_errors(forward(model, splits.test.x), splits.test.y, "regression")).omega
+            aux_errors(forward(model, splits.test.x).y_aux, splits.test.y, "regression")).omega
         probe = ProbeConfig(hidden=[8], learning_rate=0.01, epochs=40, batch_size=64, seed=5)
         oracle = granger_oracle((splits.train.x, splits.train.y),
                                 (splits.test.x, splits.test.y),

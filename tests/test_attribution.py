@@ -125,6 +125,16 @@ class TestBatchSize:
         assert model.forward_passes == 0
 
 
+class TestZeroRows:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_refused_naming_the_estimator(self, name):
+        model = two_group_model()
+        with pytest.raises(ValueError,
+                           match=f"^the {name} estimator needs at least one row, got 0$"):
+            ESTIMATORS[name](model, np.zeros((0, 2)))
+        assert model.forward_passes == 0
+
+
 class TestExplainSaliency:
     def test_linear_model_puts_everything_on_the_live_group(self):
         # at x = 0 the tanh path is exactly linear, and the silenced second

@@ -27,7 +27,7 @@ from ame_lab.benchmark import (
     write_sweep_csv,
 )
 from ame_lab.cli import main
-from ame_lab.model import AmeConfig, ConfigError, model_hash
+from ame_lab.model import AmeConfig, ConfigError, forward, model_hash
 
 
 def cls_spec(**overrides):
@@ -52,6 +52,20 @@ def trained():
     splits = generate(cls_spec())
     model, _ = train_model(cls_config(), splits)
     return model, splits
+
+
+def two_forward_drop(model, x, picked_per_sample, baseline_value):
+    """Masking drop of one arm as two forwards, the unmasked rows and then the
+    masked ones: an independent reference for the protocol's one forward."""
+    picked = np.zeros((x.shape[0], model.config.n_experts), dtype=bool)
+    for s, pick in enumerate(picked_per_sample):
+        picked[s, pick] = True
+    before = forward(model, x).y.data
+    picks = np.argmax(before, axis=1)
+    after = forward(model, _mask_groups(x, model.config.feature_partition, picked,
+                                        baseline_value)).y.data
+    rows = np.arange(x.shape[0])
+    return log_odds(before[rows, picks]) - log_odds(after[rows, picks])
 
 
 def cli_sweep(tmp_path, config, spec, alphas, runs):
@@ -157,7 +171,8 @@ class TestMasking:
     def test_masking_nothing_changes_nothing(self, trained):
         model, splits = trained
         x = splits.test.x[:10]
-        drops = masking_drop(model, x, [np.array([], dtype=int)] * 10, 0.0)
+        nothing = np.zeros((10, 1, model.config.n_experts), dtype=bool)
+        drops = masking_drop(model, x, nothing, 0.0)[:, 0]
         np.testing.assert_array_equal(drops, np.zeros(10))
 
     def test_masking_everything_is_estimator_independent(self, trained):
@@ -170,6 +185,32 @@ class TestMasking:
         a = masking_protocol(model, ranked, x, fraction=1.0, n=20, seed=1)
         b = masking_protocol(model, reversed_, x, fraction=1.0, n=20, seed=1)
         np.testing.assert_allclose(a["informed_per_sample"], b["informed_per_sample"])
+
+    def test_one_forward_reads_the_rows_and_both_arms(self, trained):
+        model, splits = trained
+        report = explain_ame(model, splits.test.x[:20])
+        model.reset_pass_counts()
+        masking_protocol(model, report, splits.test.x, fraction=0.25, n=20, seed=3)
+        assert model.forward_passes == 1
+
+    @pytest.mark.parametrize("fraction, baseline_value, seed", [
+        (0.25, 0.0, 0), (0.5, 0.3, 4), (1.0, -1.0, 7)])
+    def test_drops_are_bitwise_those_of_two_forwards_per_arm(self, trained, fraction,
+                                                             baseline_value, seed):
+        model, splits = trained
+        p, x = model.config.n_experts, splits.test.x[:30]
+        report = explain_ame(model, x)
+        out = masking_protocol(model, report, x, fraction, baseline_value, n=30, seed=seed)
+        m = max(1, math.ceil(fraction * p))
+        rng = np.random.default_rng(seed)
+        informed = [np.argsort(-row, kind="stable")[:m] for row in report.per_sample]
+        random_arm = [rng.choice(p, size=m, replace=False) for _ in range(30)]
+        expected_informed = two_forward_drop(model, x, informed, baseline_value)
+        expected_random = two_forward_drop(model, x, random_arm, baseline_value)
+        assert out["informed_per_sample"].tobytes() == expected_informed.tobytes()
+        assert out["random_per_sample"].tobytes() == expected_random.tobytes()
+        assert out["informed_drop"] == float(expected_informed.mean())
+        assert out["random_drop"] == float(expected_random.mean())
 
     def test_regression_model_rejected(self):
         spec = SyntheticSpec(kind="additive_regression", total_features=2,
@@ -300,6 +341,12 @@ class TestTiming:
         assert by_name["occlusion"]["forwards"] == \
             (model.config.n_experts + 1) * by_name["ame"]["forwards"]
         assert by_name["ame"]["ratio_vs_ame"] == 1.0
+
+    def test_ratio_is_nan_without_ame(self, trained):
+        model, splits = trained
+        rows = timing_protocol(model, splits.test.x[:4], ["occlusion", "saliency"])
+        assert [row["estimator"] for row in rows] == ["occlusion", "saliency"]
+        assert all(math.isnan(row["ratio_vs_ame"]) for row in rows)
 
     def test_every_estimator_gets_the_baseline(self, trained, monkeypatch):
         model, splits = trained

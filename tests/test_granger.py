@@ -47,13 +47,13 @@ class TestAuxErrors:
     def test_perfect_full_probe_has_zero_error(self):
         y = np.array([[1.0], [2.0]])
         out = fake_output(y, [[1.0], [1.0]], [y + 1.0], y.copy())
-        eps = aux_errors(out, y, "regression")
+        eps = aux_errors(out.y_aux, y, "regression")
         np.testing.assert_array_equal(eps.data, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_perfect_excluded_probes_make_deltas_non_positive(self):
         y = np.array([[1.0], [2.0]])
         out = fake_output(y, [[0.5, 0.5], [0.5, 0.5]], [y.copy(), y.copy()], y + 0.25)
-        eps = aux_errors(out, y, "regression").data
+        eps = aux_errors(out.y_aux, y, "regression").data
         eps_excl = eps[:, 1:]
         delta = delta_epsilon(eps_excl, eps[:, 0])
         np.testing.assert_array_equal(eps_excl, np.zeros((2, 2)))
@@ -65,8 +65,24 @@ class TestAuxErrors:
         y = np.eye(k)[[0, 2]]
         uniform = np.full((2, k), 1.0 / k)
         out = fake_output(y, [[1.0], [1.0]], [uniform], uniform)
-        eps = aux_errors(out, y, "classification")
+        eps = aux_errors(out.y_aux, y, "classification")
         np.testing.assert_allclose(eps.data, math.log(k), atol=1e-9)
+
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_per_slot_targets_equal_flatten_then_score_bitwise(self, task):
+        rng = np.random.default_rng(21)
+        n, slots, out = 7, 4, 3
+        if task == "classification":
+            y_slots = rng.dirichlet(np.ones(out), size=(n, slots))
+            y = np.eye(out)[rng.integers(0, out, size=(n, slots))]
+        else:
+            y_slots, y = rng.normal(size=(n, slots, out)), rng.normal(size=(n, slots, out))
+        eps = aux_errors(Tensor(y_slots), y, task)
+        expected = per_sample_error(Tensor(y_slots.reshape(n * slots, out)),
+                                    Tensor(y.reshape(n * slots, out)), task).data
+        assert eps.shape == (n, slots)
+        assert eps.data.tobytes() == expected.reshape(n, slots).tobytes()
 
 
 class TestDeltaEpsilon:
@@ -336,7 +352,7 @@ class TestGrangerTargetsRecord:
         model = build_ame(cfg)
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 1))
-        targets = GrangerTargets.from_errors(aux_errors(forward(model, x), y, "regression"))
+        targets = GrangerTargets.from_errors(aux_errors(forward(model, x).y_aux, y, "regression"))
         assert isinstance(targets, GrangerTargets)
         np.testing.assert_allclose(targets.delta_eps,
                                    targets.eps_excl - targets.eps_all[:, None], atol=1e-15)

@@ -325,7 +325,7 @@ class TestLazyProbes:
         explain_ame(model, x, batch_size=4)
         explain_saliency(model, x, batch_size=4)
         explain_occlusion(model, x[:2])
-        masking_drop(model, x, [np.array([0])] * 6, 0.0)
+        masking_drop(model, x, np.eye(3, dtype=bool)[[[0]] * 6], 0.0)
         assert model.aux.calls == 0
 
     def test_loss_builds_each_probe_once_per_forward(self):
@@ -728,7 +728,7 @@ class TestStackedProperties:
 
         def loss_with_frozen_targets():
             out = forward(model, x)
-            eps = aux_errors(out, y, model.config.task).data  # column 0 reads every expert
+            eps = aux_errors(out.y_aux, y, model.config.task).data  # column 0 reads every expert
             error = (per_sample_cross_entropy if model.config.task == "classification"
                      else per_sample_mae)
             main = error(out.y, Tensor(y)).mean()
