@@ -7,16 +7,19 @@ accumulates gradients into every participating tensor that requires them.
 An op none of whose operands leads to such a tensor stays off the tape, and
 the linear maps compute no gradient for an input that is off the tape.
 
-Forward matrix products are one BLAS matrix-vector product per output row
-and map (``np.matmul`` over a unit row axis). The arguments of each call
-depend only on the layer's shape, never on the batch extent, so a batched
-forward pass is bit-identical to running the same samples one by one, and
-map i of a stack to a stack of map i alone. The model layer relies on that
+Forward matrix products are BLAS matrix-vector products, one per output row
+(``np.matmul`` over a unit row axis): per row and map when each map reads
+its own input, and per row over the flattened weights of a stack whose maps
+share one input. The arguments of each call depend only on the layer's
+shape, never on the batch extent, so a batched forward pass is bit-identical
+to running the same samples one by one. The model layer relies on that
 equivalence; it assumes BLAS returns the same bits for identical calls,
-which the bitwise tests check. Gradients of the linear maps are BLAS matrix
-products: their summation order depends on the shapes, so they are not
-batch-independent, and nothing needs them to be. A run still replays byte
-for byte on the same machine.
+which the bitwise tests check. Map i of a shared-input stack agrees with map
+i run alone to a few ulps of its terms' magnitude, not bitwise: BLAS may sum
+a map's terms in an order that depends on its neighbours. Gradients of the
+linear maps are BLAS matrix products: their summation order depends on the
+shapes, so they are not batch-independent, and nothing needs them to be. A
+run still replays byte for byte on the same machine.
 """
 
 from __future__ import annotations
@@ -29,8 +32,15 @@ EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 # backward kernels, the optimizer, the parameter layout and the order of the
 # initial draws. Run ids hash it, so runs of different numerics never share a
 # directory. 1 was the einsum forward, 2 the BLAS forward with a separate
-# all-experts probe, 3 one probe stack of p+1.
-NUMERICS_VERSION = 3
+# all-experts probe, 3 one probe stack of p+1, 4 one gemv per row over a
+# shared-input stack's flattened weights.
+NUMERICS_VERSION = 4
+
+# OpenBLAS splits one gemv across its threads from 115,200 x 4 weights up
+# (interface/gemv.c), which on a 2-core host can turn a sub-millisecond call
+# into a fixed 8 ms. A shared-input stack is read in runs of whole maps that
+# stay below this size; one map above it is one call, as it must be.
+GEMV_SPLIT_WEIGHTS = 115_200 * 4
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
@@ -265,22 +275,33 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     weights is (p, out, in) and bias (p, out); one map is a stack of one. x
     is either (n, in), read by every map, or (n, p, in), whose slice i map i
-    reads. Each row of each map is its own BLAS matrix-vector product, a call
-    that is the same whatever the batch extent and the other maps, so batched
-    and single-sample forwards are bit-identical and map i equals a stack of
-    map i alone (given a BLAS that returns the same bits for identical
-    calls). The gradients are one BLAS product over the flattened stack for a
-    shared input, and a matmul over the stack axis for per-map inputs.
+    reads. A per-map input is one BLAS matrix-vector product per row and map;
+    a shared input is one per row over the flattened (p·out, in) weights, cut
+    into runs of whole maps below GEMV_SPLIT_WEIGHTS. Either call depends
+    only on the layer's shape, never on the batch extent, so batched and
+    single-sample forwards are bit-identical (given a BLAS that returns the
+    same bits for identical calls). Map i equals a stack of map i alone
+    bitwise for per-map inputs, and to a few ulps of its terms' magnitude for
+    a shared input. The gradients are one BLAS product over the flattened
+    stack for a shared input, and a matmul over the stack axis for per-map
+    inputs.
     """
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
             or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
-    xs = x.data[:, None, :] if x.ndim == 2 else x.data
-    out = np.matmul(xs[:, :, None, :], weights.data.transpose(0, 2, 1))[:, :, 0] + bias.data
+    w = weights.data
+    if x.ndim == 2:  # each row against the flattened (p·a, k) weights, whole maps at a time
+        p, a, k = w.shape
+        flat, xs = w.reshape(-1, k), x.data[:, None, :]
+        rows = max(1, (GEMV_SPLIT_WEIGHTS - 1) // (a * k)) * a  # weight rows per call
+        out = (xs @ flat.T if rows >= p * a else np.concatenate(
+            [xs @ flat[i:i + rows].T for i in range(0, p * a, rows)], axis=2)).reshape(-1, p, a)
+    else:
+        out = np.matmul(x.data[:, :, None, :], w.transpose(0, 2, 1))[:, :, 0]
+    out = out + bias.data
 
     def back(g):
-        w = weights.data
         if x.ndim == 2:  # g (n, p·a) against W (p·a, k)
             flat = g.reshape(g.shape[0], -1)
             gx = flat @ w.reshape(-1, w.shape[2]) if x._tracked() else None

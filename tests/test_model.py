@@ -599,13 +599,19 @@ class TestSerialization:
         assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
             p.size for p in model.parameters())
 
-    def test_format_3_file_reads_bit_identical_outputs(self):
+    def test_format_3_file_reads_its_recorded_outputs(self):
         # outputs recorded by the format-3 code; its y_aux_all is probe slot 0
         model = load_model(DATA / "format3_model.json")
+        doc = json.loads((DATA / "format3_model.json").read_text())
+        for name, entry in doc["params"].items():
+            assert old_layout_values(model, name).tobytes() == base64.b64decode(entry["values"])
         ref = json.loads((DATA / "format3_outputs.json").read_text())
         out = forward(model, np.array(ref["x"]))
-        np.testing.assert_array_equal(out.a.data, ref["attention"])
-        np.testing.assert_array_equal(out.y.data, ref["y"])
+        # recorded under numerics 3, which ran the gate projection as one gemv
+        # per row and map, not one per row over the flattened stack: 3 of the
+        # 21 attention entries moved by 1 ulp, and 2 of the predictions by 7
+        np.testing.assert_array_max_ulp(out.a.data, np.array(ref["attention"]), maxulp=2)
+        np.testing.assert_allclose(out.y.data, ref["y"], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out.y_aux.data[:, 0], ref["y_aux_all"])
         np.testing.assert_array_equal(out.y_aux.data[:, 1:], ref["y_aux_excl"])
 
