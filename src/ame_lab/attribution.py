@@ -26,7 +26,7 @@ from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import GrangerTargets, aux_errors, batch_slices
 from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, _check_partition,
-                    at_least, atomic_open, choice, forward, setting, write_csv)
+                    at_least, atomic_open, choice, draw_slot, forward, setting, write_csv)
 
 
 @dataclass
@@ -238,17 +238,11 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     head_act = "softmax" if task == "classification" else "identity"
     # slot 0 reads all features, slot i+1 all but group i
     net = _probe_stack("probe", feature_partition, [width, *probe.hidden, out_dim], head_act)
-    mask = net.layers[0].mask
 
     rng = np.random.default_rng(probe.seed)
     streams = []  # probe j's minibatch orders continue from just after its init
     for j in range(p + 1):
-        for k, layer in enumerate(net):
-            w = layer.weights.data[j]
-            cols = np.flatnonzero(mask[j, 0]) if k == 0 else np.arange(w.shape[1])
-            # a probe with nothing left read one constant-zero column: draw it, keep none
-            drawn = dc.glorot(rng, (w.shape[0], max(cols.size, 1)))
-            w[:, cols] = drawn[:, :cols.size]
+        draw_slot(rng, net.layers, j, net.layers[0].mask[j, 0])
         streams.append(copy.deepcopy(rng))
         for _ in range(probe.epochs):
             rng.permutation(n)

@@ -43,7 +43,7 @@ class SyntheticSpec(Config):
     kind: str = choice("additive_regression", KINDS)
     total_features: int = at_least(8, 1)
     informative: list[int] = setting([0])
-    weights: list[float] = setting([1.0], lambda v: all(map(math.isfinite, v)), "finite")
+    weights: list[float] = setting([1.0])
     noise_scale: float = 0.1
     link: str = choice("identity", ("identity", "tanh"))
     label_rule: str = choice("threshold", ("threshold", "sample"))

@@ -33,8 +33,8 @@ EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 # initial draws. Run ids hash it, so runs of different numerics never share a
 # directory. 1 was the einsum forward, 2 the BLAS forward with a separate
 # all-experts probe, 3 one probe stack of p+1, 4 one gemv per row over a
-# shared-input stack's flattened weights.
-NUMERICS_VERSION = 4
+# shared-input stack's flattened weights, 5 one slot-major draw.
+NUMERICS_VERSION = 5
 
 # OpenBLAS splits one gemv across its threads from 115,200 x 4 weights up
 # (interface/gemv.c), which on a 2-core host can turn a sub-millisecond call

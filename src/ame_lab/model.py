@@ -25,6 +25,7 @@ import hashlib
 import json
 import numbers
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -35,7 +36,7 @@ import numpy as np
 
 from .diffcore import OPTIMIZERS, DenseLayer, Tensor, concat, glorot, softmax, take_columns
 
-MODEL_FORMAT = 4  # model.json: 1 per-expert lists, 2 stacked, 3 base64, 4 one probe stack
+MODEL_FORMAT = 4  # model.json: base64 `<f8` values, one probe stack; the one format that loads
 
 TASKS = ("regression", "classification")
 
@@ -61,6 +62,14 @@ def _has_type(value, like) -> bool:
         kind = numbers.Integral if isinstance(like, int) else numbers.Real
         return isinstance(value, kind) and not isinstance(value, bool)
     return isinstance(value, type(like))
+
+
+def _finite(value, like) -> bool:
+    """Whether every float in `value`, of the JSON type of `like`, is finite:
+    a float, or an int standing for one, within float range."""
+    if isinstance(like, list):
+        return all(_finite(v, like[0]) for v in value)
+    return not isinstance(like, float) or abs(value) <= sys.float_info.max
 
 
 def setting(default, rule=None, text: str = "", like=None):
@@ -112,9 +121,9 @@ def _like(f):
 class Config:
     """Base of the config dataclasses. A field is a `setting`, a plain field
     (typed by its default, no rule), or a nested config block whose default
-    factory is its class. Construction checks each field's type, then its
-    rule, then `validate()`; `check()` does so again for a config changed
-    after it was built."""
+    factory is its class. Construction checks each field's type, that each
+    of its floats is finite, then its rule, then `validate()`; `check()`
+    does so again for a config changed after it was built."""
 
     def __post_init__(self):
         self.check()
@@ -127,6 +136,8 @@ class Config:
             like, rule = _like(f), f.metadata.get("rule")
             if not _has_type(value, like):
                 raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
+            if not _finite(value, like):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if not (rule is None or rule(value)):
                 raise ConfigError(f"{f.name} must be {f.metadata['text']}, got {value!r}")
         self.validate()
@@ -268,8 +279,7 @@ class AmeOutput:
     """Per-batch forward results as tape tensors, plus the model they came from.
 
     y is the prediction ((n, 1) values or (n, k) class probabilities) and
-    `combined` the attention-weighted contributions before the task head;
-    c is (n, p, out), experts on axis 1.
+    c the contributions, (n, p, out) with experts on axis 1.
 
     The Granger probe outputs y_aux, (n, p+1, out) with slot 0 reading every
     expert and slot i+1 all but expert i, are built from h_all by `model`'s
@@ -282,7 +292,6 @@ class AmeOutput:
     a: Tensor
     c: Tensor
     h_all: Tensor
-    combined: Tensor
     model: AmeModel
 
     @cached_property
@@ -344,58 +353,36 @@ def _zero_model(config: AmeConfig) -> AmeModel:
                      [width, *config.aux_hidden, out], head_act), group_index)
 
 
-def _layout(model: AmeModel, fmt: int):
-    """Format `fmt`'s parameters in its order, as (name, shape, target, columns):
-    the stored values fill `columns` of the last axis of `target`, a view of
-    the model's parameters. Format 1 held per-expert lists, drawn in this
-    order; a single-expert probe read a constant zero through one weight
-    column, which maps to no column. Formats 1 to 3 held the probe stack as
-    `aux_excl`, slots 1..p, then `aux_all`, slot 0 without the slot axis."""
-    if fmt == MODEL_FORMAT:
-        yield from ((t.name, t.shape, t.data, slice(None)) for t in model.parameters())
-        return
-    cfg, aux = model.config, model.aux.parameters()
-    if fmt > 1:
-        yield from ((t.name, t.shape, t.data, slice(None)) for t in model.main_parameters())
-        yield from ((t.name.replace("aux.", "aux_excl.", 1), (cfg.n_experts, *t.shape[1:]),
-                     t.data[1:], slice(None)) for t in aux)
-    else:
-        for prefix, stack, first in (
-                ("expert", model.experts.parameters() + model.heads.parameters(), 0),
-                ("gate", model.gate_projection.parameters() + [model.gate_context], 0),
-                ("aux_excl", aux, 1)):
-            for i in range(cfg.n_experts):
-                for t in stack:
-                    columns = slice(None)
-                    if t.name == "experts.hidden_0.weights":
-                        columns = slice(0, len(cfg.feature_partition[i]))
-                    elif t.name == "aux.hidden_0.weights":
-                        columns = np.flatnonzero(model.aux.layers[0].mask[1 + i, 0])
-                    width = max(np.arange(t.shape[-1])[columns].size, 1)
-                    yield (f"{prefix}_{i}.{t.name.split('.', 1)[1]}", (*t.shape[1:-1], width),
-                           t.data[first + i], columns)
-    yield from ((t.name.replace("aux.", "aux_all.", 1), t.shape[1:], t.data[0], slice(None))
-                for t in aux)
+def draw_slot(rng: np.random.Generator, layers, j: int, live: np.ndarray) -> None:
+    """Glorot-draw map j of each of `layers` in turn, the first layer's over
+    its input columns where `live` is true only; the others stay zero. A map
+    with no live column draws one column and keeps none."""
+    for k, layer in enumerate(layers):
+        w = layer.weights.data[j]
+        cols = np.flatnonzero(live) if k == 0 else np.arange(w.shape[1])
+        drawn = glorot(rng, (w.shape[0], max(cols.size, 1)))
+        w[:, cols] = drawn[:, :cols.size]
 
 
 def build_ame(config: AmeConfig) -> AmeModel:
-    """Assemble a model with independently initialized sub-networks.
-
-    Parameters are drawn expert by expert in the fixed format-1 order
-    (experts, heads, gates, probe slots 1..p, then probe slot 0), so a seed
-    gives the same values in every layout and fully determines every
-    parameter: Glorot-uniform weights, zero biases, and context vectors
-    Gaussian/sqrt(gate_hidden), keeping initial attention near uniform.
-    Padded columns and masked probe blocks stay zero.
-    """
+    """A model whose every parameter its seed determines, drawn stack by stack
+    (experts with their heads, gate projections, probes), slot by slot
+    (`draw_slot`), then `gates.context`. Weights are Glorot-uniform over a
+    map's live inputs, so padded columns and masked probe blocks stay zero;
+    biases are zero, and context vectors Gaussian/sqrt(gate_hidden), keeping
+    initial attention near uniform."""
     config.check()
     model = _zero_model(config)
     rng = np.random.default_rng(config.seed)
-    for name, shape, target, columns in _layout(model, 1):
-        if name.endswith(".weights"):
-            target[..., columns] = glorot(rng, shape)
-        elif name.endswith(".context"):
-            target[..., columns] = rng.normal(size=shape) / np.sqrt(shape[0])
+    width = model.gate_projection.weights.shape[2]
+    for layers, live in ((model.experts.layers + model.heads.layers,
+                          model.group_index < config.n_features),
+                         ([model.gate_projection], np.ones((config.n_experts, width), bool)),
+                         (model.aux.layers, model.aux.layers[0].mask[:, 0])):
+        for j, slot_live in enumerate(live):
+            draw_slot(rng, layers, j, slot_live)
+    context = model.gate_context.data
+    context[:] = rng.normal(size=context.shape) / np.sqrt(context.shape[1])
     return model
 
 
@@ -435,7 +422,7 @@ def forward(model: AmeModel, x) -> AmeOutput:
 
     # Granger probes read h_all when read. Probe slot i+1's mask removes both
     # expert i's hidden state and its contribution, so it sees nothing of it.
-    return AmeOutput(y=y, a=a, c=c, h_all=h_all, combined=combined, model=model)
+    return AmeOutput(y=y, a=a, c=c, h_all=h_all, model=model)
 
 
 def importance(output: AmeOutput) -> np.ndarray:
@@ -481,80 +468,57 @@ def model_to_dict(model: AmeModel) -> dict:
             "model_hash": model_hash(model), "params": params}
 
 
-def _stored_values(params: dict, name: str, shape: tuple, fmt: int) -> np.ndarray:
-    """Parameter `name`'s values, checked against its built `shape`: a list
-    of numbers in formats 1 and 2, base64 `<f8` bytes from format 3 on."""
-    size = int(np.prod(shape))
+def _stored_values(params: dict, name: str, shape: tuple) -> np.ndarray:
+    """Parameter `name`'s values: base64 `<f8` bytes of its built `shape`."""
     try:
         stored, values = list(params[name]["shape"]), params[name]["values"]
-        if fmt < 3:
-            values = np.asarray(values, dtype=np.float64)
-        elif not isinstance(values, str):
+        if not isinstance(values, str):
             raise TypeError(f"values must be base64 text, not {type(values).__name__}")
-        else:
-            values = base64.b64decode(values, validate=True)
+        values = base64.b64decode(values, validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {name}: malformed entry ({exc!r})") from None
     if stored != list(shape):
         raise ConfigError(f"parameter {name}: stored shape {stored} != built shape {list(shape)}")
-    if fmt >= 3:
-        if len(values) != 8 * size:
-            raise ConfigError(f"parameter {name}: {len(values)} bytes stored; "
-                              f"shape {stored} needs {8 * size}")
-        values = np.frombuffer(values, dtype="<f8")
-    elif values.size != size:
-        raise ConfigError(f"parameter {name}: {values.size} values stored; "
-                          f"shape {stored} needs {size}")
+    if len(values) != (nbytes := 8 * int(np.prod(shape))):
+        raise ConfigError(f"parameter {name}: {len(values)} bytes stored; "
+                          f"shape {stored} needs {nbytes}")
+    values = np.frombuffer(values, dtype="<f8")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"parameter {name}: non-finite value")
     return values.reshape(shape)
 
 
-def _without_retired_fields(config: dict) -> dict:
-    """A stored config without `detach_targets` and `aux_grads_to_experts`,
-    which older documents carry; only their value true, the way every model
-    is trained now, loads."""
-    retired = ("detach_targets", "aux_grads_to_experts")
-    for name in retired:
-        if config.get(name, True) is not True:
-            raise ConfigError(f"{name}: stored value {config[name]!r} is no longer supported; "
-                              "only true loads")
-    return {k: v for k, v in config.items() if k not in retired}
-
-
 def model_from_dict(raw: dict) -> AmeModel:
-    """Rebuild a model from a document of any format: format 1 (per-expert
-    lists, no `format` field) fills the stacks slice by slice, and formats 2
-    and 3 fill the probe stack's slots. A format-3 or format-4 document must
-    hold the `model_hash` of what it rebuilds, hashed in its own layout."""
+    """Rebuild a model from a format-4 document, which must hold the
+    `model_hash` of what it rebuilds. Any other format is refused."""
     if not (isinstance(raw, dict) and isinstance(raw.get("config"), dict)
             and isinstance(raw.get("params"), dict)):
         raise ConfigError("model document needs 'config' and 'params' objects")
-    fmt = raw.get("format", 1)
-    if type(fmt) is not int or not 1 <= fmt <= MODEL_FORMAT:
-        raise ConfigError(f"model format {fmt!r} is unknown; expected 1 to {MODEL_FORMAT}")
-    model = _zero_model(AmeConfig.from_dict(_without_retired_fields(raw["config"])))
+    fmt = raw.get("format", 1)  # format 1 wrote no `format` field
+    if type(fmt) is not int or fmt != MODEL_FORMAT:
+        raise ConfigError(f"model format {fmt!r} does not load; only format {MODEL_FORMAT} "
+                          "does. Retrain the model from its run's config.json")
+    model = _zero_model(AmeConfig.from_dict(raw["config"]))
     params = raw["params"]
-    layout = list(_layout(model, fmt))
-    expected = [name for name, *_ in layout]
+    expected = [t.name for t in model.parameters()]
     missing = [name for name in expected if name not in params]
     extra = sorted(set(params) - set(expected))
     if missing or extra:
         raise ConfigError(f"parameter {(missing + extra)[0]}: " + (
             "missing from the model document" if missing else "not part of this architecture"))
-    for name, shape, target, columns in layout:
-        target[..., columns] = _stored_values(params, name, shape, fmt)
+    for t in model.parameters():
+        t.data[...] = _stored_values(params, t.name, t.shape)
     pad = (model.group_index == model.config.n_features)[:, None, :]
     for layer, zero in ((model.experts.layers[0], pad),
                         (model.aux.layers[0], model.aux.layers[0].mask == 0)):
         if np.any((layer.weights.data != 0.0) & zero):
             raise ConfigError(f"parameter {layer.weights.name}: non-zero entry in a padded "
                               "column or masked probe block")
-    if fmt >= 3 and raw.get("model_hash") != (digest := model_hash(model, fmt)):
+    if raw.get("model_hash") != (digest := model_hash(model)):
         raise ConfigError("model_hash: " + (
             f"stored {raw['model_hash']!r} != {digest!r} of the stored config and values; "
             "the document was edited or corrupted" if "model_hash" in raw
-            else f"missing from the format-{fmt} model document"))
+            else "missing from the model document"))
     seed = model.config.seed  # model_hash covers this one, not the top-level copy
     if "seed" in raw and (type(raw["seed"]) is not int or raw["seed"] != seed):
         raise ConfigError(f"seed: stored {raw['seed']!r} != config seed {seed!r}")
@@ -576,14 +540,14 @@ def load_model(path) -> AmeModel:
     return model_from_dict(raw)
 
 
-def model_hash(model: AmeModel, fmt: int = MODEL_FORMAT) -> str:
+def model_hash(model: AmeModel) -> str:
     """Stable identity of a model (hex digest prefix): sha256 over the
-    sorted-key JSON of its config, then, for each tensor of format `fmt`'s
-    layout (2 to 4; by default `parameters()`), its name and shape (as JSON)
-    and its values as little-endian float64 bytes."""
+    sorted-key JSON of its config, then, for each tensor of `parameters()`,
+    its name and shape (as JSON) and its values as little-endian float64
+    bytes."""
     digest = hashlib.sha256(json.dumps(model.config.to_dict(), sort_keys=True,
                                        separators=(",", ":")).encode("utf-8"))
-    for name, shape, values, _ in _layout(model, fmt):
-        digest.update(json.dumps([name, list(shape)]).encode("utf-8"))
-        digest.update(np.ascontiguousarray(values, dtype="<f8"))
+    for t in model.parameters():
+        digest.update(json.dumps([t.name, list(t.shape)]).encode("utf-8"))
+        digest.update(np.ascontiguousarray(t.data, dtype="<f8"))
     return digest.hexdigest()[:16]

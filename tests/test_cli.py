@@ -15,7 +15,7 @@ from ame_lab.benchmark import (BenchmarkResult, SyntheticSpec, aggregate_sweep, 
                                write_benchmark_csv, write_sweep_csv)
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
 from ame_lab.granger import TRAINING_LOG_COLUMNS, write_training_log
-from ame_lab.model import AmeConfig, build_ame, load_model, model_hash, save_model
+from ame_lab.model import AmeConfig, build_ame, load_model, model_hash, model_to_dict, save_model
 
 def base_config(tmp_path, **overrides):
     cfg = {
@@ -162,20 +162,35 @@ class TestConfigParsing:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
-    def test_model_file_trained_with_a_retired_field_off_is_a_config_error(
-            self, tmp_path, capsys, field):
-        from ame_lab.model import AmeConfig, build_ame, model_to_dict
+    @pytest.mark.parametrize("value", [True, False])
+    def test_model_file_carrying_a_retired_field_is_a_config_error(
+            self, tmp_path, capsys, field, value):
         doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
+        doc["config"][field] = value
         model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
         cfg = write_config(tmp_path, base_config(tmp_path, model_path=str(model_path)))
-        doc["config"][field] = True
-        model_path.write_text(json.dumps(doc))
-        assert main(["explain", "--config", cfg]) == 0
-        doc["config"][field] = False
-        model_path.write_text(json.dumps(doc))
-        capsys.readouterr()
         assert main(["explain", "--config", cfg]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {field}: stored value False")
+        assert capsys.readouterr().err.startswith(
+            f"config error: unknown AmeConfig fields: [{field!r}]")
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("block, field", [
+        ("model", "learning_rate"), ("model", "aux_weight"), ("model", "alpha"),
+        ("probe", "learning_rate"), ("data", "weights"), ("data", "noise_scale"),
+        (None, "baseline_value"), (None, "alphas"),
+    ])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, block, field, literal):
+        cfg = base_config(tmp_path)
+        target = cfg if block is None else cfg.setdefault(block, {})
+        value = float(literal)
+        target[field] = [0.5, value] if field in ("weights", "alphas") else value
+        path = write_config(tmp_path, cfg)
+        assert literal in Path(path).read_text()  # written as a JSON literal
+        assert main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be finite, got ")
+        assert not (tmp_path / "runs").exists()
 
     def test_wrong_field_type_in_model_file_is_a_config_error(self, tmp_path, capsys):
         from ame_lab.model import AmeConfig, build_ame, model_to_dict
@@ -422,6 +437,24 @@ class TestExplainCommand:
             f"error: estimator {estimator}: rows are not valid distributions")
         assert not list(run_dir_of(tmp_path, cfg).glob("importance.*"))
         assert not (run_dir_of(tmp_path, cfg) / "config.json").exists()
+
+    @pytest.mark.parametrize("fmt", [None, 1, 2, 3, 0, 5, "4", True, 4.0],
+                             ids=["missing", "1", "2", "3", "0", "5", "str", "bool", "float"])
+    def test_model_file_of_another_format_is_refused_and_writes_no_importance(
+            self, tmp_path, capsys, fmt):
+        doc = model_to_dict(build_ame(AmeConfig(**base_config(tmp_path)["model"])))
+        if fmt is None:
+            del doc["format"]  # how format 1 was written
+        else:
+            doc["format"] = fmt
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        cfg = base_config(tmp_path, model_path=str(model_path))
+        assert main(["explain", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model format {1 if fmt is None else fmt!r} ")
+        assert "Retrain the model from its run's config.json" in err
+        assert not list(run_dir_of(tmp_path, cfg).glob("importance.*"))
 
     @pytest.mark.parametrize("damage, message", [
         ("truncated", "not a model document"),

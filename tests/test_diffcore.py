@@ -595,7 +595,7 @@ def _openblas_core() -> str | None:
 # probes, SGD, more groups, the oracle) or a summation order that only moves
 # other shapes. On another core it skips, and another OpenBLAS build on this
 # core may fail it with no change to the code.
-NUMERICS_PINS = {4: ("SkylakeX", "6b0928a774453a99")}
+NUMERICS_PINS = {4: ("SkylakeX", "6b0928a774453a99"), 5: ("SkylakeX", "b0318ce32fff4ee5")}
 
 
 class TestNumericsPin:

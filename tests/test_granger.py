@@ -31,8 +31,7 @@ def fake_output(y, a, y_aux_excl, y_aux_all):
     (the all-experts probe's in slot 0) are set directly instead of being
     built from h_all by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
-    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h_all=dummy,
-                    combined=dummy, model=None)
+    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h_all=dummy, model=None)
     out.y_aux = Tensor(np.stack([y_aux_all, *y_aux_excl], axis=1))
     return out
 

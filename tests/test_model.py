@@ -1,9 +1,7 @@
 """Tests for the mixture architecture: building, attention, forward, IO."""
 
 import base64
-import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from ame_lab.attribution import explain_ame, explain_occlusion, explain_saliency
 from ame_lab.benchmark import masking_drop
 from ame_lab.diffcore import (
+    DenseLayer,
     Tensor,
     clear_grads,
     finite_difference_grads,
+    glorot,
     per_sample_cross_entropy,
     per_sample_mae,
     relative_gradient_error,
@@ -23,10 +23,10 @@ from ame_lab.granger import aux_errors, batch_losses, mge_loss, total_loss
 from ame_lab.model import (
     AmeConfig,
     ConfigError,
-    _layout,
     attention,
     build_ame,
     combined_state,
+    draw_slot,
     forward,
     importance,
     load_model,
@@ -36,9 +36,6 @@ from ame_lab.model import (
     save_model,
 )
 
-DATA = Path(__file__).parent / "data"
-
-
 def small_config(**overrides):
     base = dict(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[4],
                 gate_hidden=4, aux_hidden=[4], task="regression", seed=3)
@@ -47,7 +44,7 @@ def small_config(**overrides):
 
 
 def decoded(entry) -> np.ndarray:
-    """A format-3 entry's values, flat, read the way the README says."""
+    """A stored entry's values, flat, read the way the README says."""
     return np.frombuffer(base64.b64decode(entry["values"]), "<f8").copy()
 
 
@@ -55,44 +52,11 @@ def encoded(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def document(model, fmt):
-    """`model_to_dict(model)`, or the same model written the format-2 or
-    format-3 way: the probe stack as `aux_excl.*` and `aux_all.*`, values as
-    lists of numbers and no stored hash in format 2, base64 and the hash over
-    that layout in format 3."""
-    doc = model_to_dict(model)
-    if fmt < 4:
-        doc = {"format": fmt, "config": doc["config"], "seed": doc["seed"],
-               "params": {name: {"shape": list(shape), "values": stored(target.ravel(), fmt)}
-                          for name, shape, target, _ in _layout(model, fmt)}}
-        if fmt == 3:
-            doc["model_hash"] = model_hash(model, 3)
-    return doc
-
-
-def old_layout_values(model, name):
-    """The values that parameter `name` of a format-2 or format-3 document
-    holds in `model`: `aux_excl.*` is probe slots 1..p, `aux_all.*` slot 0."""
-    prefix, rest = name.split(".", 1)
-    params = {t.name: t.data for t in model.parameters()}
-    if prefix == "aux_excl":
-        return params[f"aux.{rest}"][1:]
-    if prefix == "aux_all":
-        return params[f"aux.{rest}"][0]
-    return params[name]
-
-
-def stored(values, fmt):
-    """`values` as a format-`fmt` document stores them."""
-    return list(map(float, values)) if fmt == 2 else encoded(values)
-
-
 def set_value(doc, name, index, value):
-    """Set flat entry `index` of parameter `name`'s stored values, in either format."""
-    entry = doc["params"][name]
-    values = np.array(entry["values"]) if doc["format"] == 2 else decoded(entry)
+    """Set flat entry `index` of parameter `name`'s stored values."""
+    values = decoded(doc["params"][name])
     values[index] = value
-    entry["values"] = stored(values, doc["format"])
+    doc["params"][name]["values"] = encoded(values)
 
 
 class TestConfigValidation:
@@ -162,6 +126,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^learning_rate must be a float"):
             AmeConfig.from_dict(dict(raw, learning_rate=10 ** 400))
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("inf")), ("aux_weight", float("nan")), ("alpha", -float("inf")),
+        ("learning_rate", 10 ** 400),  # an int beyond float range
+    ])
+    def test_non_finite_float_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be finite, got "):
+            small_config(**{field: value})
+
 
 class TestCombinedState:
     def test_interleaves_in_expert_order(self):
@@ -221,7 +193,7 @@ class TestForward:
         model = build_ame(small_config())
         out = forward(model, np.random.default_rng(4).normal(size=(8, 5)))
         recon = sum(out.a.data[:, i:i + 1] * out.c.data[:, i] for i in range(3))
-        np.testing.assert_allclose(recon, out.combined.data, atol=1e-12)
+        np.testing.assert_allclose(recon, out.y.data, atol=1e-12)  # regression: y is the sum
 
     def test_near_one_hot_attention_selects_one_contribution(self):
         model = build_ame(small_config())
@@ -358,6 +330,59 @@ class TestImportance:
         np.testing.assert_allclose(importance(out).sum(axis=1), 1.0, atol=1e-6)
 
 
+def drawn_stacks(model):
+    """Each stack of `model` as (layers, live): live[j] marks the input
+    columns that map j of the first layer reads, worked out from the config."""
+    cfg = model.config
+    p, block = cfg.n_experts, cfg.expert_hidden[-1] + cfg.out_dim
+    sizes = np.array([len(g) for g in cfg.feature_partition])
+    groups = np.arange(model.experts.layers[0].weights.shape[2]) < sizes[:, None]
+    probes = np.ones((p + 1, p * block), dtype=bool)
+    for i in range(p):
+        probes[i + 1, i * block:(i + 1) * block] = False  # expert i's state and contribution
+    return [(model.experts.layers + model.heads.layers, groups),
+            ([model.gate_projection], np.ones((p, p * block), dtype=bool)),
+            (model.aux.layers, probes)]
+
+
+class TestInitialDraw:
+    @pytest.mark.parametrize("config", [
+        small_config(),
+        small_config(feature_partition=[[0, 1, 2]], expert_hidden=[4, 3], aux_hidden=[5, 2],
+                     task="classification", num_classes=3),
+    ], ids=["p3_padded", "p1"])
+    def test_live_weights_lie_within_their_maps_glorot_limit(self, config):
+        model = build_ame(config)
+        for layers, live in drawn_stacks(model):
+            for k, layer in enumerate(layers):
+                assert not np.any(layer.bias.data), layer.bias.name
+                w = layer.weights.data
+                for j in range(w.shape[0]):
+                    cols = live[j] if k == 0 else np.ones(w.shape[2], dtype=bool)
+                    limit = np.sqrt(6.0 / (w.shape[1] + max(cols.sum(), 1)))
+                    assert not np.any(w[j][:, ~cols]), (layer.weights.name, j)  # padded, masked
+                    assert np.all(w[j][:, cols] != 0.0), (layer.weights.name, j)
+                    assert np.all(np.abs(w[j][:, cols]) <= limit), (layer.weights.name, j)
+        assert np.all(model.gate_context.data != 0.0)
+        if config.n_experts == 1:  # probe slot 1 reads nothing, so its first map stays zero
+            assert not np.any(model.aux.layers[0].weights.data[1])
+            assert np.all(model.aux.layers[1].weights.data[1] != 0.0)
+
+    def test_draw_starts_with_expert_0_over_its_own_columns(self):
+        model = build_ame(small_config(seed=8))
+        first = glorot(np.random.default_rng(8), (4, 2))  # group [0, 1]; expert_hidden [4]
+        np.testing.assert_array_equal(model.experts.layers[0].weights.data[0, :, :2], first)
+
+    def test_a_map_with_no_live_column_draws_one_column_and_keeps_none(self):
+        layers = [DenseLayer(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3)))),
+                  DenseLayer(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2))))]
+        draw_slot(np.random.default_rng(0), layers, 1, np.zeros(4, dtype=bool))
+        rng = np.random.default_rng(0)
+        glorot(rng, (3, 1))  # drawn for the first layer, kept nowhere
+        assert not np.any(layers[0].weights.data) and not np.any(layers[1].weights.data[0])
+        np.testing.assert_array_equal(layers[1].weights.data[1], glorot(rng, (2, 3)))
+
+
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
         model = build_ame(small_config(task="classification", num_classes=2))
@@ -383,37 +408,29 @@ class TestSerialization:
         assert doc["seed"] == 21
         assert doc["config"]["feature_partition"] == [[0, 1], [2], [3, 4]]
 
-    @pytest.mark.parametrize("fmt", [2, 3, 4])
-    def test_top_level_seed_must_match_the_config(self, fmt):
+    def test_top_level_seed_must_match_the_config(self):
         for config_seed, stored in ((3, 99), (3, "3"), (3, 3.0), (1, True)):
-            doc = document(build_ame(small_config(seed=config_seed)), fmt)
+            doc = model_to_dict(build_ame(small_config(seed=config_seed)))
             assert model_from_dict(dict(doc, seed=config_seed)).config.seed == config_seed
             with pytest.raises(ConfigError, match=rf"^seed: stored {stored!r} != config seed "
                                                   rf"{config_seed}$"):
                 model_from_dict(dict(doc, seed=stored))
 
-    @pytest.mark.parametrize("fmt", [2, 3, 4])
-    def test_shape_mismatch_on_load_rejected(self, fmt):
-        doc = document(build_ame(small_config()), fmt)
+    def test_shape_mismatch_on_load_rejected(self):
+        doc = model_to_dict(build_ame(small_config()))
         name = next(iter(doc["params"]))
         doc["params"][name]["shape"] = [1, 1]
-        doc["params"][name]["values"] = stored([0.0], fmt)
+        doc["params"][name]["values"] = encoded([0.0])
         with pytest.raises(ConfigError, match=name):
             model_from_dict(doc)
 
     def test_hash_golden_digest(self):
         # sha256 over the config JSON and each parameter's name, shape and
-        # float64 bytes; changing the definition changes every stored hash
-        assert model_hash(build_ame(small_config())) == "0413c5f8c1a73ce8"
-        assert model_hash(load_model(DATA / "format1_model.json")) == "f36069e3d4fab528"
-        # hashed in the format-3 layout, the digests the format-3 code gave
-        assert model_hash(build_ame(small_config()), 3) == "1cfa1bc97a3ac31d"
-        assert model_hash(load_model(DATA / "format1_model.json"), 3) == "f5acb54d5bf1fce2"
+        # float64 bytes; changing the definition or the draw changes it
+        assert model_hash(build_ame(small_config())) == "56ba43db48d02025"
 
-    @pytest.mark.parametrize("source", ["built", "format1"])
-    def test_hash_survives_save_and_load(self, tmp_path, source):
-        model = (build_ame(small_config(task="classification", num_classes=3))
-                 if source == "built" else load_model(DATA / "format1_model.json"))
+    def test_hash_survives_save_and_load(self, tmp_path):
+        model = build_ame(small_config(task="classification", num_classes=3))
         save_model(model, tmp_path / "model.json")
         assert model_hash(load_model(tmp_path / "model.json")) == model_hash(model)
 
@@ -442,17 +459,6 @@ class TestSerialization:
         model.parameters()[0].data[0, 0] += 1.0
         assert model_hash(model) != before
 
-    def test_untrained_draws_are_those_of_the_format_3_layout(self):
-        # sha256 of each parameter's <f8 bytes as built by the code that kept
-        # aux_excl (p probes) and aux_all apart, for p = 1, 3, 8 and 64
-        for case in json.loads((DATA / "format3_draws.json").read_text()):
-            model = build_ame(AmeConfig(**case["config"]))
-            for name, digest in case["sha256"].items():
-                values = np.ascontiguousarray(old_layout_values(model, name), dtype="<f8")
-                assert hashlib.sha256(values.tobytes()).hexdigest() == digest, name
-            assert len(case["sha256"]) == len(model.main_parameters()) + 2 * len(
-                model.aux.parameters())
-
     def test_same_seed_same_model_bitwise(self):
         a = build_ame(small_config(seed=42))
         b = build_ame(small_config(seed=42))
@@ -465,13 +471,6 @@ class TestSerialization:
         with open(path) as fh:
             json.load(fh)
 
-    @pytest.mark.parametrize("fmt", [0, 5, "2", True, 3.0])
-    def test_unknown_format_rejected(self, fmt):
-        doc = model_to_dict(build_ame(small_config()))
-        doc["format"] = fmt
-        with pytest.raises(ConfigError, match="format"):
-            model_from_dict(doc)
-
     @pytest.mark.parametrize("doc", [[], {"config": {}}, {"config": {}, "params": []}])
     def test_document_without_config_and_params_rejected(self, doc):
         with pytest.raises(ConfigError, match="'config' and 'params'"):
@@ -483,17 +482,15 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"aux\.head\.bias: missing"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("fmt", [2, 3, 4])
-    def test_extra_parameter_named(self, fmt):
-        doc = document(build_ame(small_config()), fmt)
-        doc["params"]["gates.temperature"] = {"shape": [1], "values": stored([1.0], fmt)}
+    def test_extra_parameter_named(self):
+        doc = model_to_dict(build_ame(small_config()))
+        doc["params"]["gates.temperature"] = {"shape": [1], "values": encoded([1.0])}
         with pytest.raises(ConfigError, match=r"gates\.temperature: not part"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("fmt", [2, 3, 4])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_value_named(self, bad, fmt):
-        doc = document(build_ame(small_config()), fmt)
+    def test_non_finite_value_named(self, bad):
+        doc = model_to_dict(build_ame(small_config()))
         set_value(doc, "gates.context", 2, bad)
         with pytest.raises(ConfigError, match=r"gates\.context: non-finite"):
             model_from_dict(doc)
@@ -502,12 +499,11 @@ class TestSerialization:
         ("aux.hidden_0.weights", (1, 0, 1)),      # probe slot 1 reading expert 0's block
         ("experts.hidden_0.weights", (1, 0, 1)),  # group [2] padded to two columns
     ])
-    @pytest.mark.parametrize("fmt", [2, 3, 4])
-    def test_non_zero_structural_entry_named(self, name, entry, fmt):
+    def test_non_zero_structural_entry_named(self, name, entry):
         model = build_ame(small_config())
         next(t for t in model.parameters() if t.name == name).data[entry] = 0.5
         with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
-            model_from_dict(document(model, fmt))
+            model_from_dict(model_to_dict(model))
 
     def test_stored_integer_alpha_loads_as_a_float(self):
         model = build_ame(small_config(alpha=0.0))
@@ -527,116 +523,6 @@ class TestSerialization:
             assert isinstance(entry["values"], str) and entry["shape"] == list(p.shape)
             np.testing.assert_array_equal(decoded(entry).reshape(entry["shape"]), p.data)
 
-    def test_format_1_file_reads_bit_identical_attention(self):
-        # written by the per-expert list layout: partition [[0, 1], [2], [3, 4]],
-        # three classes, two hidden layers per expert and per probe
-        model = load_model(DATA / "format1_model.json")
-        doc = json.loads((DATA / "format1_model.json").read_text())
-        for name, shape, target, columns in _layout(model, 1):
-            np.testing.assert_array_equal(
-                target[..., columns], np.array(doc["params"][name]["values"]).reshape(shape))
-        ref = json.loads((DATA / "format1_outputs.json").read_text())
-        out = forward(model, np.array(ref["x"]))
-        # the stored attention came from the einsum forward, which summed in
-        # another order than the BLAS forward: equal to within 2 ulp
-        np.testing.assert_array_max_ulp(out.a.data, np.array(ref["attention"]), maxulp=2)
-        np.testing.assert_allclose(out.y.data, ref["y"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.y_aux.data[:, 0], ref["y_aux_all"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.y_aux.data[:, 1:], np.stack(ref["y_aux_excl"], axis=1),
-                                   rtol=0, atol=1e-12)
-        clone = model_from_dict(model_to_dict(model))  # and it re-saves as format 4
-        np.testing.assert_array_equal(forward(clone, np.array(ref["x"])).a.data, out.a.data)
-
-    @pytest.mark.parametrize("field", ["detach_targets", "aux_grads_to_experts"])
-    def test_retired_field_loads_when_true_and_is_refused_otherwise(self, field):
-        doc = json.loads((DATA / "format1_model.json").read_text())
-        assert doc["config"][field] is True  # written when the field still existed
-        without = dict(doc, config={k: v for k, v in doc["config"].items() if k != field})
-        x = np.random.default_rng(17).normal(size=(4, 5))
-        np.testing.assert_array_equal(forward(model_from_dict(doc), x).a.data,
-                                      forward(model_from_dict(without), x).a.data)
-        assert field not in model_to_dict(model_from_dict(doc))["config"]
-        for value in (False, 0, None):
-            doc["config"][field] = value
-            with pytest.raises(ConfigError, match=rf"^{field}: stored value"):
-                model_from_dict(doc)
-
-    def test_format_1_missing_parameter_named(self):
-        doc = json.loads((DATA / "format1_model.json").read_text())
-        del doc["params"]["aux_excl_1.hidden_0.weights"]
-        with pytest.raises(ConfigError, match=r"aux_excl_1\.hidden_0\.weights"):
-            model_from_dict(doc)
-
-    def test_format_2_file_loads_bit_identical_values(self, tmp_path):
-        # written by the format-2 writer (values as decimal lists): partition
-        # [[0, 3], [1], [2, 4, 5]], two classes, trained for a few epochs
-        doc = json.loads((DATA / "format2_model.json").read_text())
-        assert doc["format"] == 2 and "model_hash" not in doc
-        model = load_model(DATA / "format2_model.json")
-        for name in doc["params"]:
-            np.testing.assert_array_equal(old_layout_values(model, name), np.array(
-                doc["params"][name]["values"]).reshape(doc["params"][name]["shape"]))
-        assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
-            p.size for p in model.parameters())
-        assert model_hash(model, 2) == "c02ed1dafc680187"  # as the format-2 code hashed it
-        save_model(model, tmp_path / "model.json")
-        resaved = json.loads((tmp_path / "model.json").read_text())
-        assert resaved["format"] == 4 and resaved["model_hash"] == model_hash(model)
-        clone = load_model(tmp_path / "model.json")
-        for a, b in zip(model.parameters(), clone.parameters()):
-            assert a.data.tobytes() == b.data.tobytes(), a.name
-
-    def test_format_3_file_loads_each_value_into_its_slot(self):
-        # written by the format-3 writer, trained for five epochs: partition
-        # [[0, 2], [1], [3, 4, 5]], three classes, two hidden layers per probe
-        doc = json.loads((DATA / "format3_model.json").read_text())
-        assert doc["format"] == 3
-        model = load_model(DATA / "format3_model.json")  # checks the stored hash
-        assert model_hash(model, 3) == doc["model_hash"]
-        for name, entry in doc["params"].items():
-            stored_bytes = base64.b64decode(entry["values"])
-            assert old_layout_values(model, name).tobytes() == stored_bytes, name
-        assert sum(int(np.prod(e["shape"])) for e in doc["params"].values()) == sum(
-            p.size for p in model.parameters())
-
-    def test_format_3_file_reads_its_recorded_outputs(self):
-        # outputs recorded by the format-3 code; its y_aux_all is probe slot 0
-        model = load_model(DATA / "format3_model.json")
-        doc = json.loads((DATA / "format3_model.json").read_text())
-        for name, entry in doc["params"].items():
-            assert old_layout_values(model, name).tobytes() == base64.b64decode(entry["values"])
-        ref = json.loads((DATA / "format3_outputs.json").read_text())
-        out = forward(model, np.array(ref["x"]))
-        # recorded under numerics 3, which ran the gate projection as one gemv
-        # per row and map, not one per row over the flattened stack: 3 of the
-        # 21 attention entries moved by 1 ulp, and 2 of the predictions by 7
-        np.testing.assert_array_max_ulp(out.a.data, np.array(ref["attention"]), maxulp=2)
-        np.testing.assert_allclose(out.y.data, ref["y"], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(out.y_aux.data[:, 0], ref["y_aux_all"])
-        np.testing.assert_array_equal(out.y_aux.data[:, 1:], ref["y_aux_excl"])
-
-    def test_format_3_file_saves_again_as_format_4(self, tmp_path):
-        model = load_model(DATA / "format3_model.json")
-        save_model(model, tmp_path / "model.json")
-        resaved = json.loads((tmp_path / "model.json").read_text())
-        assert resaved["format"] == 4 and resaved["model_hash"] == model_hash(model)
-        assert [name for name in resaved["params"] if name.startswith("aux")] == [
-            "aux.hidden_0.weights", "aux.hidden_0.bias", "aux.hidden_1.weights",
-            "aux.hidden_1.bias", "aux.head.weights", "aux.head.bias"]
-        assert resaved["params"]["aux.head.weights"]["shape"] == [4, 3, 3]  # p+1 slots
-        clone = load_model(tmp_path / "model.json")
-        for a, b in zip(model.parameters(), clone.parameters()):
-            assert a.data.tobytes() == b.data.tobytes(), a.name
-
-    def test_format_3_file_edited_in_place_is_refused(self):
-        doc = json.loads((DATA / "format3_model.json").read_text())
-        before = doc["params"]["aux_all.head.bias"]["values"]
-        set_value(doc, "aux_all.head.bias", 1, decoded(doc["params"]["aux_all.head.bias"])[1] * 2)
-        assert len(doc["params"]["aux_all.head.bias"]["values"]) == len(before)
-        assert doc["params"]["aux_all.head.bias"]["values"] != before
-        with pytest.raises(ConfigError, match="^model_hash: stored '[0-9a-f]{16}' != "):
-            model_from_dict(doc)
-
     @pytest.mark.parametrize("values, match", [
         ([0.0] * 12, r"malformed entry .*base64 text, not list"),
         (7, r"malformed entry .*base64 text, not int"),
@@ -647,24 +533,23 @@ class TestSerialization:
         (encoded([0.5] * 13), r"104 bytes stored; shape \[3, 4\] needs 96"),
         (encoded([0.5] * 12)[:-4], r"93 bytes stored; shape \[3, 4\] needs 96"),  # cut short
     ], ids=["list", "int", "null", "not_base64", "no_padding", "short", "long", "cut"])
-    def test_format_3_bad_values_named(self, values, match):
+    def test_bad_values_named(self, values, match):
         doc = model_to_dict(build_ame(small_config()))
         assert doc["params"]["gates.context"]["shape"] == [3, 4]
         doc["params"]["gates.context"]["values"] = values
         with pytest.raises(ConfigError, match=r"^parameter gates\.context: " + match):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("fmt, bias_name", [(3, "aux_all.head.bias"), (4, "aux.head.bias")])
-    def test_format_3_hash_must_match_the_document(self, fmt, bias_name):
+    def test_hash_must_match_the_document(self):
         model = build_ame(small_config())
-        doc = document(model, fmt)
-        assert model_hash(model_from_dict(doc), fmt) == doc["model_hash"]
+        doc = model_to_dict(model)
+        assert model_hash(model_from_dict(doc)) == doc["model_hash"]
         edited = [dict(doc, model_hash="0" * 16),
                   dict(doc, config=dict(doc["config"], learning_rate=0.5)),
                   dict(doc, config=dict(doc["config"], seed=4))]
         one_value = json.loads(json.dumps(doc))
-        bias = decoded(doc["params"][bias_name])[0]
-        set_value(one_value, bias_name, 0, bias + 2.0 ** -40)
+        bias = decoded(doc["params"]["aux.head.bias"])[0]
+        set_value(one_value, "aux.head.bias", 0, bias + 2.0 ** -40)
         for bad in edited + [one_value]:
             with pytest.raises(ConfigError, match="^model_hash: stored '[0-9a-f]{16}' != "):
                 model_from_dict(bad)
@@ -682,7 +567,7 @@ class TestSerialization:
 
     def test_non_utf8_file_names_the_file(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_bytes(b'{"format": 3, "config": "\xff\xfe"}')
+        path.write_bytes(b'{"format": 4, "config": "\xff\xfe"}')
         with pytest.raises(ConfigError, match="not a model document"):
             load_model(path)
 
