@@ -57,13 +57,15 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An all-zero row has no signal to normalize; it maps to uniform and its
     degenerate flag is set. Returns the scores and the (n,) flags.
     """
-    mags = np.abs(np.asarray(raw, dtype=np.float64))
+    mags = np.abs(raw, dtype=np.float64)
     if mags.ndim != 2 or mags.shape[1] == 0:
         raise ValueError(f"normalize_scores expects (n, p) scores with p >= 1, got {mags.shape}")
-    totals = mags.sum(axis=1, keepdims=True)
+    totals = mags.sum(axis=1)
     degenerate = totals <= 0.0
-    out = np.where(degenerate, 1.0 / mags.shape[1], mags / np.where(degenerate, 1.0, totals))
-    return out, degenerate[:, 0]
+    if degenerate.any():  # an all-zero row reads 1 / p in every entry
+        mags[degenerate] = 1.0
+        totals[degenerate] = mags.shape[1]
+    return mags / totals[:, None], degenerate
 
 
 # Every estimator is called as ESTIMATORS[name](model, x, *, batch_size=None,
@@ -124,6 +126,7 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
         xt = Tensor(xb, requires_grad=True)
         _saliency_target(model, xt).backward()
         model.count_backward()
+        clear_grads(model.parameters())  # the model's own gradients are a by-product
         grad = np.abs(xt.grad)
         return normalize_scores(np.stack(
             [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))

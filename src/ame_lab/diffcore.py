@@ -195,11 +195,6 @@ class Tensor:
         return Tensor(np.log(self.data), _parents=(self,),
                       _backward_fn=lambda g: (g / self.data,))
 
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        return Tensor(np.abs(self.data), _parents=(self,),
-                      _backward_fn=lambda g: (g * sign,))
-
     # -- shape and reduction ---------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -365,17 +360,38 @@ def _check_same_shape(a: Tensor, b: Tensor, what: str) -> None:
 
 
 def per_sample_mae(y_pred: Tensor, y_true: Tensor) -> Tensor:
-    """Mean absolute error per row of a (n, d) batch, shape (n,)."""
+    """Mean absolute error over the last axis of a (..., d) batch, shape (...).
+    One tape op; row s's gradient is g[s] · (1/d) · sign(y_pred - y_true)."""
     _check_same_shape(y_pred, y_true, "per_sample_mae")
-    return (y_pred - y_true).abs().mean(axis=1)
+    diff = y_pred.data - y_true.data
+    scale = 1.0 / diff.shape[-1]
+    sign = np.sign(diff)
+
+    def back(g):
+        gd = (g * scale)[..., None] * sign
+        return (gd if y_pred._tracked() else None, -gd if y_true._tracked() else None)
+
+    return Tensor(np.abs(diff).sum(axis=-1) * scale, _parents=(y_pred, y_true),
+                  _backward_fn=back)
 
 
 def per_sample_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
-    """Categorical cross-entropy per row: -sum target * log(prob + eps)."""
+    """Categorical cross-entropy over the last axis: -sum target * log(prob +
+    eps), shape (...). One tape op; row s's gradient is -g[s] · target /
+    (prob + eps)."""
     _check_same_shape(probs, targets, "per_sample_cross_entropy")
     if np.any(probs.data < 0):
         raise ValueError("cross-entropy needs non-negative probabilities")
-    return -((probs + EPS_LOG).log() * targets).sum(axis=1)
+    shifted = probs.data + EPS_LOG
+    logs = np.log(shifted)
+
+    def back(g):
+        g = -g[..., None]
+        return (g * targets.data / shifted if probs._tracked() else None,
+                g * logs if targets._tracked() else None)
+
+    return Tensor(-(logs * targets.data).sum(axis=-1), _parents=(probs, targets),
+                  _backward_fn=back)
 
 
 # -- optimizers ----------------------------------------------------------
@@ -386,9 +402,10 @@ OPTIMIZERS = ("sgd", "adam")
 class Optimizer:
     """SGD or Adam over an explicit parameter list.
 
-    Moment state is keyed by position in the list, so the same parameter
-    order must be used on every step, :func:`optimizer_step`. Gradients are
-    left in place; the caller clears them (see :func:`clear_grads`).
+    Adam's state is flat, each parameter's span laid out in the order of
+    the list, so the same parameter order must be used on every step,
+    :func:`optimizer_step`. Gradients are left in place; the caller clears
+    them (see :func:`clear_grads`).
     """
 
     def __init__(self, kind: str = "adam", learning_rate: float = 1e-4):
@@ -402,8 +419,10 @@ class Optimizer:
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step_count = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        # Adam's flat buffers (the moments, the gathered gradient and the
+        # step) and each parameter's span in them, made on the first step
+        self._m = self._v = self._grad = self._step = None
+        self._spans: list[tuple[int, int]] = []
 
 
 def optimizer_step(opt: Optimizer, params: list[Tensor]) -> None:
@@ -417,30 +436,35 @@ def optimizer_step(opt: Optimizer, params: list[Tensor]) -> None:
             p.data -= opt.learning_rate * p.grad
         return
     if opt._m is None:
-        opt._m = [np.zeros_like(p.data) for p in params]
-        opt._v = [np.zeros_like(p.data) for p in params]
-    if len(opt._m) != len(params):
+        stops = np.cumsum([p.size for p in params]).tolist()
+        opt._spans = list(zip([0] + stops[:-1], stops))
+        opt._m, opt._v, opt._grad, opt._step = (np.zeros(stops[-1]) for _ in range(4))
+    if len(opt._spans) != len(params):
         raise GradientError(
-            f"optimizer_step: got {len(params)} parameters, state holds {len(opt._m)}")
+            f"optimizer_step: got {len(params)} parameters, state holds {len(opt._spans)}")
     opt.step_count += 1
     t = opt.step_count
     bc1 = 1.0 - opt.beta1 ** t
     bc2 = 1.0 - opt.beta2 ** t
-    # in place, with the roundings of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    for p, m, v in zip(params, opt._m, opt._v):
-        g = p.grad
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        den = v / bc2
-        np.sqrt(den, out=den)
-        den += opt.eps
-        step = m / bc1
-        step *= opt.learning_rate
-        step /= den
-        p.data -= step
+    # in place over the flat buffers, with the roundings of m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g*g, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    m, v, g, step = opt._m, opt._v, opt._grad, opt._step
+    np.concatenate([p.grad for p in params], axis=None, out=g)
+    np.multiply(g, 1.0 - opt.beta1, out=step)
+    m *= opt.beta1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - opt.beta2
+    v *= opt.beta2
+    v += step
+    den = np.divide(v, bc2, out=g)  # the gradient is spent: its buffer holds the denominator
+    np.sqrt(den, out=den)
+    den += opt.eps
+    np.divide(m, bc1, out=step)
+    step *= opt.learning_rate
+    step /= den
+    for p, (start, stop) in zip(params, opt._spans):
+        p.data -= step[start:stop].reshape(p.shape)
 
 
 def clear_grads(params: list[Tensor]) -> None:

@@ -64,10 +64,9 @@ def aux_errors(y_slots: Tensor, y_true, task: str) -> Tensor:
     auxiliary predictors can be trained from them.
     """
     y = y_true.data if isinstance(y_true, Tensor) else np.asarray(y_true, dtype=np.float64)
-    n, slots, out = y_slots.shape
-    # one row per (sample, slot), sample-major as the reshape lays them out
-    y = np.repeat(y, slots, axis=0) if y.ndim == 2 else y.reshape(n * slots, out)
-    return per_sample_error(y_slots.reshape(n * slots, out), Tensor(y), task).reshape(n, slots)
+    if y.ndim == 2:
+        y = np.broadcast_to(y[:, None, :], y_slots.shape)
+    return per_sample_error(y_slots, Tensor(y), task)
 
 
 def delta_epsilon(eps_excl: np.ndarray, eps_all: np.ndarray) -> np.ndarray:
@@ -111,83 +110,65 @@ def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
-def _entropy_rows(omega: np.ndarray) -> np.ndarray:
-    terms = np.where(omega > 0.0, omega * np.log(np.where(omega > 0.0, omega, 1.0)), 0.0)
-    return terms.sum(axis=1)
-
-
-def mge_loss(omega: np.ndarray, a: Tensor) -> Tensor:
-    """Batch-mean KL(omega || a) with omega held constant.
-
-    Gradients flow only into the attention distribution. Row-wise the loss
-    is sum(omega*log(omega)) - sum(omega*log(a)); the first term has no
-    parameters and is added as a constant so the reported value is a true
-    KL divergence.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.ndim != 2 or omega.shape != a.shape:
-        raise ValueError(f"mge_loss: omega shape {omega.shape} does not match attention {a.shape}")
-    if omega.shape[0] == 0:
-        raise ValueError("mge_loss: empty batch")
-    entropy = Tensor(_entropy_rows(omega))
-    cross = (Tensor(omega) * a.log()).sum(axis=1)
-    return (entropy - cross).mean()
-
-
-def total_loss(main: Tensor, mge: Tensor | None, aux_losses: Tensor | None,
-               alpha: float, beta: float) -> Tensor:
-    """Blend (1-alpha)*main + alpha*mge + beta*mean(aux_losses).
-
-    aux_losses holds one mean error per auxiliary probe, shape (k,). The
-    beta term gives the auxiliary predictors their training signal; it is
-    reported separately in logs so the two-way blend stays visible. With
-    alpha == 0 the MGE tensor may be omitted entirely, and with beta == 0
-    the auxiliary losses.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    loss = main * (1.0 - alpha)
-    if alpha > 0.0:
-        if mge is None:
-            raise ValueError("alpha > 0 requires an MGE term")
-        loss = loss + mge * alpha
-    if beta > 0.0 and aux_losses is not None:
-        loss = loss + aux_losses.sum() * (beta / aux_losses.size)
-    return loss
-
-
 @dataclass
 class BatchLosses:
-    """All tape-level loss terms of one batch, plus the detached targets."""
+    """The batch's objective as one tape node, its terms as plain values, and
+    the detached targets."""
 
     total: Tensor
-    main: Tensor
+    main: float
     mge_value: float
     aux_mean: float
     targets: GrangerTargets
 
 
 def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
-    """Assemble the full objective for one forward pass."""
+    """Assemble the objective (1-alpha)*main + alpha*MGE + beta*aux for one
+    forward pass, beta being the config's `aux_weight`.
+
+    main is the batch-mean error of the prediction, MGE the batch-mean
+    KL(omega || a) and aux the mean over probes of each probe's batch-mean
+    error. `total` is one tape node whose gradient is that blend's closed
+    form with omega held constant: the attention is a parent only when
+    alpha > 0, and the probes' (n, p+1) errors only when beta > 0, so with
+    beta == 0 no gradient reaches the probes. Batch means multiply by 1/n.
+    """
     cfg = model.config
+    alpha, beta = cfg.alpha, cfg.aux_weight
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if beta < 0.0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
+    n = output.a.shape[0]
+    if n == 0:
+        raise ValueError("batch_losses: empty batch")
     if not isinstance(y_true, Tensor):
         y_true = Tensor(y_true)
-    if np.any(output.a.data <= 0.0):
+    a = output.a.data
+    if np.any(a <= 0.0):
         # softmax underflow: only reachable with wildly diverged parameters
         raise FloatingPointError("attention distribution underflowed to zero; "
                                  "training diverged")
-    main = per_sample_error(output.y, y_true, cfg.task).mean()
-
+    errors = per_sample_error(output.y, y_true, cfg.task)
     eps = aux_errors(output.y_aux, y_true, cfg.task)
     targets = GrangerTargets.from_errors(eps)
-    aux_losses = eps.mean(axis=0)  # one per probe
-    aux_mean = float(np.mean(aux_losses.data))
+    omega, slots, scale = targets.omega, eps.shape[1], 1.0 / n
+    main = float(errors.data.sum() * scale)
+    aux_mean = float(np.mean(eps.data.sum(axis=0) * scale))  # the mean of the per-probe means
+    mge_value = float(np.mean(kl_divergence(omega, a)))
 
-    mge_value = float(np.mean(kl_divergence(targets.omega, output.a.data)))
-    mge_term = mge_loss(targets.omega, output.a) if cfg.alpha > 0.0 else None
-    total = total_loss(main, mge_term, aux_losses, cfg.alpha, cfg.aux_weight)
+    parents = (errors,) + ((output.a,) if alpha > 0.0 else ()) + ((eps,) if beta > 0.0 else ())
+
+    def back(g):
+        grads = [np.full(n, g * (1.0 - alpha) * scale)]
+        if alpha > 0.0:
+            grads.append(-(g * alpha * scale) * omega / a)
+        if beta > 0.0:
+            grads.append(np.full(eps.shape, g * (beta / slots) * scale))
+        return grads
+
+    total = Tensor((1.0 - alpha) * main + alpha * mge_value + beta * aux_mean,
+                   _parents=parents, _backward_fn=back)
     return BatchLosses(total=total, main=main, mge_value=mge_value,
                        aux_mean=aux_mean, targets=targets)
 
@@ -223,7 +204,7 @@ def _epoch(model: AmeModel, x: np.ndarray, y: np.ndarray, order: np.ndarray,
             model.count_backward()
             optimizer_step(opt, params)
             clear_grads(params)
-        sums += len(idx) * np.array([losses.main.item(), losses.mge_value, losses.aux_mean])
+        sums += len(idx) * np.array([losses.main, losses.mge_value, losses.aux_mean])
     return {"main_loss": sums[0] / n, "mge": sums[1] / n, "aux_loss_mean": sums[2] / n}
 
 

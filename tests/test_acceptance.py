@@ -31,7 +31,6 @@ from ame_lab.benchmark import (
 )
 from ame_lab.cli import main as cli_main, resolve_config, run_id, RunConfig
 from ame_lab.diffcore import (
-    Tensor,
     clear_grads,
     finite_difference_grads,
     relative_gradient_error,
@@ -42,10 +41,9 @@ from ame_lab.granger import (
     batch_losses,
     evaluate,
     kl_divergence,
-    mge_loss,
-    total_loss,
 )
 from ame_lab.model import AmeConfig, build_ame, forward
+from reference import frozen_objective
 
 N_SEEDS = 10
 
@@ -117,13 +115,8 @@ class TestCriterion1Gradients:
             # the optimized objective treats the targets as constants, so the
             # independent oracle must differentiate the same function
             out = forward(model, x)
-            yt = Tensor(y)
-            from ame_lab.diffcore import per_sample_mae
-            main = per_sample_mae(out.y, yt).mean()
-            eps = aux_errors(out.y_aux, yt, "regression").data  # column 0 reads every expert
-            aux = Tensor(np.append(eps[:, 1:].mean(axis=0), eps[:, 0].mean()))
-            mge = mge_loss(frozen_omega, out.a)
-            return total_loss(main, mge, aux, 0.5, 1.0).item()
+            return frozen_objective(out.y.data, out.a.data, out.y_aux.data, y, frozen_omega,
+                                    "regression", 0.5, 1.0)
 
         losses.total.backward()
         analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)

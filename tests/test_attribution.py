@@ -95,6 +95,25 @@ class TestNormalizeScores:
         assert flags[[2, 7]].all() and flags.sum() == 2
 
 
+    @pytest.mark.parametrize("p", [1, 3, 8, 40])
+    def test_rows_and_flags_bitwise_the_where_formula(self, p):
+        rng = np.random.default_rng(p)
+        raw = rng.normal(size=(16, p)) * rng.choice([1e-300, 1.0, 1e300], size=(16, 1))
+        raw[[2, 7]] = 0.0
+        raw[3] = -0.0
+        raw[5, 0] = np.nan
+        raw[9, -1] = np.inf
+        raw[11] = 5e-324
+        with np.errstate(invalid="ignore"):  # inf / inf
+            mags = np.abs(raw)  # the formula as it was, as the reference
+            totals = mags.sum(axis=1, keepdims=True)
+            degenerate = totals <= 0.0
+            expected = np.where(degenerate, 1.0 / p, mags / np.where(degenerate, 1.0, totals))
+            rows, flags = normalize_scores(raw)
+        assert rows.tobytes() == expected.tobytes()
+        assert flags.tobytes() == degenerate[:, 0].tobytes()
+
+
 class TestExplainAme:
     def test_single_group_rows_are_one(self):
         model = build_ame(AmeConfig(feature_partition=[[0, 1]], seed=0))
@@ -187,6 +206,29 @@ class TestExplainSaliency:
         model = two_group_model(task="classification", seed=4)
         report = explain_saliency(model, np.random.default_rng(4).normal(size=(5, 2)))
         np.testing.assert_allclose(report.per_sample.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestEstimatorsLeaveNoGradients:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_every_parameter_grad_is_none_after(self, name, task):
+        model = two_group_model(task=task, seed=6)
+        ESTIMATORS[name](model, np.random.default_rng(6).normal(size=(11, 2)), batch_size=4)
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_a_step_after_saliency_equals_a_step_on_a_fresh_load(self, tmp_path):
+        model_module.save_model(two_group_model(task="classification", seed=7), tmp_path / "m.json")
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(8, 2)), np.eye(2)[rng.integers(0, 2, size=8)]
+
+        def step(read_saliency_first):
+            model = model_module.load_model(tmp_path / "m.json")
+            if read_saliency_first:
+                explain_saliency(model, x)
+            granger.train_epoch(model, Optimizer("adam", 0.01), x, y, np.random.default_rng(0))
+            return [p.data.tobytes() for p in model.parameters()]
+
+        assert step(True) == step(False)
 
 
 class TestExplainOcclusion:

@@ -33,6 +33,7 @@ from ame_lab.diffcore import (
 )
 from ame_lab.benchmark import SyntheticSpec, generate, train_model
 from ame_lab.model import AmeConfig, build_ame, model_hash
+from reference import chain_error
 
 
 def _layer(weights, bias, activation="identity"):
@@ -149,6 +150,56 @@ class TestLosses:
         true = Tensor(np.eye(3)[[0, 1, 2, 0]])
         assert per_sample_cross_entropy(pred, true).shape == (4,)
         assert per_sample_mae(pred, true).shape == (4,)
+
+    @staticmethod
+    def _operands(task, rng, shape=(6, 3)):
+        if task == "classification":
+            return rng.dirichlet(np.full(shape[-1], 2.0), size=shape[:-1]), rng.random(shape)
+        return rng.normal(size=shape), rng.normal(size=shape)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_one_tape_node_bitwise_the_elementwise_chain(self, task):
+        op = per_sample_cross_entropy if task == "classification" else per_sample_mae
+        rng = np.random.default_rng(31)
+        pred, true = self._operands(task, rng)
+        weights = rng.normal(size=pred.shape[0])  # an upstream gradient that varies by row
+
+        def run(error):
+            leaves = [Tensor(pred, requires_grad=True), Tensor(true, requires_grad=True)]
+            rows = error(*leaves)
+            (rows * Tensor(weights)).sum().backward()
+            return rows, [leaf.grad for leaf in leaves]
+
+        rows, grads = run(op)
+        chain_rows, chain_grads = run(lambda a, b: chain_error(a, b, task))
+        assert all(parent._parents == () for parent in rows._parents)  # one node over the leaves
+        assert rows.data.tobytes() == chain_rows.data.tobytes()
+        for got, want in zip(grads, chain_grads):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_gradients_match_finite_differences(self, task):
+        op = per_sample_cross_entropy if task == "classification" else per_sample_mae
+        rng = np.random.default_rng(32)
+        leaves = [Tensor(v, requires_grad=True) for v in self._operands(task, rng)]
+        weights = Tensor(rng.normal(size=leaves[0].shape[0]))
+
+        def run():
+            return (op(*leaves) * weights).sum()
+
+        run().backward()
+        numeric = finite_difference_grads(lambda: run().item(), leaves)
+        assert max(relative_gradient_error(leaf.grad, fd)
+                   for leaf, fd in zip(leaves, numeric)) <= 1e-4
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_rows_lie_along_the_last_axis(self, task):
+        op = per_sample_cross_entropy if task == "classification" else per_sample_mae
+        pred, true = self._operands(task, np.random.default_rng(33), shape=(4, 5, 3))
+        rows = op(Tensor(pred), Tensor(true)).data
+        flat = op(Tensor(pred.reshape(20, 3)), Tensor(true.reshape(20, 3))).data
+        assert rows.shape == (4, 5)
+        assert rows.tobytes() == flat.tobytes()
 
 
 class TestBackward:
@@ -331,10 +382,11 @@ class TestOptimizer:
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
                 ref[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            # the flat moments hold each parameter's in its order, C-order flattened
+            np.testing.assert_array_equal(opt._m, np.concatenate(m, axis=None))
+            np.testing.assert_array_equal(opt._v, np.concatenate(v, axis=None))
             for i, p in enumerate(params):
                 np.testing.assert_array_equal(p.data, ref[i])
-                np.testing.assert_array_equal(opt._m[i], m[i])
-                np.testing.assert_array_equal(opt._v[i], v[i])
 
     def test_missing_grad_names_parameter(self):
         w = Tensor([1.0], requires_grad=True, name="gate_3.context")

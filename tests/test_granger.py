@@ -1,13 +1,21 @@
 """Tests for the Granger-causal objective: targets, KL, blending, training."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ame_lab import granger
-from ame_lab.diffcore import Optimizer, Tensor, clear_grads, optimizer_step
+from ame_lab.diffcore import (
+    Optimizer,
+    Tensor,
+    clear_grads,
+    finite_difference_grads,
+    optimizer_step,
+    relative_gradient_error,
+)
 from ame_lab.granger import (
     GrangerTargets,
     aux_errors,
@@ -16,23 +24,23 @@ from ame_lab.granger import (
     evaluate,
     fit,
     kl_divergence,
-    mge_loss,
     omega_targets,
     per_sample_error,
-    total_loss,
     train_epoch,
     write_training_log,
 )
 from ame_lab.model import AmeConfig, AmeOutput, build_ame, forward
+from reference import chain_total, frozen_objective
 
 
 def fake_output(y, a, y_aux_excl, y_aux_all):
-    """AmeOutput with only the fields the objective reads; the probe outputs
-    (the all-experts probe's in slot 0) are set directly instead of being
-    built from h_all by a model."""
+    """AmeOutput with only the fields the objective reads, as tape leaves; the
+    probe outputs (the all-experts probe's in slot 0) are set directly instead
+    of being built from h_all by a model."""
     dummy = Tensor(np.zeros((np.asarray(y).shape[0], 1)))
-    out = AmeOutput(y=Tensor(y), a=Tensor(a), c=dummy, h_all=dummy, model=None)
-    out.y_aux = Tensor(np.stack([y_aux_all, *y_aux_excl], axis=1))
+    out = AmeOutput(y=Tensor(y, requires_grad=True), a=Tensor(a, requires_grad=True), c=dummy,
+                    h_all=dummy, model=None)
+    out.y_aux = Tensor(np.stack([y_aux_all, *y_aux_excl], axis=1), requires_grad=True)
     return out
 
 
@@ -173,56 +181,130 @@ class TestKlDivergence:
         assert kl_divergence(omega, omega.copy()) == 0.0
 
 
-class TestMgeLoss:
+def loss_inputs(task, n=5, p=3, classes=3, seed=0):
+    """An output of p experts and its targets: probabilities for
+    classification, values for regression."""
+    rng = np.random.default_rng(seed)
+    if task == "classification":
+        y_hat, y_aux = (rng.dirichlet(np.full(classes, 2.0), size=s) for s in (n, (n, p + 1)))
+        y = np.eye(classes)[rng.integers(0, classes, size=n)]
+    else:
+        y_hat, y_aux, y = (rng.normal(size=s) for s in ((n, 1), (n, p + 1, 1), (n, 1)))
+    a = rng.dirichlet(np.full(p, 2.0), size=n)
+    return fake_output(y_hat, a, list(y_aux[:, 1:].swapaxes(0, 1)), y_aux[:, 0]), y
+
+
+def objective_of(task="regression", alpha=0.0, beta=0.0):
+    """What batch_losses reads of a model: the config's task and weights."""
+    return SimpleNamespace(config=SimpleNamespace(task=task, alpha=alpha, aux_weight=beta))
+
+
+class TestObjectiveNode:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_alpha_endpoints(self, task):
+        output, y = loss_inputs(task)
+        plain = batch_losses(objective_of(task, 0.0), output, y)
+        assert plain.total.item() == plain.main
+        attentive = batch_losses(objective_of(task, 1.0), output, y)
+        assert attentive.total.item() == attentive.mge_value > 0.0
+
     def test_zero_when_targets_match_attention(self):
-        a = Tensor(np.array([[0.25, 0.75], [0.6, 0.4]]))
-        assert mge_loss(a.data.copy(), a).item() == 0.0
+        y = np.array([[1.0], [2.0]])
+        shifts = np.array([[0.5, 1.5], [0.25, 0.75]])  # every probe without expert i errs more
+        output = fake_output(y, shifts / shifts.sum(axis=1, keepdims=True),
+                             [y + shifts[:, :1], y - shifts[:, 1:]], y.copy())
+        losses = batch_losses(objective_of(alpha=1.0), output, y)
+        np.testing.assert_array_equal(losses.targets.omega, output.a.data)
+        assert losses.total.item() == 0.0
 
-    def test_mean_of_per_sample_divergences(self):
-        omega = np.array([[0.5, 0.5], [1.0, 0.0]])
-        a = Tensor(np.array([[0.9, 0.1], [0.5, 0.5]]))
-        expected = np.mean(kl_divergence(omega, a.data))
-        np.testing.assert_allclose(mge_loss(omega, a).item(), expected, atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            mge_loss(np.zeros((0, 2)), Tensor(np.zeros((0, 2))))
-
-    def test_gradient_reaches_attention_only(self):
-        logits = Tensor(np.array([[0.3, -0.2, 0.1]]), requires_grad=True)
-        from ame_lab.diffcore import softmax
-        a = softmax(logits, axis=1)
-        mge_loss(np.array([[0.7, 0.2, 0.1]]), a).backward()
-        assert logits.grad is not None
-        assert np.any(logits.grad != 0)
-
-
-class TestTotalLoss:
-    def test_alpha_endpoints(self):
-        main, mge = Tensor(0.4), Tensor(0.2)
-        assert total_loss(main, mge, None, 0.0, 0.0).item() == 0.4
-        np.testing.assert_allclose(total_loss(main, mge, None, 1.0, 0.0).item(), 0.2)
-
-    def test_midpoint_blend(self):
-        np.testing.assert_allclose(
-            total_loss(Tensor(0.4), Tensor(0.2), None, 0.5, 0.0).item(), 0.3)
-
-    def test_alpha_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            total_loss(Tensor(0.1), Tensor(0.1), None, 1.2, 0.0)
-
-    def test_aux_term_is_scaled_mean(self):
-        aux = Tensor([0.3, 0.6, 0.9])
-        out = total_loss(Tensor(0.0), None, aux, 0.0, 2.0)
-        np.testing.assert_allclose(out.item(), 2.0 * 0.6)
+    def test_mge_is_the_mean_of_per_sample_divergences(self):
+        output, y = loss_inputs("classification")
+        losses = batch_losses(objective_of("classification", 0.5), output, y)
+        assert losses.mge_value == float(np.mean(kl_divergence(losses.targets.omega,
+                                                               output.a.data)))
 
     def test_affine_in_alpha_with_slope_mge_minus_main(self):
-        # the blend must be a straight line in alpha for fixed terms
-        main, mge = Tensor(0.8), Tensor(0.3)
+        output, y = loss_inputs("regression")
         alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
-        values = [total_loss(main, mge, None, a, 0.0).item() for a in alphas]
-        slopes = np.diff(values) / np.diff(alphas)
-        np.testing.assert_allclose(slopes, 0.3 - 0.8, atol=1e-12)
+        runs = [batch_losses(objective_of(alpha=a), output, y) for a in alphas]
+        slopes = np.diff([r.total.item() for r in runs]) / np.diff(alphas)
+        np.testing.assert_allclose(slopes, runs[0].mge_value - runs[0].main, atol=1e-12)
+
+    def test_aux_term_is_scaled_mean_over_probes(self):
+        output, y = loss_inputs("regression")
+        losses = batch_losses(objective_of(beta=2.0), output, y)
+        eps = np.column_stack([losses.targets.eps_all, losses.targets.eps_excl])
+        np.testing.assert_allclose(losses.aux_mean, eps.mean(axis=0).mean(), rtol=1e-15)
+        np.testing.assert_allclose(losses.total.item(), losses.main + 2.0 * losses.aux_mean,
+                                   rtol=1e-15)
+
+    def test_empty_batch_rejected(self):
+        output, y = loss_inputs("regression", n=0)
+        with pytest.raises(ValueError, match="empty batch"):
+            batch_losses(objective_of(alpha=0.5, beta=1.0), output, y)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.2])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        output, y = loss_inputs("regression")
+        with pytest.raises(ValueError, match="alpha"):
+            batch_losses(objective_of(alpha=alpha), output, y)
+
+    def test_gradient_reaches_attention_only(self):
+        output, y = loss_inputs("classification")
+        batch_losses(objective_of("classification", 1.0), output, y).total.backward()
+        assert output.y_aux.grad is None
+        assert not np.any(output.y.grad)
+        # d KL / d a = -omega / a: no weight's rise raises the KL, and some lower it
+        assert np.all(output.a.grad <= 0.0) and np.any(output.a.grad)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 1.0), (0.4, 0.0), (0.4, 1.0)])
+    def test_attention_and_probes_are_parents_only_when_weighted(self, alpha, beta):
+        output, y = loss_inputs("regression")
+        total = batch_losses(objective_of(alpha=alpha, beta=beta), output, y).total
+        assert (output.a in total._parents) == (alpha > 0.0)
+        assert any(output.y_aux in node._parents for node in total._parents) == (beta > 0.0)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.4, 1.0), (1.0, 0.0)])
+    def test_gradients_match_finite_differences(self, task, alpha, beta):
+        output, y = loss_inputs(task, seed=3)
+        model = objective_of(task, alpha, beta)
+        losses = batch_losses(model, output, y)
+        omega = losses.targets.omega.copy()
+        losses.total.backward()
+        leaves = [output.y, output.a, output.y_aux]
+        analytic = [leaf.grad if leaf.grad is not None else np.zeros(leaf.shape)
+                    for leaf in leaves]
+        numeric = finite_difference_grads(lambda: frozen_objective(
+            output.y.data, output.a.data, output.y_aux.data, y, omega, task, alpha, beta), leaves)
+        assert max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric)) <= 1e-4
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.4, 1.0), (1.0, 0.0)])
+    def test_parameter_gradients_bitwise_the_elementwise_chain(self, task, alpha, beta):
+        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3]], expert_hidden=[3, 2],
+                        gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
+                        alpha=alpha, aux_weight=beta, seed=19)
+        model = build_ame(cfg)
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(9, 4))
+        y = (np.eye(3)[rng.integers(0, 3, size=9)] if task == "classification"
+             else rng.normal(size=(9, 1)))
+        params = model.parameters()
+
+        def grads(total):
+            total.backward()
+            got = [None if p.grad is None else p.grad.tobytes() for p in params]
+            clear_grads(params)
+            return got
+
+        losses = batch_losses(model, forward(model, x), y)
+        total, main, targets = chain_total(forward(model, x), y, task, alpha, beta)
+        assert grads(losses.total) == grads(total)
+        assert losses.main == main.item()
+        for field in ("eps_excl", "eps_all", "delta_eps", "omega"):
+            assert getattr(losses.targets, field).tobytes() == getattr(targets, field).tobytes()
+        np.testing.assert_allclose(losses.total.item(), total.item(), rtol=1e-12, atol=1e-15)
 
 
 class TestDetachedTargets:
@@ -236,7 +318,7 @@ class TestDetachedTargets:
         losses = batch_losses(model, forward(model, x), y)
         losses.total.backward()
         for p in model.aux.parameters():
-            assert p.grad is None or not np.any(p.grad)
+            assert p.grad is None
         # while the gates do receive signal
         assert any(p.grad is not None and np.any(p.grad)
                    for p in model.gate_projection.parameters() + [model.gate_context])
@@ -250,12 +332,12 @@ class TestOneProbeStack:
         rows = []
 
         def counted(y_hat, y_true, task):
-            rows.append(y_hat.shape[0])
+            rows.append(y_hat.shape[:-1])
             return per_sample_error(y_hat, y_true, task)
 
         monkeypatch.setattr(granger, "per_sample_error", counted)
         batch_losses(model, forward(model, x), y)
-        assert rows == [5, 5 * 3]  # the prediction's, then every (sample, probe) row
+        assert rows == [(5,), (5, 3)]  # the prediction's, then every (sample, probe) row
         assert model.aux_excl is model.aux and model.aux_all is model.aux
         with pytest.raises(AttributeError):
             model.aux_all = model.aux
@@ -288,7 +370,7 @@ class TestLazyProbeTape:
 
         (lazy, lazy_grads), (hand, hand_grads) = run(False), run(True)
         np.testing.assert_array_equal(lazy.total.data, hand.total.data)
-        np.testing.assert_array_equal(lazy.main.data, hand.main.data)
+        assert lazy.main == hand.main
         assert (lazy.mge_value, lazy.aux_mean) == (hand.mge_value, hand.aux_mean)
         for field in ("eps_excl", "eps_all", "delta_eps", "omega"):
             np.testing.assert_array_equal(getattr(lazy.targets, field),
@@ -306,6 +388,19 @@ def tape_nodes(loss):
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
+
+
+class TestTapeSize:
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_a_training_step_puts_37_nodes_on_the_tape(self, p):
+        # the desk-task shape; the count does not grow with p, since every
+        # stack is one op and each loss one node
+        model = build_ame(AmeConfig(feature_partition=[[i] for i in range(p)], expert_hidden=[4],
+                                    gate_hidden=8, aux_hidden=[8], task="classification",
+                                    num_classes=2, alpha=0.1, aux_weight=1.0, seed=0))
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(64, p)), np.eye(2)[rng.integers(0, 2, size=64)]
+        assert tape_nodes(batch_losses(model, forward(model, x), y).total) == 37
 
 
 class TestTapeSkipsInputGradients:
@@ -448,6 +543,6 @@ class TestTraining:
             rows = slice(start, start + model.config.batch_size)
             losses = batch_losses(model, forward(model, x[rows]), y[rows])
             sums += x[rows].shape[0] * np.array(
-                [losses.main.item(), losses.mge_value, losses.aux_mean])
+                [losses.main, losses.mge_value, losses.aux_mean])
         assert list(metrics) == ["main_loss", "mge", "aux_loss_mean"]
         np.testing.assert_array_equal(list(metrics.values()), sums / 75)

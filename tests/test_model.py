@@ -15,11 +15,9 @@ from ame_lab.diffcore import (
     clear_grads,
     finite_difference_grads,
     glorot,
-    per_sample_cross_entropy,
-    per_sample_mae,
     relative_gradient_error,
 )
-from ame_lab.granger import aux_errors, batch_losses, mge_loss, total_loss
+from ame_lab.granger import batch_losses
 from ame_lab.model import (
     AmeConfig,
     ConfigError,
@@ -35,6 +33,8 @@ from ame_lab.model import (
     model_to_dict,
     save_model,
 )
+from reference import frozen_objective
+
 
 def small_config(**overrides):
     base = dict(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[4],
@@ -619,12 +619,8 @@ class TestStackedProperties:
 
         def loss_with_frozen_targets():
             out = forward(model, x)
-            eps = aux_errors(out.y_aux, y, model.config.task).data  # column 0 reads every expert
-            error = (per_sample_cross_entropy if model.config.task == "classification"
-                     else per_sample_mae)
-            main = error(out.y, Tensor(y)).mean()
-            aux = Tensor(np.append(eps[:, 1:].mean(axis=0), eps[:, 0].mean()))
-            return total_loss(main, mge_loss(omega, out.a), aux, 0.5, 1.0).item()
+            return frozen_objective(out.y.data, out.a.data, out.y_aux.data, y, omega,
+                                    model.config.task, 0.5, 1.0)
 
         losses.total.backward()
         analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
