@@ -94,7 +94,6 @@ class TestNormalizeScores:
         np.testing.assert_array_equal(rows[[2, 7]], np.full((2, p), 1.0 / p))
         assert flags[[2, 7]].all() and flags.sum() == 2
 
-
     @pytest.mark.parametrize("p", [1, 3, 8, 40])
     def test_rows_and_flags_bitwise_the_where_formula(self, p):
         rng = np.random.default_rng(p)
