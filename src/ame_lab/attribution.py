@@ -2,9 +2,9 @@
 
 Three estimators over a trained model: the attention read-out (one forward
 pass), gradient saliency (forward + backward), and occlusion (one forward
-over each batch and its p masked copies). All raw scores pass through the
-same absolute-value normalizing transform so estimates land on the
-simplex and are comparable across estimators.
+over each batch and its p masked copies, whose experts read each row once).
+All raw scores pass through the same absolute-value normalizing transform
+so estimates land on the simplex and are comparable across estimators.
 
 Also hosts the brute-force oracle: fresh probe predictors trained on raw
 features with one group left out at a time, yielding an
@@ -26,7 +26,8 @@ from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import GrangerTargets, aux_errors, batch_slices
 from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, _check_partition,
-                    at_least, atomic_open, choice, draw_slot, forward, setting, write_csv)
+                    at_least, atomic_open, choice, draw_slot, expert_states, forward, mix,
+                    setting, write_csv)
 
 
 @dataclass
@@ -121,37 +122,44 @@ def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
 def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                      baseline_value: float = 0.0) -> ImportanceReport:
     """Gradient magnitude per group: sum of |d target / d feature|. Reads
-    batch_size rows per forward and backward; no baseline."""
+    batch_size rows per forward and backward; no baseline. The parameters are
+    off the tape meanwhile, so the backward computes the input's gradient
+    only and leaves none on the model."""
     def score(xb):
         xt = Tensor(xb, requires_grad=True)
         _saliency_target(model, xt).backward()
         model.count_backward()
-        clear_grads(model.parameters())  # the model's own gradients are a by-product
         grad = np.abs(xt.grad)
         return normalize_scores(np.stack(
             [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))
-    return _estimate("saliency", model, x, batch_size, score)
 
-
-def _mask_groups(x: np.ndarray, groups: list[list[int]], picked: np.ndarray,
-                 baseline_value: float) -> np.ndarray:
-    """Copy of the batch x with the groups (a partition of its columns) that
-    row s of the (n, p) boolean matrix `picked` picks set to baseline_value."""
-    group_of = np.empty(x.shape[1], dtype=np.intp)  # column -> its group
-    for gi, group in enumerate(groups):
-        group_of[group] = gi
-    return np.where(picked[:, group_of], baseline_value, x)
+    params = model.parameters()
+    tracked = [t.requires_grad for t in params]
+    try:
+        for t in params:
+            t.requires_grad = False
+        return _estimate("saliency", model, x, batch_size, score)
+    finally:
+        for t, flag in zip(params, tracked):
+            t.requires_grad = flag
 
 
 def _masked_forward(model: AmeModel, x: np.ndarray, picked: np.ndarray,
                     baseline_value: float) -> np.ndarray:
     """Outputs (n, c, out) of c copies of each row of x, in copy k of row s the
     groups that picked[s, k] (an (n, c, p) boolean array) picks set to
-    baseline_value. One forward reads all n·c rows, each as it would alone."""
+    baseline_value. The experts read the n rows and one all-baseline row once;
+    expert i reads group i only, so copy k's state of expert i is the
+    baseline's where picked[s, k, i] and row s's elsewhere. One mix stage reads
+    all n·c copies, each as it would alone: the outputs are bitwise those of
+    forwards over the masked inputs."""
     n, c, p = picked.shape
-    masked = _mask_groups(np.repeat(x, c, axis=0), model.config.feature_partition,
-                          picked.reshape(n * c, p), baseline_value)
-    return forward(model, masked).y.data.reshape(n, c, -1)
+    h, contributions = expert_states(
+        model, np.concatenate([x, np.full((1, x.shape[1]), baseline_value)]))
+    state = np.concatenate([h.data, contributions.data], axis=2)  # combined_state's blocks
+    rows = np.where(picked[..., None], state[-1], state[:-1, None]).reshape(n * c, p, -1)
+    out = mix(model, Tensor(rows.reshape(n * c, -1)), Tensor(rows[:, :, h.shape[2]:]))
+    return out.y.data.reshape(n, c, -1)
 
 
 def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,

@@ -5,7 +5,7 @@ Every value is carried by a :class:`Tensor` wrapping a C-contiguous
 ``backward()`` on a scalar walks the tape in reverse topological order and
 accumulates gradients into every participating tensor that requires them.
 An op none of whose operands leads to such a tensor stays off the tape, and
-the linear maps compute no gradient for an input that is off the tape.
+the linear maps compute no gradient for an operand that is off the tape.
 
 Forward matrix products are BLAS matrix-vector products, one per output row
 (``np.matmul`` over a unit row axis): per row and map when each map reads
@@ -33,8 +33,9 @@ EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 # initial draws. Run ids hash it, so runs of different numerics never share a
 # directory. 1 was the einsum forward, 2 the BLAS forward with a separate
 # all-experts probe, 3 one probe stack of p+1, 4 one gemv per row over a
-# shared-input stack's flattened weights, 5 one slot-major draw.
-NUMERICS_VERSION = 5
+# shared-input stack's flattened weights, 5 one slot-major draw, 6 one op
+# each for the attention score and the combine.
+NUMERICS_VERSION = 6
 
 # OpenBLAS splits one gemv across its threads from 115,200 x 4 weights up
 # (interface/gemv.c), which on a 2-core host can turn a sub-millisecond call
@@ -296,18 +297,48 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         out = np.matmul(x.data[:, :, None, :], w.transpose(0, 2, 1))[:, :, 0]
     out = out + bias.data
 
-    def back(g):
+    def back(g):  # each gradient only for an operand on the tape
         if x.ndim == 2:  # g (n, p·a) against W (p·a, k)
             flat = g.reshape(g.shape[0], -1)
             gx = flat @ w.reshape(-1, w.shape[2]) if x._tracked() else None
-            gw = (flat.T @ x.data).reshape(w.shape)
+            gw = (flat.T @ x.data).reshape(w.shape) if weights._tracked() else None
         else:  # per map i: g[:, i] (n, a) against W[i] (a, k) and x[:, i] (n, k)
             gp = g.transpose(1, 0, 2)
             gx = np.matmul(gp, w).transpose(1, 0, 2) if x._tracked() else None
-            gw = np.matmul(gp.transpose(0, 2, 1), x.data.transpose(1, 0, 2))
-        return (gx, gw, g.sum(axis=0))
+            gw = (np.matmul(gp.transpose(0, 2, 1), x.data.transpose(1, 0, 2))
+                  if weights._tracked() else None)
+        return (gx, gw, g.sum(axis=0) if bias._tracked() else None)
 
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
+
+
+def map_dot(x: Tensor, w: Tensor) -> Tensor:
+    """Each map's rows dotted with its own vector: out[s, i] = x[s, i] · w[i],
+    x (n, p, k) and w (p, k), output (n, p). One einsum, whose sum over k
+    does not depend on the batch extent, so rows are batch-independent."""
+    if x.ndim != 3 or w.shape != x.shape[1:]:
+        raise DimensionError(f"map_dot: input shape {x.shape} incompatible with {w.shape}")
+
+    def back(g):
+        return (g[:, :, None] * w.data if x._tracked() else None,
+                np.einsum("np,npk->pk", g, x.data) if w._tracked() else None)
+
+    return Tensor(np.einsum("npk,pk->np", x.data, w.data), _parents=(x, w), _backward_fn=back)
+
+
+def weighted_sum(a: Tensor, c: Tensor) -> Tensor:
+    """Row s's p vectors c[s] (p, k) weighted by a[s] (p,) and summed:
+    out[s] = a[s] @ c[s], output (n, k). One matrix product per row, so rows
+    are batch-independent."""
+    if a.ndim != 2 or c.ndim != 3 or c.shape[:2] != a.shape:
+        raise DimensionError(f"weighted_sum: weights shape {a.shape} incompatible with {c.shape}")
+
+    def back(g):
+        return (np.matmul(c.data, g[:, :, None])[:, :, 0] if a._tracked() else None,
+                a.data[:, :, None] * g[:, None, :] if c._tracked() else None)
+
+    return Tensor(np.matmul(a.data[:, None, :], c.data)[:, 0], _parents=(a, c),
+                  _backward_fn=back)
 
 
 class DenseLayer:

@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import OPTIMIZERS, DenseLayer, Tensor, concat, glorot, softmax, take_columns
+from .diffcore import (OPTIMIZERS, DenseLayer, Tensor, concat, glorot, map_dot, softmax,
+                       take_columns, weighted_sum)
 
 MODEL_FORMAT = 4  # model.json: base64 `<f8` values, one probe stack; the one format that loads
 
@@ -397,32 +398,46 @@ def combined_state(h: Tensor, c: Tensor) -> Tensor:
 def attention(projection: DenseLayer, context: Tensor, h_all: Tensor) -> Tensor:
     """Attention vector over experts, shape (n, p), rows on the simplex: gate
     i scores its projection of h_all against its context vector, context[i]."""
-    return softmax((projection(h_all) * context).sum(axis=2), axis=1)
+    return softmax(map_dot(projection(h_all), context), axis=1)
 
 
-def forward(model: AmeModel, x) -> AmeOutput:
-    """Full forward pass over a batch x of shape (n, n_features)."""
+def expert_states(model: AmeModel, x) -> tuple[Tensor, Tensor]:
+    """Expert stage of a forward pass over a batch x of shape (n, n_features),
+    an array or a tracked Tensor: hidden states h (n, p, h) and contributions
+    c (n, p, out). Expert i reads group i's columns only, each row and map in
+    a BLAS call of its own, so its state for a row depends on nothing else."""
     cfg = model.config
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.ndim != 2 or x.shape[1] != cfg.n_features:
         raise ConfigError(
             f"input shape {x.shape} does not provide {cfg.n_features} features")
-    model.forward_passes += 1
-    n = x.shape[0]
-
     # (n, p, g_max) expert inputs; padding reads the appended zero column
-    groups = take_columns(concat([x, Tensor(np.zeros((n, 1)))], axis=1), model.group_index)
+    groups = take_columns(concat([x, Tensor(np.zeros((x.shape[0], 1)))], axis=1),
+                          model.group_index)
     h = model.experts(groups)
-    c = model.heads(h)
-    h_all = combined_state(h, c)
-    a = attention(model.gate_projection, model.gate_context, h_all)
-    combined = (a.reshape(n, cfg.n_experts, 1) * c).sum(axis=1)
-    y = softmax(combined, axis=1) if cfg.task == "classification" else combined
+    return h, model.heads(h)
 
+
+def mix(model: AmeModel, h_all: Tensor, c: Tensor) -> AmeOutput:
+    """Mix stage of a forward pass, counted as the model's one forward: the
+    gates' attention over the combined state h_all (n, p·(h+out)), the
+    attention-weighted sum of the contributions c (n, p, out), and the
+    prediction. Each row is computed as it would be alone."""
+    model.forward_passes += 1
+    a = attention(model.gate_projection, model.gate_context, h_all)
+    combined = weighted_sum(a, c)
+    y = softmax(combined, axis=1) if model.config.task == "classification" else combined
     # Granger probes read h_all when read. Probe slot i+1's mask removes both
     # expert i's hidden state and its contribution, so it sees nothing of it.
     return AmeOutput(y=y, a=a, c=c, h_all=h_all, model=model)
+
+
+def forward(model: AmeModel, x) -> AmeOutput:
+    """Full forward pass over a batch x of shape (n, n_features): the expert
+    stage, the combined state, then the mix stage."""
+    h, c = expert_states(model, x)
+    return mix(model, combined_state(h, c), c)
 
 
 def importance(output: AmeOutput) -> np.ndarray:

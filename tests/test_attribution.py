@@ -230,6 +230,100 @@ class TestEstimatorsLeaveNoGradients:
         assert step(True) == step(False)
 
 
+class TestSaliencyLeavesTheParametersOffTheTape:
+    @staticmethod
+    def tracked_reference(model, x):
+        """Saliency as a backward through tracked parameters, whose gradients
+        are then cleared: the reference for the untracked run."""
+        xt = Tensor(x, requires_grad=True)
+        attribution._saliency_target(model, xt).backward()
+        clear_grads(model.parameters())
+        grad = np.abs(xt.grad)
+        return normalize_scores(np.stack(
+            [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_scores_are_bitwise_those_of_a_tracked_backward(self, task):
+        model = build_ame(AmeConfig(feature_partition=[[0, 2], [1], [3, 4]], expert_hidden=[3],
+                                    gate_hidden=8, aux_hidden=[4], task=task, num_classes=3,
+                                    seed=9))
+        x = np.random.default_rng(9).normal(size=(13, 5))
+        report = explain_saliency(model, x, batch_size=13)
+        expected, flags = self.tracked_reference(model, x)
+        assert report.per_sample.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(report.degenerate, flags)
+
+    def test_no_parameter_is_tracked_during_the_call(self, monkeypatch):
+        model = two_group_model()
+        seen = []
+        target = attribution._saliency_target
+
+        def spy(m, xt):
+            seen.append([t.requires_grad for t in m.parameters()])
+            return target(m, xt)
+
+        monkeypatch.setattr(attribution, "_saliency_target", spy)
+        explain_saliency(model, np.zeros((3, 2)))
+        assert seen and not any(any(flags) for flags in seen)
+
+    def test_flags_are_restored_when_the_call_raises(self, monkeypatch):
+        model = two_group_model()
+        model.gate_context.requires_grad = False  # restored to its own flag, not to True
+        before = [t.requires_grad for t in model.parameters()]
+        with pytest.raises(ConfigError, match="does not provide 2 features"):
+            explain_saliency(model, np.zeros((3, 5)))
+        assert [t.requires_grad for t in model.parameters()] == before
+
+        def fail(m, xt):
+            raise RuntimeError("target failed")
+
+        monkeypatch.setattr(attribution, "_saliency_target", fail)
+        with pytest.raises(RuntimeError, match="target failed"):
+            explain_saliency(model, np.zeros((3, 2)))
+        assert [t.requires_grad for t in model.parameters()] == before
+
+
+def mask_by_hand(x, partition, picked, baseline_value):
+    """The (n·c, F) rows of c copies of each row of x, in copy k of row s
+    every group that picked[s, k] picks set to baseline_value, one by one."""
+    n, c, _ = picked.shape
+    rows = []
+    for s in range(n):
+        for k in range(c):
+            row = x[s].copy()
+            for gi in np.flatnonzero(picked[s, k]):
+                row[partition[gi]] = baseline_value
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestMaskedForward:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_are_bitwise_a_forward_over_rows_masked_by_hand(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=6), label="sizes")
+        features = data.draw(st.permutations(range(sum(sizes))), label="features")
+        bounds = np.cumsum([0, *sizes])
+        partition = [sorted(features[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        task = data.draw(st.sampled_from(["regression", "classification"]), label="task")
+        n = data.draw(st.integers(1, 6), label="n")
+        c = data.draw(st.integers(1, 5), label="c")
+        baseline = data.draw(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0), label="baseline")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        model = build_ame(AmeConfig(feature_partition=partition, expert_hidden=[3],
+                                    gate_hidden=8, aux_hidden=[3], task=task, num_classes=3,
+                                    seed=seed))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, len(features)))
+        picked = rng.random((n, c, len(partition))) < rng.random()
+        expected = forward(model, mask_by_hand(x, partition, picked, baseline)).y.data
+        model.reset_pass_counts()
+        got = attribution._masked_forward(model, x, picked, baseline)
+        assert got.shape == (n, c, model.config.out_dim)
+        assert got.tobytes() == expected.tobytes()
+        assert model.forward_passes == 1
+
+
 class TestExplainOcclusion:
     def test_ignored_group_scores_zero(self):
         model = two_group_model(silence_second_expert=True, freeze_gates=True)

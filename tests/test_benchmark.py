@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ame_lab.attribution import ESTIMATORS, ImportanceReport, _mask_groups, explain_ame
+from ame_lab.attribution import ESTIMATORS, ImportanceReport, explain_ame
 from ame_lab.benchmark import (
     BenchmarkResult,
     ProtocolError,
@@ -57,13 +57,13 @@ def trained():
 def two_forward_drop(model, x, picked_per_sample, baseline_value):
     """Masking drop of one arm as two forwards, the unmasked rows and then the
     masked ones: an independent reference for the protocol's one forward."""
-    picked = np.zeros((x.shape[0], model.config.n_experts), dtype=bool)
+    masked = x.copy()
     for s, pick in enumerate(picked_per_sample):
-        picked[s, pick] = True
+        for gi in pick:
+            masked[s, model.config.feature_partition[gi]] = baseline_value
     before = forward(model, x).y.data
     picks = np.argmax(before, axis=1)
-    after = forward(model, _mask_groups(x, model.config.feature_partition, picked,
-                                        baseline_value)).y.data
+    after = forward(model, masked).y.data
     rows = np.arange(x.shape[0])
     return log_odds(before[rows, picks]) - log_odds(after[rows, picks])
 
@@ -151,23 +151,6 @@ class TestGenerate:
 
 
 class TestMasking:
-    def test_vectorized_mask_equals_per_sample_loop(self):
-        rng = np.random.default_rng(18)
-        groups = [[0, 3], [1], [2, 5, 6], [4]]
-        x = rng.normal(size=(40, 7))
-        picks = [rng.choice(4, size=int(rng.integers(0, 5)), replace=False) for _ in range(40)]
-        expected = x.copy()
-        for s, pick in enumerate(picks):
-            for gi in pick:
-                expected[s, groups[gi]] = -1.5
-        picked = np.zeros((40, 4), dtype=bool)
-        for s, pick in enumerate(picks):
-            picked[s, pick] = True
-        masked = _mask_groups(x, groups, picked, -1.5)
-        assert masked.dtype == x.dtype
-        np.testing.assert_array_equal(masked, expected)
-        assert masked.tobytes() == expected.tobytes()
-
     def test_masking_nothing_changes_nothing(self, trained):
         model, splits = trained
         x = splits.test.x[:10]
