@@ -45,8 +45,6 @@ class SyntheticSpec(Config):
     informative: list[int] = setting([0])
     weights: list[float] = setting([1.0])
     noise_scale: float = 0.1
-    link: str = choice("identity", ("identity", "tanh"))
-    label_rule: str = choice("threshold", ("threshold", "sample"))
     task: str = choice("", ("", *TASKS))  # "" takes the kind's; noise_control allows either
     n_train: int = at_least(1000, 1)
     n_val: int = at_least(200, 1)
@@ -97,7 +95,6 @@ def generate(spec: SyntheticSpec) -> Splits:
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_val + spec.n_test
     x = rng.standard_normal((total, spec.total_features))
-    g = np.tanh if spec.link == "tanh" else (lambda v: v)
 
     if spec.kind == "noise_control":
         if spec.task == "classification":
@@ -109,17 +106,13 @@ def generate(spec: SyntheticSpec) -> Splits:
     else:
         signal = np.zeros(total)
         for idx, w in zip(spec.informative, spec.weights):
-            signal += w * g(x[:, idx])
+            signal += w * x[:, idx]
+        target = signal + spec.noise_scale * rng.standard_normal(total)
         if spec.kind == "additive_regression":
-            y = (signal + spec.noise_scale * rng.standard_normal(total))[:, None]
+            y = target[:, None]
         else:
-            if spec.label_rule == "threshold":
-                labels = (signal + spec.noise_scale * rng.standard_normal(total)) > 0
-            else:
-                prob1 = 1.0 / (1.0 + np.exp(-signal))
-                labels = rng.uniform(size=total) < prob1
             y = np.zeros((total, 2))
-            y[np.arange(total), labels.astype(int)] = 1.0
+            y[np.arange(total), (target > 0).astype(int)] = 1.0
 
     def cut(a, b):
         return Dataset(x=x[a:b].copy(), y=y[a:b].copy())
@@ -313,7 +306,7 @@ def timing_protocol(model: AmeModel, x: np.ndarray, estimators: list[str] | None
     Ratios are reported against the attention read-out (ame = 1x); without
     ame among the estimators they are NaN.
     """
-    names = ["ame", "saliency", "occlusion"] if estimators is None else estimators
+    names = list(ESTIMATORS) if estimators is None else estimators
     if not names:
         raise ProtocolError("timing_protocol: estimators must name at least one estimator")
     rows = []

@@ -340,9 +340,9 @@ def load_config(path: str) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise ConfigError(f"config file {path} does not exist") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
     return RunConfig.from_dict(raw)
 
 

@@ -23,7 +23,7 @@ from .diffcore import (
     per_sample_cross_entropy,
     per_sample_mae,
 )
-from .model import AmeModel, AmeOutput, forward, write_csv
+from .model import AmeConfig, AmeModel, AmeOutput, forward, write_csv
 
 OMEGA_FLOOR = 1e-12  # below this total clamped delta, fall back to uniform
 
@@ -110,6 +110,13 @@ def kl_divergence(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.maximum(terms.sum(axis=-1), 0.0)
 
 
+def _objective(cfg: AmeConfig, main_loss: float, mge: float, aux_loss_mean: float) -> float:
+    """The Granger objective (1-alpha)*main + alpha*MGE + beta*aux, beta being
+    the config's `aux_weight`: the training loss of a batch and the early
+    stopping criterion of a validation pass."""
+    return (1.0 - cfg.alpha) * main_loss + cfg.alpha * mge + cfg.aux_weight * aux_loss_mean
+
+
 @dataclass
 class BatchLosses:
     """The batch's objective as one tape node, its terms as plain values, and
@@ -167,7 +174,7 @@ def batch_losses(model: AmeModel, output: AmeOutput, y_true) -> BatchLosses:
             grads.append(np.full(eps.shape, g * (beta / slots) * scale))
         return grads
 
-    total = Tensor((1.0 - alpha) * main + alpha * mge_value + beta * aux_mean,
+    total = Tensor(_objective(cfg, main, mge_value, aux_mean),
                    _parents=parents, _backward_fn=back)
     return BatchLosses(total=total, main=main, mge_value=mge_value,
                        aux_mean=aux_mean, targets=targets)
@@ -219,11 +226,6 @@ def evaluate(model: AmeModel, x: np.ndarray, y: np.ndarray) -> dict:
     return _epoch(model, x, y, np.arange(x.shape[0]), None)
 
 
-def _objective(metrics: dict, alpha: float, beta: float) -> float:
-    return ((1.0 - alpha) * metrics["main_loss"] + alpha * metrics["mge"]
-            + beta * metrics["aux_loss_mean"])
-
-
 def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
         val_xy: tuple[np.ndarray, np.ndarray] | None = None,
         epochs: int | None = None) -> list[dict]:
@@ -253,7 +255,7 @@ def fit(model: AmeModel, train_xy: tuple[np.ndarray, np.ndarray],
             continue
         val_metrics = evaluate(model, val_xy[0], val_xy[1])
         rows.append({"epoch": epoch, "split": "val", **val_metrics, "alpha": cfg.alpha})
-        obj = _objective(val_metrics, cfg.alpha, cfg.aux_weight)
+        obj = _objective(cfg, **val_metrics)
         if obj < best_obj:
             best_obj = obj
             best_state = [p.data.copy() for p in params]

@@ -23,9 +23,9 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
-import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -50,27 +50,30 @@ def _type_name(like) -> str:
     return f"list[{_type_name(like[0])}]" if isinstance(like, list) else type(like).__name__
 
 
-def _has_type(value, like) -> bool:
-    """Whether `value` has the JSON type of `like`: bool, int, float (an int
-    will do), str, or a list whose items all have the type of like[0]."""
-    if isinstance(like, list):
-        return isinstance(value, list) and all(_has_type(v, like[0]) for v in value)
-    if isinstance(like, bool):
-        return isinstance(value, bool)
-    if isinstance(like, (int, float)):
-        if type(value) is int or type(value) is type(like):  # skips the slow ABC checks
-            return True
-        kind = numbers.Integral if isinstance(like, int) else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
-    return isinstance(value, type(like))
+_NUMBER = {int: numbers.Integral, float: numbers.Real}
 
 
-def _finite(value, like) -> bool:
-    """Whether every float in `value`, of the JSON type of `like`, is finite:
-    a float, or an int standing for one, within float range."""
-    if isinstance(like, list):
-        return all(_finite(v, like[0]) for v in value)
-    return not isinstance(like, float) or abs(value) <= sys.float_info.max
+def _parse(value, like):
+    """`value` as the plain value of the JSON type of `like` it stands for: a
+    bool; an int, from any integral number but a bool; a finite float, from
+    any real number but a bool; a str; or a list whose items parse against
+    like[0]. Raises TypeError for a value of another type and ValueError for
+    a float that is not finite."""
+    kind = type(like)
+    if kind is list:
+        if not isinstance(value, list):
+            raise TypeError
+        return [_parse(v, like[0]) for v in value]
+    if type(value) is not kind:  # the slow ABC checks only for a value not yet plain
+        if isinstance(value, bool) or not isinstance(value, _NUMBER.get(kind, kind)):
+            raise TypeError
+        try:
+            value = kind(value)
+        except OverflowError:  # a number beyond float range
+            raise ValueError from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError
+    return value
 
 
 def setting(default, rule=None, text: str = "", like=None):
@@ -96,35 +99,18 @@ def at_least(default, low):
     return setting(default, lambda v: v >= low, f">= {low}")
 
 
-def _as_float(value, like, name: str):
-    """`value` with each int that stands where `like` has a float made a float,
-    so 0 and 0.0 give one config."""
-    if isinstance(like, list) and like and isinstance(value, list):
-        return [_as_float(v, like[0], name) for v in value]
-    if isinstance(like, float) and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{name} must be a float, got {value!r}") from None
-    return value
-
-
 def _block(f):
     """The config class of a nested block field (its default factory), else None."""
     return f.default_factory if isinstance(f.default_factory, type) else None
 
 
-def _like(f):
-    """A value of field `f`'s JSON type."""
-    return f.metadata.get("like", f.default)
-
-
 class Config:
     """Base of the config dataclasses. A field is a `setting`, a plain field
     (typed by its default, no rule), or a nested config block whose default
-    factory is its class. Construction checks each field's type, that each
-    of its floats is finite, then its rule, then `validate()`; `check()`
-    does so again for a config changed after it was built."""
+    factory is its class. Construction parses each field to its plain JSON
+    value (`_parse`: numpy scalars, fractions and ints for floats included),
+    stores it back, checks its rule, then runs `validate()`; `check()` does
+    so again for a config changed after it was built."""
 
     def __post_init__(self):
         self.check()
@@ -134,11 +120,14 @@ class Config:
             value = getattr(self, f.name)
             if _block(f) is not None or (value is None and f.default is None):
                 continue  # a block checked itself when it was built
-            like, rule = _like(f), f.metadata.get("rule")
-            if not _has_type(value, like):
-                raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}")
-            if not _finite(value, like):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            like, rule = f.metadata.get("like", f.default), f.metadata.get("rule")
+            try:
+                value = _parse(value, like)
+            except TypeError:
+                raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}") from None
+            except ValueError:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
+            setattr(self, f.name, value)
             if not (rule is None or rule(value)):
                 raise ConfigError(f"{f.name} must be {f.metadata['text']}, got {value!r}")
         self.validate()
@@ -151,21 +140,16 @@ class Config:
 
     @classmethod
     def from_dict(cls, raw):
-        """The config from a JSON object, refusing unknown fields. A nested
-        block parses through its own class; an integer given for a float field
-        (or an item of a list[float] one) reads as a float."""
+        """The config from a JSON object, refusing unknown fields; a nested
+        block parses through its own class."""
         if not isinstance(raw, dict):
             raise ConfigError(f"{cls.__name__} must be a JSON object, got {raw!r}")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(raw) - set(known))
+        blocks = {f.name: _block(f) for f in fields(cls)}
+        unknown = sorted(set(raw) - set(blocks))
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
-        kwargs = {}
-        for name, value in raw.items():
-            block = _block(known[name])
-            kwargs[name] = (block.from_dict(value) if block is not None
-                            else _as_float(value, _like(known[name]), name))
-        return cls(**kwargs)
+        return cls(**{name: value if blocks[name] is None else blocks[name].from_dict(value)
+                      for name, value in raw.items()})
 
 
 def _check_partition(groups) -> None:
@@ -312,6 +296,7 @@ class AmeModel:
         self.gate_context = gate_context
         self.aux = aux                  # p+1 probes; slot i+1 masked off expert i's block
         self.group_index = group_index  # (p, g_max) input columns; n_features pads
+        self.n_features = config.n_features  # the pad index; read by every forward
         self.forward_passes = 0
         self.backward_passes = 0
 
@@ -377,7 +362,7 @@ def build_ame(config: AmeConfig) -> AmeModel:
     rng = np.random.default_rng(config.seed)
     width = model.gate_projection.weights.shape[2]
     for layers, live in ((model.experts.layers + model.heads.layers,
-                          model.group_index < config.n_features),
+                          model.group_index < model.n_features),
                          ([model.gate_projection], np.ones((config.n_experts, width), bool)),
                          (model.aux.layers, model.aux.layers[0].mask[:, 0])):
         for j, slot_live in enumerate(live):
@@ -406,12 +391,11 @@ def expert_states(model: AmeModel, x) -> tuple[Tensor, Tensor]:
     an array or a tracked Tensor: hidden states h (n, p, h) and contributions
     c (n, p, out). Expert i reads group i's columns only, each row and map in
     a BLAS call of its own, so its state for a row depends on nothing else."""
-    cfg = model.config
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if x.ndim != 2 or x.shape[1] != cfg.n_features:
+    if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ConfigError(
-            f"input shape {x.shape} does not provide {cfg.n_features} features")
+            f"input shape {x.shape} does not provide {model.n_features} features")
     # (n, p, g_max) expert inputs; padding reads the appended zero column
     groups = take_columns(concat([x, Tensor(np.zeros((x.shape[0], 1)))], axis=1),
                           model.group_index)
@@ -523,7 +507,7 @@ def model_from_dict(raw: dict) -> AmeModel:
             "missing from the model document" if missing else "not part of this architecture"))
     for t in model.parameters():
         t.data[...] = _stored_values(params, t.name, t.shape)
-    pad = (model.group_index == model.config.n_features)[:, None, :]
+    pad = (model.group_index == model.n_features)[:, None, :]
     for layer, zero in ((model.experts.layers[0], pad),
                         (model.aux.layers[0], model.aux.layers[0].mask == 0)):
         if np.any((layer.weights.data != 0.0) & zero):

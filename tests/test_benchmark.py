@@ -145,10 +145,6 @@ class TestGenerate:
         np.testing.assert_array_equal(splits.train.y.sum(axis=1), np.ones(600))
         assert set(np.unique(splits.train.y)) == {0.0, 1.0}
 
-    def test_sampled_labels_respect_seed(self):
-        spec = cls_spec(label_rule="sample")
-        np.testing.assert_array_equal(generate(spec).train.y, generate(spec).train.y)
-
 
 class TestMasking:
     def test_masking_nothing_changes_nothing(self, trained):

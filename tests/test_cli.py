@@ -1,16 +1,19 @@
 """Tests for the command-line interface and its artifact layout."""
 
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ame_lab import cli, diffcore
 from ame_lab import model as model_module
-from ame_lab.attribution import (ProbeConfig, explain_ame, write_importance_csv,
-                                 write_importance_json)
+from ame_lab.attribution import (ESTIMATORS, ProbeConfig, explain_ame,
+                                 write_importance_csv, write_importance_json)
 from ame_lab.benchmark import (BenchmarkResult, SyntheticSpec, aggregate_sweep, sweep_single,
                                write_benchmark_csv, write_sweep_csv)
 from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
@@ -86,6 +89,16 @@ class TestConfigParsing:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"{\"seed\": 1", b"{\"out_dir\": \"r\xe9\"}"],
+                             ids=["truncated", "latin-1"])
+    def test_unreadable_config_file_is_a_config_error_naming_it(self, tmp_path, capsys,
+                                                                content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {path} is not ")
+        assert not (tmp_path / "runs").exists()
+
     def test_task_mismatch_between_model_and_data(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["model"]["task"] = "regression"
@@ -152,6 +165,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("block, field, value", [
         ("probe", "num_classes", 5), ("probe", "task", "classification"),
         ("model", "detach_targets", False), ("model", "aux_grads_to_experts", True),
+        ("data", "link", "tanh"), ("data", "label_rule", "sample"),
     ])
     def test_retired_field_is_a_config_error(self, tmp_path, capsys, block, field, value):
         cfg = base_config(tmp_path)
@@ -704,12 +718,120 @@ class TestHelpers:
         monkeypatch.setattr(diffcore, "NUMERICS_VERSION", diffcore.NUMERICS_VERSION - 1)
         assert run_id(cfg) != current
 
+    def test_run_id_is_one_for_every_entry_path(self, tmp_path):
+        raw = base_config(tmp_path)
+        model = dict(alpha=0, learning_rate=1)
+        top = dict(fraction=1, baseline_value=0, alphas=[0, 1])
+        via_dict = RunConfig.from_dict(dict(raw, model=dict(raw["model"], **model), **top))
+        via_init = RunConfig(model=AmeConfig(**dict(raw["model"], **model)),
+                             data=SyntheticSpec(**raw["data"]), out_dir=raw["out_dir"], **top)
+        parsed = RunConfig.from_dict(raw)
+        via_replace = replace(parsed, model=replace(parsed.model, **model), **top)
+        floats = RunConfig.from_dict(dict(raw, model=dict(raw["model"], alpha=0.0,
+                                                          learning_rate=1.0),
+                                          fraction=1.0, baseline_value=0.0, alphas=[0.0, 1.0]))
+        assert {run_id(c) for c in (via_dict, via_init, via_replace)} == {run_id(floats)}
+
     def test_run_id_tracks_settings(self, tmp_path):
         a = RunConfig.from_dict(base_config(tmp_path))
         changed = base_config(tmp_path)
         changed["model"]["alpha"] = 0.07
         b = RunConfig.from_dict(changed)
         assert run_id(a) != run_id(b)
+
+
+def plain_or(kinds, values):
+    """`values` drawn as one of `kinds`, say a float as a numpy scalar."""
+    return st.tuples(values, st.sampled_from(kinds)).map(lambda vk: vk[1](vk[0]))
+
+
+INTS = (int, np.int64, np.int32)
+FLOATS = (float, np.float64, np.float32, Fraction)
+
+
+def ints(low, high=10 ** 6):
+    return plain_or(INTS, st.integers(low, high))
+
+
+def reals(low, high):
+    """A float in [low, high] of any kind a float field reads, or an int."""
+    return st.one_of(plain_or(FLOATS, st.floats(low, high)),
+                     st.integers(math.ceil(low), math.floor(high)))
+
+
+def widths(min_size=1):
+    return st.lists(ints(1, 64), min_size=min_size, max_size=3)
+
+
+@st.composite
+def partitions(draw):
+    order = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1)))) if len(order) > 1 else []
+    return [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(order)])]
+
+
+def model_configs(**fixed):
+    strategies = dict(feature_partition=partitions(), expert_hidden=widths(),
+                      gate_hidden=ints(1, 64), aux_hidden=widths(),
+                      task=st.sampled_from(["regression", "classification"]),
+                      num_classes=ints(2, 9), alpha=reals(0.0, 1.0), aux_weight=reals(0.0, 1e3),
+                      seed=ints(0), optimizer=st.sampled_from(["sgd", "adam"]),
+                      learning_rate=reals(1e-6, 1.0), batch_size=ints(1), epochs=ints(1),
+                      patience=ints(1))
+    return st.builds(AmeConfig, **dict(strategies, **fixed))
+
+
+@st.composite
+def synthetic_specs(draw):
+    total = draw(st.integers(1, 8))
+    informative = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=total,
+                                unique=True))
+    return draw(st.builds(
+        SyntheticSpec, kind=st.sampled_from(["additive_regression",
+                                             "informative_subset_classification"]),
+        total_features=st.just(total), informative=st.just(informative),
+        weights=st.lists(reals(-10.0, 10.0), min_size=len(informative),
+                         max_size=len(informative)),
+        noise_scale=reals(0.0, 10.0), n_train=ints(1), n_val=ints(1), n_test=ints(1),
+        seed=ints(0)))
+
+
+@st.composite
+def run_configs(draw):
+    data = draw(synthetic_specs())
+    model = draw(model_configs(feature_partition=st.just([[i] for i in range(
+        data.total_features)]), task=st.just(data.task), num_classes=st.just(2)))
+    return draw(st.builds(
+        RunConfig, model=st.just(model), data=st.just(data),
+        command=st.sampled_from([None, *cli.COMMANDS]), out_dir=st.text(max_size=5),
+        seed=st.none() | ints(0), model_path=st.none() | st.text(max_size=5),
+        estimators=st.lists(st.sampled_from(sorted(ESTIMATORS)), min_size=1, max_size=3),
+        protocols=st.lists(st.sampled_from(cli.PROTOCOLS), max_size=4),
+        fraction=reals(1e-6, 1.0), k=ints(1, model.n_experts), n=ints(1),
+        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
+        runs=ints(1), baseline_value=reals(-1e3, 1e3), jobs=ints(1, 8)))
+
+
+PROBE_CONFIGS = st.builds(ProbeConfig, hidden=widths(min_size=0), learning_rate=reals(1e-6, 1.0),
+                          optimizer=st.sampled_from(["sgd", "adam"]), epochs=ints(1),
+                          batch_size=ints(1), seed=ints(0))
+
+
+class TestConfigRoundTrip:
+    """Every config reads back from its own JSON as itself, whatever kinds of
+    number it was built from."""
+
+    @pytest.mark.parametrize("configs", [model_configs(), synthetic_specs(), PROBE_CONFIGS,
+                                         run_configs()],
+                             ids=["AmeConfig", "SyntheticSpec", "ProbeConfig", "RunConfig"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_from_dict_of_its_json_is_the_config(self, configs, data):
+        cfg = data.draw(configs)
+        text = json.dumps(cfg.to_dict(), sort_keys=True)
+        back = type(cfg).from_dict(json.loads(text))
+        assert back == cfg
+        assert json.dumps(back.to_dict(), sort_keys=True) == text
 
 
 class FailingFile:

@@ -1,7 +1,10 @@
 """Tests for the mixture architecture: building, attention, forward, IO."""
 
 import base64
+import dataclasses
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,15 +110,26 @@ class TestConfigValidation:
         ("feature_partition", [[0, "1"], [2], [3, 4]]), ("feature_partition", [0, 1]),
         ("feature_partition", [[0, True], [2], [3, 4]]),
         ("task", 1), ("aux_weight", True), ("learning_rate", [0.1]), ("seed", None),
+        ("seed", np.float64(3.0)), ("seed", np.bool_(True)), ("alpha", np.bool_(False)),
+        ("gate_hidden", Fraction(4)), ("alpha", Decimal("0.1")), ("feature_partition", ([0],)),
     ])
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be "):
             small_config(**{field: value})
 
-    def test_numpy_scalars_and_ints_for_floats_pass(self):
-        cfg = small_config(seed=np.int64(4), alpha=1, learning_rate=np.float64(0.01),
+    def test_numpy_scalars_and_ints_for_floats_pass(self, tmp_path):
+        cfg = small_config(seed=np.int64(3), learning_rate=np.float32(0.1),
+                           alpha=Fraction(1, 10), aux_weight=1, expert_hidden=[np.int32(4)],
                            feature_partition=[[np.int64(0), 1], [2], [3, 4]])
-        assert build_ame(cfg).config.alpha == 1
+        plain = small_config(seed=3, learning_rate=float(np.float32(0.1)), alpha=0.1,
+                             aux_weight=1.0)
+        assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+        assert {type(cfg.seed), type(cfg.learning_rate), type(cfg.alpha), type(cfg.aux_weight),
+                type(cfg.expert_hidden[0]), type(cfg.feature_partition[0][0])} == {int, float}
+        model = build_ame(cfg)
+        save_model(model, tmp_path / "model.json")
+        assert model_hash(model) == model_hash(build_ame(plain))
+        assert model_hash(load_model(tmp_path / "model.json")) == model_hash(model)
 
     def test_loader_reads_integers_for_floats_as_floats(self):
         raw = small_config(alpha=0.0, aux_weight=2.0, learning_rate=1.0).to_dict()
@@ -123,16 +137,38 @@ class TestConfigValidation:
         assert [type(getattr(cfg, f)) for f in ("alpha", "aux_weight", "learning_rate")] == [
             float, float, float]
         assert json.dumps(cfg.to_dict()) == json.dumps(raw)  # seed and widths stay ints
-        with pytest.raises(ConfigError, match="^learning_rate must be a float"):
-            AmeConfig.from_dict(dict(raw, learning_rate=10 ** 400))
+        with pytest.raises(ConfigError, match="^learning_rate must be finite, got "):
+            AmeConfig.from_dict(dict(raw, learning_rate=10 ** 400))  # as the constructor says
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", float("inf")), ("aux_weight", float("nan")), ("alpha", -float("inf")),
         ("learning_rate", 10 ** 400),  # an int beyond float range
+        ("learning_rate", np.float32("inf")), ("alpha", np.float32("nan")),
+        ("aux_weight", Fraction(10 ** 400)),
     ])
     def test_non_finite_float_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be finite, got "):
             small_config(**{field: value})
+
+
+class TestConfigParse:
+    """The constructor, `dataclasses.replace` and `from_dict` read a value
+    through one parse, so each gives the config, and the model, of the plain
+    JSON value."""
+
+    def test_every_entry_path_gives_one_model_hash(self):
+        ints = dict(alpha=0, aux_weight=2, learning_rate=1)
+        configs = [small_config(**ints), dataclasses.replace(small_config(), **ints),
+                   AmeConfig.from_dict(dict(small_config().to_dict(), **ints)),
+                   small_config(alpha=0.0, aux_weight=2.0, learning_rate=1.0)]
+        assert len({json.dumps(c.to_dict()) for c in configs}) == 1
+        assert len({model_hash(build_ame(c)) for c in configs}) == 1
+
+    def test_a_value_set_after_construction_is_parsed_by_check(self):
+        cfg = small_config()
+        cfg.seed, cfg.alpha = np.int64(7), 1
+        cfg.check()
+        assert (type(cfg.seed), type(cfg.alpha)) == (int, float)
 
 
 class TestCombinedState:
