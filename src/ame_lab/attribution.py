@@ -129,9 +129,12 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
         xt = Tensor(xb, requires_grad=True)
         _saliency_target(model, xt).backward()
         model.count_backward()
-        grad = np.abs(xt.grad)
-        return normalize_scores(np.stack(
-            [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))
+        # (n, p, g_max) |gradients| by group, as expert_states gathers x; pads
+        # read 0. np.take keeps the rows C-ordered: a fancy index would lay
+        # them out by group, and normalize_scores would sum a row in another order.
+        grad = np.abs(np.concatenate([xt.grad, np.zeros((xb.shape[0], 1))], axis=1))
+        groups = np.take(grad, model.group_index, axis=1)
+        return normalize_scores(dc.reduce_rows(np.add, groups)[..., 0])
 
     params = model.parameters()
     tracked = [t.requires_grad for t in params]

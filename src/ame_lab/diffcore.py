@@ -24,6 +24,8 @@ run still replays byte for byte on the same machine.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
@@ -119,7 +121,9 @@ class Tensor:
         """Populate grads of every reachable requires_grad tensor.
 
         Repeated calls without clearing grads accumulate, matching the
-        usual multi-loss convention.
+        usual multi-loss convention. A backward function may return its
+        incoming gradient or views of it (concat's slices, an unbroadcast
+        that is a no-op), so none may write into the gradient it is given.
         """
         if self.data.size != 1:
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -183,15 +187,6 @@ class Tensor:
 
     # -- elementwise functions -----------------------------------------
 
-    def tanh(self) -> "Tensor":
-        t = np.tanh(self.data)
-        return Tensor(t, _parents=(self,), _backward_fn=lambda g: (g * (1.0 - t * t),))
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        return Tensor(np.where(mask, self.data, 0.0), _parents=(self,),
-                      _backward_fn=lambda g: (g * mask,))
-
     def log(self) -> "Tensor":
         return Tensor(np.log(self.data), _parents=(self,),
                       _backward_fn=lambda g: (g / self.data,))
@@ -225,12 +220,11 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         raise DimensionError("concat needs at least one tensor")
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
-    extents = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + extents)
+    stops = list(accumulate(d.shape[axis] for d in datas))
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def back(g):
-        return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(tensors)))
+    def back(g):  # views of g, one per operand
+        return tuple(g[lead + (slice(start, stop),)] for start, stop in zip([0] + stops, stops))
 
     return Tensor(out, _parents=tuple(tensors), _backward_fn=back)
 
@@ -250,43 +244,71 @@ def take_columns(x: Tensor, idx) -> Tensor:
     return Tensor(x.data[:, idx], _parents=(x,), _backward_fn=back)
 
 
+def reduce_rows(ufunc, a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """ufunc.reduce(a, axis, keepdims=True) for np.add (a sum) or np.maximum
+    (a max), bit for bit. A last axis of extent 1 or 2, such as a class axis,
+    is reduced as columns: elementwise, so each row's result is independent
+    of the batch extent, and without numpy's per-row reduction loop. numpy
+    adds a row's terms to 0.0 in turn, so a sum adds 0.0 too, making a sum of
+    -0.0s 0.0. A longer axis is numpy's reduction."""
+    axis %= a.ndim
+    if axis != a.ndim - 1 or not 1 <= a.shape[axis] <= 2:
+        return ufunc.reduce(a, axis=axis, keepdims=True)
+    out = ufunc(a[..., :1], a[..., 1:]) if a.shape[axis] == 2 else a[..., :1]
+    return out + 0.0 if ufunc is np.add else out
+
+
+def _softmax(z: np.ndarray, axis: int):
+    """Softmax of z along `axis`, and its map from output to input gradient."""
+    e = np.exp(z - reduce_rows(np.maximum, z, axis))
+    y = e / reduce_rows(np.add, e, axis)
+    return y, lambda g: y * (g - reduce_rows(np.add, g * y, axis))
+
+
+def _activate(activation: str, z: np.ndarray):
+    """A dense layer's activation of its pre-activation z, and its map from
+    output to input gradient; softmax normalizes the last axis."""
+    if activation == "tanh":
+        t = np.tanh(z)
+        return t, lambda g: g * (1.0 - t * t)
+    if activation == "relu":
+        live = z > 0
+        return np.where(live, z, 0.0), lambda g: g * live
+    return _softmax(z, z.ndim - 1)
+
+
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along `axis`; rows land on the simplex."""
     ax = axis if axis >= 0 else logits.ndim + axis
     if not 0 <= ax < logits.ndim or logits.shape[ax] == 0:
         raise DimensionError(f"softmax axis {axis} invalid for shape {logits.shape}")
-    shifted = logits.data - logits.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=ax, keepdims=True)
-        return (y * (g - dot),)
-
-    return Tensor(y, _parents=(logits,), _backward_fn=back)
+    y, back = _softmax(logits.data, ax)
+    return Tensor(y, _parents=(logits,), _backward_fn=lambda g: (back(g),))
 
 
-def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+def linear(x: Tensor, weights: Tensor, bias: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """p stacked affine maps x @ W[i]^T + b[i], output (n, p, out).
 
     weights is (p, out, in) and bias (p, out); one map is a stack of one. x
     is either (n, in), read by every map, or (n, p, in), whose slice i map i
-    reads. A per-map input is one BLAS matrix-vector product per row and map;
-    a shared input is one per row over the flattened (p·out, in) weights, cut
-    into runs of whole maps below GEMV_SPLIT_WEIGHTS. Either call depends
-    only on the layer's shape, never on the batch extent, so batched and
-    single-sample forwards are bit-identical (given a BLAS that returns the
-    same bits for identical calls). Map i equals a stack of map i alone
-    bitwise for per-map inputs, and to a few ulps of its terms' magnitude for
-    a shared input. The gradients are one BLAS product over the flattened
-    stack for a shared input, and a matmul over the stack axis for per-map
-    inputs.
+    reads. A `mask`, a fixed array broadcasting to W's shape, multiplies W
+    inside the op, and W's gradient by it, so masked entries neither act nor
+    receive gradient. A per-map input is one BLAS matrix-vector product per
+    row and map; a shared input is one per row over the flattened (p·out,
+    in) weights, cut into runs of whole maps below GEMV_SPLIT_WEIGHTS.
+    Either call depends only on the layer's shape, never on the batch
+    extent, so batched and single-sample forwards are bit-identical (given a
+    BLAS that returns the same bits for identical calls). Map i equals a
+    stack of map i alone bitwise for per-map inputs, and to a few ulps of
+    its terms' magnitude for a shared input. The gradients are one BLAS
+    product over the flattened stack for a shared input, and a matmul over
+    the stack axis for per-map inputs.
     """
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
             or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
-    w = weights.data
+    w = weights.data if mask is None else weights.data * mask
     if x.ndim == 2:  # each row against the flattened (p·a, k) weights, whole maps at a time
         p, a, k = w.shape
         flat, xs = w.reshape(-1, k), x.data[:, None, :]
@@ -307,6 +329,8 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             gx = np.matmul(gp, w).transpose(1, 0, 2) if x._tracked() else None
             gw = (np.matmul(gp.transpose(0, 2, 1), x.data.transpose(1, 0, 2))
                   if weights._tracked() else None)
+        if gw is not None and mask is not None:
+            gw = gw * mask
         return (gx, gw, g.sum(axis=0) if bias._tracked() else None)
 
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)
@@ -346,7 +370,9 @@ class DenseLayer:
 
     W is (p, out, in) and b (p, out) (see :func:`linear`). A `mask`, a fixed
     array broadcasting to W's shape, multiplies W on every call: entries it
-    zeroes neither act nor receive gradient.
+    zeroes neither act nor receive gradient. A call is one tape node: the
+    activation applies to linear's output in the same node, its gradient
+    feeding linear's backward.
     """
 
     def __init__(self, weights: Tensor, bias: Tensor, activation: str = "identity",
@@ -363,15 +389,12 @@ class DenseLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         """Run the layer. Softmax activation normalizes the last axis."""
-        weights = self.weights if self.mask is None else self.weights * self.mask
-        pre = linear(x, weights, self.bias)
+        pre = linear(x, self.weights, self.bias, self.mask)
         if self.activation == "identity":
             return pre
-        if self.activation == "tanh":
-            return pre.tanh()
-        if self.activation == "relu":
-            return pre.relu()
-        return softmax(pre, axis=-1)
+        y, back = _activate(self.activation, pre.data)
+        linear_back = pre._backward_fn
+        return Tensor(y, _parents=pre._parents, _backward_fn=lambda g: linear_back(back(g)))
 
     def parameters(self) -> list[Tensor]:
         return [self.weights, self.bias]
@@ -402,7 +425,7 @@ def per_sample_mae(y_pred: Tensor, y_true: Tensor) -> Tensor:
         gd = (g * scale)[..., None] * sign
         return (gd if y_pred._tracked() else None, -gd if y_true._tracked() else None)
 
-    return Tensor(np.abs(diff).sum(axis=-1) * scale, _parents=(y_pred, y_true),
+    return Tensor(reduce_rows(np.add, np.abs(diff))[..., 0] * scale, _parents=(y_pred, y_true),
                   _backward_fn=back)
 
 
@@ -421,7 +444,7 @@ def per_sample_cross_entropy(probs: Tensor, targets: Tensor) -> Tensor:
         return (g * targets.data / shifted if probs._tracked() else None,
                 g * logs if targets._tracked() else None)
 
-    return Tensor(-(logs * targets.data).sum(axis=-1), _parents=(probs, targets),
+    return Tensor(-reduce_rows(np.add, logs * targets.data)[..., 0], _parents=(probs, targets),
                   _backward_fn=back)
 
 

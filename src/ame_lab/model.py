@@ -107,10 +107,11 @@ def _block(f):
 class Config:
     """Base of the config dataclasses. A field is a `setting`, a plain field
     (typed by its default, no rule), or a nested config block whose default
-    factory is its class. Construction parses each field to its plain JSON
-    value (`_parse`: numpy scalars, fractions and ints for floats included),
-    stores it back, checks its rule, then runs `validate()`; `check()` does
-    so again for a config changed after it was built."""
+    factory is its class, of which it must hold an instance. Construction
+    parses each field to its plain JSON value (`_parse`: numpy scalars,
+    fractions and ints for floats included), stores it back, checks its
+    rule, then runs `validate()`; `check()` does so again for a config
+    changed after it was built."""
 
     def __post_init__(self):
         self.check()
@@ -118,7 +119,10 @@ class Config:
     def check(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if _block(f) is not None or (value is None and f.default is None):
+            block = _block(f)
+            if block is not None and not isinstance(value, block):
+                raise ConfigError(f"{f.name} must be {block.__name__}, got {value!r}")
+            if block is not None or (value is None and f.default is None):
                 continue  # a block checked itself when it was built
             like, rule = f.metadata.get("like", f.default), f.metadata.get("rule")
             try:

@@ -7,12 +7,36 @@
 - `chain_error` and `chain_total` build the losses as chains of elementwise
   tape ops, as the engine once did. Each single-node loss must reproduce
   their values and gradients bit for bit.
+- `softmax_reference`, `softmax_grad_reference`, `cross_entropy_reference`
+  and `mae_reference` reduce the class axis with numpy's reductions, whatever
+  its extent; the engine's column arithmetic must equal them bit for bit.
+- `chain_layer` runs a dense layer as a chain of tape ops, as the engine
+  once did: linear, a mask-multiply node, an activation node. The one-node
+  layer must reproduce its values and gradients bit for bit.
 """
 
 import numpy as np
 
-from ame_lab.diffcore import EPS_LOG, Tensor
+from ame_lab.diffcore import EPS_LOG, Tensor, linear
 from ame_lab.granger import GrangerTargets
+
+
+def softmax_reference(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad_reference(y: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The input gradient of a softmax output y given its output gradient g."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def cross_entropy_reference(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    return -(np.log(probs + EPS_LOG) * targets).sum(axis=-1)
+
+
+def mae_reference(pred: np.ndarray, true: np.ndarray) -> np.ndarray:
+    return np.abs(pred - true).sum(axis=-1) * (1.0 / pred.shape[-1])
 
 
 def errors(pred: np.ndarray, true: np.ndarray, task: str) -> np.ndarray:
@@ -62,3 +86,24 @@ def chain_total(output, y: np.ndarray, task: str, alpha: float, beta: float):
         aux = eps.mean(axis=0)
         total = total + aux.sum() * (beta / aux.size)
     return total, main, targets
+
+
+def _node(value: np.ndarray, parent: Tensor, back) -> Tensor:
+    return Tensor(value, _parents=(parent,), _backward_fn=lambda g: (back(g),))
+
+
+def chain_layer(layer, x: Tensor) -> Tensor:
+    """`layer` (a DenseLayer) over x as a chain of tape ops: the weights times
+    the mask, linear, then the activation."""
+    weights = layer.weights if layer.mask is None else layer.weights * Tensor(layer.mask)
+    z = linear(x, weights, layer.bias)
+    if layer.activation == "tanh":
+        t = np.tanh(z.data)
+        return _node(t, z, lambda g: g * (1.0 - t * t))
+    if layer.activation == "relu":
+        live = z.data > 0
+        return _node(np.where(live, z.data, 0.0), z, lambda g: g * live)
+    if layer.activation == "softmax":
+        y = softmax_reference(z.data)
+        return _node(y, z, lambda g: softmax_grad_reference(y, g))
+    return z

@@ -206,6 +206,29 @@ class TestExplainSaliency:
         report = explain_saliency(model, np.random.default_rng(4).normal(size=(5, 2)))
         np.testing.assert_allclose(report.per_sample.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("partition", [
+        [[0], [1], [2], [3]],                                # singletons
+        [[i] for i in range(9)],                             # 8 or more: numpy's blocks
+        [[0, 3], [1], [2, 4]],                               # group axis 2 wide
+        [[0, 3, 5], [1], [2, 4], [6]],                       # numpy's reduction
+        [[0, 3, 5], [1], [2, 4], list(range(6, 15))],        # a group of 9: numpy's blocks
+    ])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_group_scores_are_the_per_group_sums(self, partition, task):
+        model = build_ame(AmeConfig(feature_partition=partition, expert_hidden=[3],
+                                    task=task, num_classes=2, seed=6))
+        x = np.random.default_rng(6).normal(size=(9, model.n_features))
+        report = explain_saliency(model, x, batch_size=9)
+        xt = Tensor(x, requires_grad=True)
+        attribution._saliency_target(model, xt).backward()
+        grad = np.abs(xt.grad)
+        expected, _ = normalize_scores(np.stack([grad[:, g].sum(axis=1) for g in partition],
+                                                axis=1))
+        if max(map(len, partition)) < 8:  # numpy adds fewer than 8 terms in turn: bitwise
+            assert report.per_sample.tobytes() == expected.tobytes()
+        else:  # padding to the widest group can regroup numpy's pairwise sum
+            np.testing.assert_allclose(report.per_sample, expected, rtol=1e-13)
+
 
 class TestEstimatorsLeaveNoGradients:
     @pytest.mark.parametrize("task", ["regression", "classification"])

@@ -99,6 +99,22 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"config error: config file {path} is not ")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("model", {"feature_partition": [[0]]}, "AmeConfig"),
+        ("data", AmeConfig(), "SyntheticSpec"),
+        ("probe", [1], "ProbeConfig"),
+        ("model", None, "AmeConfig"),
+    ])
+    def test_block_of_the_wrong_type_is_a_config_error_naming_it(self, tmp_path, name,
+                                                                 value, kind):
+        # from_dict builds each block through its class; the constructor and
+        # dataclasses.replace take whatever they are given, and check refuses it
+        message = rf"^{name} must be {kind}, got "
+        with pytest.raises(model_module.ConfigError, match=message):
+            RunConfig(**{name: value})
+        with pytest.raises(model_module.ConfigError, match=message):
+            replace(RunConfig.from_dict(base_config(tmp_path)), **{name: value})
+
     def test_task_mismatch_between_model_and_data(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["model"]["task"] = "regression"

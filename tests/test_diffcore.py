@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ame_lab import diffcore
 from ame_lab.diffcore import (
@@ -35,7 +36,8 @@ from ame_lab.diffcore import (
 )
 from ame_lab.benchmark import SyntheticSpec, generate, train_model
 from ame_lab.model import AmeConfig, build_ame, model_hash
-from reference import chain_error
+from reference import (chain_error, chain_layer, cross_entropy_reference, mae_reference,
+                       softmax_grad_reference, softmax_reference)
 
 
 def _layer(weights, bias, activation="identity"):
@@ -112,6 +114,58 @@ class TestSoftmax:
         base = softmax(Tensor(row)).data
         shifted = softmax(Tensor(row + shift)).data
         np.testing.assert_allclose(base, shifted, atol=1e-9)
+
+
+def _values(low, high):
+    """Finite floats in [low, high], signed zeros among them."""
+    return st.one_of(st.floats(low, high), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _class_batches(draw):
+    """Three arrays of one shape: random leading axes, then a class axis of
+    extent 1, 2 (column arithmetic) or more (numpy's reduction)."""
+    shape = (*draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+             draw(st.sampled_from([1, 2, 3, 5])))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=_values(low, high)))
+                 for low, high in ((-60.0, 60.0), (0.0, 1.0), (-1e3, 1e3)))
+
+
+class TestClassAxisReductions:
+    """softmax, cross-entropy and MAE reduce the class axis by column
+    arithmetic at extents 1 and 2; they must equal numpy's reductions bit for
+    bit at every extent, and each row must not depend on the batch."""
+
+    @staticmethod
+    def _ops(z, probs, g):
+        y = softmax(Tensor(z, requires_grad=True))
+        return {"softmax": y.data, "softmax_grad": y._backward_fn(g)[0],
+                "cross_entropy": per_sample_cross_entropy(Tensor(probs), Tensor(g)).data,
+                "mae": per_sample_mae(Tensor(z), Tensor(g)).data}
+
+    @given(_class_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_numpy_reductions_and_batch_independent_rows(self, arrays):
+        z, probs, g = arrays
+        targets = np.abs(g) * 1e-3  # cross-entropy targets in [0, 1]
+        got = self._ops(z, probs, targets)
+        y = softmax_reference(z)
+        want = {"softmax": y, "softmax_grad": softmax_grad_reference(y, targets),
+                "cross_entropy": cross_entropy_reference(probs, targets),
+                "mae": mae_reference(z, targets)}
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        for s in range(z.shape[0]):
+            one = self._ops(z[s:s + 1], probs[s:s + 1], targets[s:s + 1])
+            for name in want:
+                assert one[name].tobytes() == got[name][s:s + 1].tobytes(), name
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sums_of_negative_zeros_are_positive_zero_as_numpy_gives(self, k):
+        zeros = np.full((3, k), -0.0)
+        total = diffcore.reduce_rows(np.add, zeros)
+        assert total.tobytes() == zeros.sum(axis=-1, keepdims=True).tobytes()
+        assert not np.signbit(total).any()
 
 
 class TestLosses:
@@ -570,6 +624,45 @@ class TestLinearStack:
             linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
         with pytest.raises(DimensionError, match="inconsistent"):
             DenseLayer(Tensor(np.zeros((1, 4))), Tensor(np.zeros(1)))
+
+
+class TestOneNodeLayer:
+    """A dense layer is one tape node over linear's operands, bitwise the
+    chain of linear, a mask-multiply node and an activation node."""
+
+    @pytest.mark.parametrize("activation", diffcore.ACTIVATIONS)
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("out", [1, 2, 3])
+    def test_values_and_every_gradient_bitwise_the_chain(self, activation, shared, masked, out):
+        rng = np.random.default_rng(53)
+        p, k, n = 4, 6, 5
+        mask = (rng.random(size=(p, 1, k)) > 0.3).astype(float) if masked else None
+        values = (rng.normal(size=(p, out, k)), rng.normal(size=(p, out)),
+                  rng.normal(size=(n, k) if shared else (n, p, k)))
+        target = rng.normal(size=(n, p, out))
+
+        def run(forward):
+            w, b, x = (Tensor(v, requires_grad=True) for v in values)
+            layer = DenseLayer(w, b, activation, mask=mask)
+            y = forward(layer, x)
+            (y * Tensor(target)).sum().backward()
+            return y, [t.grad for t in (w, b, x)]
+
+        y, grads = run(DenseLayer.__call__)
+        chain_y, chain_grads = run(chain_layer)
+        assert all(not parent._parents for parent in y._parents)  # one node over the leaves
+        assert y.data.tobytes() == chain_y.data.tobytes()
+        for got, want in zip(grads, chain_grads):
+            assert got.tobytes() == want.tobytes()
+        if masked:
+            assert not np.any(grads[0][np.broadcast_to(mask == 0, grads[0].shape)])
+
+    def test_untracked_operands_keep_the_layer_off_the_tape(self):
+        layer = _layer(np.ones((2, 3)), np.zeros(2), "tanh")
+        layer.weights.requires_grad = layer.bias.requires_grad = False
+        y = layer(Tensor(np.ones((4, 3))))
+        assert y._parents == () and y._backward_fn is None
 
 
 def _einsum_grads(x, w, g):

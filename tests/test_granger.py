@@ -379,28 +379,67 @@ class TestLazyProbeTape:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def tape_nodes(loss):
-    """Number of distinct tensors on the tape behind `loss`."""
-    seen, stack = set(), [loss]
+def tape(loss):
+    """The distinct tensors on the tape behind `loss`."""
+    seen, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
-    return len(seen)
+    return list(seen.values())
+
+
+def tape_nodes(loss):
+    return len(tape(loss))
 
 
 class TestTapeSize:
     @pytest.mark.parametrize("p", [8, 64])
-    def test_a_training_step_puts_34_nodes_on_the_tape(self, p):
+    def test_a_training_step_puts_28_nodes_on_the_tape(self, p):
         # the desk-task shape; the count does not grow with p, since every
-        # stack is one op and each loss one node
+        # stack is one op, each dense layer (its mask and activation
+        # included) one node, and each loss one node
         model = build_ame(AmeConfig(feature_partition=[[i] for i in range(p)], expert_hidden=[4],
                                     gate_hidden=8, aux_hidden=[8], task="classification",
                                     num_classes=2, alpha=0.1, aux_weight=1.0, seed=0))
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(64, p)), np.eye(2)[rng.integers(0, 2, size=64)]
-        assert tape_nodes(batch_losses(model, forward(model, x), y).total) == 34
+        assert tape_nodes(batch_losses(model, forward(model, x), y).total) == 28
+
+
+class TestBackwardLeavesItsGradientAlone:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_no_backward_writes_into_its_incoming_gradient(self, task):
+        # Backward functions may return their gradient or views of it, so a
+        # write into one would corrupt another's. Each is handed a read-only
+        # view here, which a write would raise on; the gradients must not move.
+        cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[3, 2],
+                        gate_hidden=3, aux_hidden=[4, 3], task=task, num_classes=3,
+                        alpha=0.3, seed=29)
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(7, 5))
+        y = (np.eye(3)[rng.integers(0, 3, size=7)] if task == "classification"
+             else rng.normal(size=(7, 1)))
+
+        def grads(frozen: bool):
+            model = build_ame(cfg)
+            xt = Tensor(x, requires_grad=True)
+            loss = batch_losses(model, forward(model, xt), y).total
+            for node in tape(loss) if frozen else []:
+                if node._backward_fn is not None:
+                    node._backward_fn = lambda g, back=node._backward_fn: back(_read_only(g))
+            loss.backward()
+            return [xt.grad] + [t.grad for t in model.parameters()]
+
+        for got, want in zip(grads(True), grads(False)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _read_only(g):
+    view = g.view()
+    view.flags.writeable = False
+    return view
 
 
 class TestTapeSkipsInputGradients:
