@@ -26,8 +26,8 @@ from . import diffcore as dc
 from .diffcore import Optimizer, Tensor, clear_grads
 from .granger import GrangerTargets, aux_errors, batch_slices
 from .model import (TASKS, AmeModel, Config, ConfigError, _probe_stack, _check_partition,
-                    at_least, atomic_open, choice, draw_slot, expert_states, forward, mix,
-                    setting, write_csv)
+                    at_least, atomic_open, choice, draw_slot, expert_states, forward,
+                    group_inputs, mix, setting, write_csv)
 
 
 @dataclass
@@ -56,9 +56,10 @@ def normalize_scores(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a_i = |e_i| / sum_j |e_j|.
 
     An all-zero row has no signal to normalize; it maps to uniform and its
-    degenerate flag is set. Returns the scores and the (n,) flags.
+    degenerate flag is set. Returns the scores and the (n,) flags. Each row
+    is summed C-ordered, so its bits do not depend on the layout of `raw`.
     """
-    mags = np.abs(raw, dtype=np.float64)
+    mags = np.abs(raw, dtype=np.float64, order="C")
     if mags.ndim != 2 or mags.shape[1] == 0:
         raise ValueError(f"normalize_scores expects (n, p) scores with p >= 1, got {mags.shape}")
     totals = mags.sum(axis=1)
@@ -103,14 +104,15 @@ def explain_ame(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None
         forward(model, xb).a.data, np.zeros(xb.shape[0], dtype=bool)))
 
 
-def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
-    """Scalar whose input gradient carries per-sample saliency.
+def _saliency_target(model: AmeModel, groups: Tensor) -> Tensor:
+    """Scalar whose gradient at the tracked group inputs carries per-sample
+    saliency.
 
     Regression: the summed predictions. Classification: the summed
     log-probability of each sample's own predicted class (the same
     currency the masking benchmark measures in).
     """
-    out = forward(model, xt)
+    out = mix(model, *expert_states(model, groups))
     if model.config.task == "regression":
         return out.y.sum()
     picks = np.argmax(out.y.data, axis=1)
@@ -121,20 +123,16 @@ def _saliency_target(model: AmeModel, xt: Tensor) -> Tensor:
 
 def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,
                      baseline_value: float = 0.0) -> ImportanceReport:
-    """Gradient magnitude per group: sum of |d target / d feature|. Reads
+    """Gradient magnitude per group: sum of |d target / d feature|, read at the
+    tracked group inputs, whose slice i holds group i's features. Reads
     batch_size rows per forward and backward; no baseline. The parameters are
-    off the tape meanwhile, so the backward computes the input's gradient
+    off the tape meanwhile, so the backward computes the inputs' gradient
     only and leaves none on the model."""
     def score(xb):
-        xt = Tensor(xb, requires_grad=True)
-        _saliency_target(model, xt).backward()
+        groups = Tensor(group_inputs(model, xb), requires_grad=True)
+        _saliency_target(model, groups).backward()
         model.count_backward()
-        # (n, p, g_max) |gradients| by group, as expert_states gathers x; pads
-        # read 0. np.take keeps the rows C-ordered: a fancy index would lay
-        # them out by group, and normalize_scores would sum a row in another order.
-        grad = np.abs(np.concatenate([xt.grad, np.zeros((xb.shape[0], 1))], axis=1))
-        groups = np.take(grad, model.group_index, axis=1)
-        return normalize_scores(dc.reduce_rows(np.add, groups)[..., 0])
+        return normalize_scores(dc.reduce_rows(np.add, np.abs(groups.grad))[..., 0])
 
     params = model.parameters()
     tracked = [t.requires_grad for t in params]
@@ -149,20 +147,21 @@ def explain_saliency(model: AmeModel, x: np.ndarray, *, batch_size: int | None =
 
 def _masked_forward(model: AmeModel, x: np.ndarray, picked: np.ndarray,
                     baseline_value: float) -> np.ndarray:
-    """Outputs (n, c, out) of c copies of each row of x, in copy k of row s the
-    groups that picked[s, k] (an (n, c, p) boolean array) picks set to
+    """Outputs (n, k, out) of k copies of each row of x, in copy j of row s the
+    groups that picked[s, j] (an (n, k, p) boolean array) picks set to
     baseline_value. The experts read the n rows and one all-baseline row once;
-    expert i reads group i only, so copy k's state of expert i is the
-    baseline's where picked[s, k, i] and row s's elsewhere. One mix stage reads
-    all n·c copies, each as it would alone: the outputs are bitwise those of
+    expert i reads group i only, so copy j's state of expert i is the
+    baseline's where picked[s, j, i] and row s's elsewhere. One mix stage reads
+    all n·k copies, each as it would alone: the outputs are bitwise those of
     forwards over the masked inputs."""
-    n, c, p = picked.shape
-    h, contributions = expert_states(
-        model, np.concatenate([x, np.full((1, x.shape[1]), baseline_value)]))
-    state = np.concatenate([h.data, contributions.data], axis=2)  # combined_state's blocks
-    rows = np.where(picked[..., None], state[-1], state[:-1, None]).reshape(n * c, p, -1)
-    out = mix(model, Tensor(rows.reshape(n * c, -1)), Tensor(rows[:, :, h.shape[2]:]))
-    return out.y.data.reshape(n, c, -1)
+    n, k, p = picked.shape
+    rows = np.concatenate([x, np.full((1, x.shape[1]), baseline_value)])
+    # each copy's state of expert i as a flat (row, expert) index; a take is
+    # several times faster than a broadcast np.where at p = 64
+    index = np.where(picked, n * p, np.arange(0, n * p, p)[:, None, None]) + np.arange(p)
+    h, c = (Tensor(np.take(t.data.reshape((n + 1) * p, -1), index, axis=0).reshape(n * k, p, -1))
+            for t in expert_states(model, group_inputs(model, rows)))
+    return mix(model, h, c).y.data.reshape(n, k, -1)
 
 
 def explain_occlusion(model: AmeModel, x: np.ndarray, *, batch_size: int | None = None,

@@ -74,10 +74,12 @@ class RunConfig(Config):
     out_dir: str = "runs"
     seed: int | None = setting(None, lambda v: v >= 0, ">= 0", like=0)
     model_path: str | None = setting(None, like="")
-    estimators: list[str] = setting(["ame"], lambda v: v and set(v) <= set(ESTIMATORS),
-                                    f"one or more of {sorted(ESTIMATORS)}")
+    estimators: list[str] = setting(["ame"], lambda v: v and len(set(v)) == len(v)
+                                    and set(v) <= set(ESTIMATORS),
+                                    f"one or more distinct of {sorted(ESTIMATORS)}")
     protocols: list[str] = setting(["masking", "recall", "timing"],
-                                   lambda v: set(v) <= set(PROTOCOLS), f"any of {list(PROTOCOLS)}")
+                                   lambda v: len(set(v)) == len(v) and set(v) <= set(PROTOCOLS),
+                                   f"any distinct of {list(PROTOCOLS)}")
     fraction: float = setting(0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     k: int = 1
     n: int = at_least(100, 1)

@@ -218,30 +218,14 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     """Concatenate along `axis`; gradient splits back to the operands."""
     if not tensors:
         raise DimensionError("concat needs at least one tensor")
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    stops = list(accumulate(d.shape[axis] for d in datas))
-    lead = (slice(None),) * (axis % out.ndim)
+    out = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def back(g):  # views of g, one per operand
+    def back(g):  # views of g, one per operand; a forward-only call never builds the offsets
+        stops = list(accumulate(t.shape[axis] for t in tensors))
+        lead = (slice(None),) * (axis % out.ndim)
         return tuple(g[lead + (slice(start, stop),)] for start, stop in zip([0] + stops, stops))
 
     return Tensor(out, _parents=tuple(tensors), _backward_fn=back)
-
-
-def take_columns(x: Tensor, idx) -> Tensor:
-    """Select columns `idx` of a 2-d tensor; gradient scatters back."""
-    if x.ndim != 2:
-        raise DimensionError(f"take_columns needs a 2-d tensor, got shape {x.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = x.shape
-
-    def back(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, (slice(None), idx), g)
-        return (gx,)
-
-    return Tensor(x.data[:, idx], _parents=(x,), _backward_fn=back)
 
 
 def reduce_rows(ufunc, a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import (OPTIMIZERS, DenseLayer, Tensor, concat, glorot, map_dot, softmax,
-                       take_columns, weighted_sum)
+                       weighted_sum)
 
 MODEL_FORMAT = 4  # model.json: base64 `<f8` values, one probe stack; the one format that loads
 
@@ -390,29 +390,33 @@ def attention(projection: DenseLayer, context: Tensor, h_all: Tensor) -> Tensor:
     return softmax(map_dot(projection(h_all), context), axis=1)
 
 
-def expert_states(model: AmeModel, x) -> tuple[Tensor, Tensor]:
-    """Expert stage of a forward pass over a batch x of shape (n, n_features),
-    an array or a tracked Tensor: hidden states h (n, p, h) and contributions
-    c (n, p, out). Expert i reads group i's columns only, each row and map in
-    a BLAS call of its own, so its state for a row depends on nothing else."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
+def group_inputs(model: AmeModel, x) -> np.ndarray:
+    """The (n, p, g_max) expert inputs of a batch x of shape (n, n_features):
+    slice i holds group i's columns, and its pad entries read 0."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ConfigError(
             f"input shape {x.shape} does not provide {model.n_features} features")
-    # (n, p, g_max) expert inputs; padding reads the appended zero column
-    groups = take_columns(concat([x, Tensor(np.zeros((x.shape[0], 1)))], axis=1),
-                          model.group_index)
-    h = model.experts(groups)
+    return np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)[:, model.group_index]
+
+
+def expert_states(model: AmeModel, groups) -> tuple[Tensor, Tensor]:
+    """Expert stage of a forward pass over `group_inputs` groups (n, p, g_max),
+    an array or a tracked Tensor: hidden states h (n, p, h) and contributions
+    c (n, p, out). Expert i reads slice i only, each row and map in a BLAS
+    call of its own, so its state for a row depends on nothing else."""
+    h = model.experts(groups if isinstance(groups, Tensor) else Tensor(groups))
     return h, model.heads(h)
 
 
-def mix(model: AmeModel, h_all: Tensor, c: Tensor) -> AmeOutput:
+def mix(model: AmeModel, h: Tensor, c: Tensor) -> AmeOutput:
     """Mix stage of a forward pass, counted as the model's one forward: the
-    gates' attention over the combined state h_all (n, p·(h+out)), the
-    attention-weighted sum of the contributions c (n, p, out), and the
-    prediction. Each row is computed as it would be alone."""
+    gates' attention over the combined state of the hidden states h (n, p, h)
+    and contributions c (n, p, out), the attention-weighted sum of the
+    contributions, and the prediction. Each row is computed as it would be
+    alone."""
     model.forward_passes += 1
+    h_all = combined_state(h, c)
     a = attention(model.gate_projection, model.gate_context, h_all)
     combined = weighted_sum(a, c)
     y = softmax(combined, axis=1) if model.config.task == "classification" else combined
@@ -422,10 +426,9 @@ def mix(model: AmeModel, h_all: Tensor, c: Tensor) -> AmeOutput:
 
 
 def forward(model: AmeModel, x) -> AmeOutput:
-    """Full forward pass over a batch x of shape (n, n_features): the expert
-    stage, the combined state, then the mix stage."""
-    h, c = expert_states(model, x)
-    return mix(model, combined_state(h, c), c)
+    """Full forward pass over a batch x of shape (n, n_features): the group
+    gather, the expert stage, then the mix stage."""
+    return mix(model, *expert_states(model, group_inputs(model, x)))
 
 
 def importance(output: AmeOutput) -> np.ndarray:

@@ -23,7 +23,7 @@ from ame_lab import diffcore as dc
 from ame_lab import model as model_module
 from ame_lab.diffcore import Optimizer, Tensor, clear_grads
 from ame_lab.granger import delta_epsilon, kl_divergence, omega_targets
-from ame_lab.model import AmeConfig, ConfigError, build_ame, forward
+from ame_lab.model import AmeConfig, ConfigError, build_ame, forward, group_inputs
 
 
 def two_group_model(task="regression", seed=0, silence_second_expert=False,
@@ -112,6 +112,15 @@ class TestNormalizeScores:
         assert rows.tobytes() == expected.tobytes()
         assert flags.tobytes() == degenerate[:, 0].tobytes()
 
+    @pytest.mark.parametrize("p", [8, 9, 64])
+    def test_a_fortran_ordered_input_gives_the_c_ordered_bytes(self, p):
+        raw = np.random.default_rng(p).normal(size=(16, p))
+        raw[3] = 0.0
+        rows, flags = normalize_scores(raw)
+        f_rows, f_flags = normalize_scores(np.asfortranarray(raw))
+        assert f_rows.tobytes() == rows.tobytes()
+        assert f_flags.tobytes() == flags.tobytes()
+
 
 class TestExplainAme:
     def test_single_group_rows_are_one(self):
@@ -180,19 +189,31 @@ class TestExplainSaliency:
         scores, _ = normalize_scores(np.abs(x.grad))
         np.testing.assert_allclose(scores, [[6 / 7, 1 / 7]])
 
-    def test_matches_finite_differences_of_the_prediction(self):
-        model = two_group_model(seed=3)
-        x = np.random.default_rng(3).normal(size=(1, 2))
+    @pytest.mark.parametrize("partition", [[[0], [1]], [[0, 3, 5], [1], [2, 4], list(range(6, 15))]],
+                             ids=["singletons", "a-group-of-9"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_matches_finite_differences_of_the_prediction(self, partition, task):
+        # the target's central differences in each feature of x, the input
+        # saliency is about, summed by group
+        model = build_ame(AmeConfig(feature_partition=partition, expert_hidden=[2], gate_hidden=3,
+                                    aux_hidden=[3], task=task, num_classes=2, seed=3,
+                                    batch_size=8))
+        x = np.random.default_rng(3).normal(size=(1, model.n_features))
         report = explain_saliency(model, x)
+        pick = np.argmax(forward(model, x).y.data[0])
+
+        def target(xv):
+            y = forward(model, xv).y.data[0]
+            return y[0] if task == "regression" else np.log(y[pick] + dc.EPS_LOG)
+
         h = 1e-6
-        fd = np.zeros(2)
-        for j in range(2):
+        fd = np.zeros(model.n_features)
+        for j in range(model.n_features):
             up, down = x.copy(), x.copy()
             up[0, j] += h
             down[0, j] -= h
-            fd[j] = (forward(model, up).y.data[0, 0]
-                     - forward(model, down).y.data[0, 0]) / (2 * h)
-        expected, _ = normalize_scores(np.abs(fd)[None, :])
+            fd[j] = (target(up) - target(down)) / (2 * h)
+        expected, _ = normalize_scores(np.array([[np.abs(fd[g]).sum() for g in partition]]))
         np.testing.assert_allclose(report.per_sample, expected, atol=1e-6)
 
     def test_pass_counts_include_backward(self):
@@ -219,11 +240,11 @@ class TestExplainSaliency:
                                     task=task, num_classes=2, seed=6))
         x = np.random.default_rng(6).normal(size=(9, model.n_features))
         report = explain_saliency(model, x, batch_size=9)
-        xt = Tensor(x, requires_grad=True)
-        attribution._saliency_target(model, xt).backward()
-        grad = np.abs(xt.grad)
-        expected, _ = normalize_scores(np.stack([grad[:, g].sum(axis=1) for g in partition],
-                                                axis=1))
+        groups = Tensor(group_inputs(model, x), requires_grad=True)
+        attribution._saliency_target(model, groups).backward()
+        grad = np.abs(groups.grad)
+        expected, _ = normalize_scores(np.stack(
+            [grad[:, i, :len(g)].sum(axis=1) for i, g in enumerate(partition)], axis=1))
         if max(map(len, partition)) < 8:  # numpy adds fewer than 8 terms in turn: bitwise
             assert report.per_sample.tobytes() == expected.tobytes()
         else:  # padding to the widest group can regroup numpy's pairwise sum
@@ -258,12 +279,12 @@ class TestSaliencyLeavesTheParametersOffTheTape:
     def tracked_reference(model, x):
         """Saliency as a backward through tracked parameters, whose gradients
         are then cleared: the reference for the untracked run."""
-        xt = Tensor(x, requires_grad=True)
-        attribution._saliency_target(model, xt).backward()
+        groups = Tensor(group_inputs(model, x), requires_grad=True)
+        attribution._saliency_target(model, groups).backward()
         clear_grads(model.parameters())
-        grad = np.abs(xt.grad)
-        return normalize_scores(np.stack(
-            [grad[:, g].sum(axis=1) for g in model.config.feature_partition], axis=1))
+        grad = np.abs(groups.grad)
+        return normalize_scores(np.stack([grad[:, i, :len(g)].sum(axis=1) for i, g
+                                          in enumerate(model.config.feature_partition)], axis=1))
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_scores_are_bitwise_those_of_a_tracked_backward(self, task):

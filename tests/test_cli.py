@@ -260,14 +260,20 @@ class TestConfigParsing:
         ("k", 0, "k must lie in [1, 4] (groups), got 0"),
         ("k", 9, "k must lie in [1, 4] (groups), got 9"),
         ("n", 0, "n must be >= 1, got 0"), ("n", -5, "n must be >= 1, got -5"),
-        ("estimators", [], "estimators must be one or more of ['ame', 'occlusion', 'saliency'], "
-                           "got []"),
+        ("estimators", [], "estimators must be one or more distinct of "
+                           "['ame', 'occlusion', 'saliency'], got []"),
+        ("estimators", ["ame", "ame"], "estimators must be one or more distinct of "
+                                       "['ame', 'occlusion', 'saliency'], got ['ame', 'ame']"),
+        ("protocols", ["recall", "recall"], "protocols must be any distinct of "
+                                            "['masking', 'mge_quality', 'recall', 'timing'], "
+                                            "got ['recall', 'recall']"),
         ("alphas", [0.0, 1.5], "alphas must be non-empty, distinct and in [0, 1], got [0.0, 1.5]"),
-    ], ids=["k-0", "k-9", "n-0", "n-negative", "estimators-empty", "alphas-out-of-range"])
+    ], ids=["k-0", "k-9", "n-0", "n-negative", "estimators-empty", "estimators-repeated",
+            "protocols-repeated", "alphas-out-of-range"])
     def test_setting_that_can_only_give_a_wrong_run_is_refused_before_training(
             self, tmp_path, capsys, monkeypatch, field, value, message):
         monkeypatch.setattr(cli, "train_model", lambda *args, **kw: pytest.fail("trained"))
-        cfg = base_config(tmp_path, protocols=["recall", "timing"], **{field: value})
+        cfg = base_config(tmp_path, **{"protocols": ["recall", "timing"], field: value})
         assert main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "runs").exists()
@@ -821,8 +827,9 @@ def run_configs(draw):
         RunConfig, model=st.just(model), data=st.just(data),
         command=st.sampled_from([None, *cli.COMMANDS]), out_dir=st.text(max_size=5),
         seed=st.none() | ints(0), model_path=st.none() | st.text(max_size=5),
-        estimators=st.lists(st.sampled_from(sorted(ESTIMATORS)), min_size=1, max_size=3),
-        protocols=st.lists(st.sampled_from(cli.PROTOCOLS), max_size=4),
+        estimators=st.lists(st.sampled_from(sorted(ESTIMATORS)), min_size=1, max_size=3,
+                            unique=True),
+        protocols=st.lists(st.sampled_from(cli.PROTOCOLS), max_size=4, unique=True),
         fraction=reals(1e-6, 1.0), k=ints(1, model.n_experts), n=ints(1),
         alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
         runs=ints(1), baseline_value=reals(-1e3, 1e3), jobs=ints(1, 8)))

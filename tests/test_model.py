@@ -29,6 +29,7 @@ from ame_lab.model import (
     combined_state,
     draw_slot,
     forward,
+    group_inputs,
     importance,
     load_model,
     model_from_dict,
@@ -189,6 +190,21 @@ class TestCombinedState:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             combined_state(Tensor(np.zeros((1, 1, 1))), Tensor(np.zeros((1, 2, 1))))
+
+
+class TestGroupInputs:
+    def test_slice_i_holds_group_i_and_pads_read_zero(self):
+        model = build_ame(AmeConfig(feature_partition=[[2, 0], [1], [3, 5, 4]]))
+        x = np.arange(1.0, 13.0).reshape(2, 6)
+        np.testing.assert_array_equal(group_inputs(model, x), [
+            [[3.0, 1.0, 0.0], [2.0, 0.0, 0.0], [4.0, 6.0, 5.0]],
+            [[9.0, 7.0, 0.0], [8.0, 0.0, 0.0], [10.0, 12.0, 11.0]]])
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (6,)])
+    def test_wrong_feature_count_is_a_config_error(self, shape):
+        model = build_ame(AmeConfig(feature_partition=[[2, 0], [1], [3, 5, 4]]))
+        with pytest.raises(ConfigError, match="does not provide 6 features"):
+            group_inputs(model, np.zeros(shape))
 
 
 class TestAttention:
