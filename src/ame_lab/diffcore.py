@@ -7,19 +7,25 @@ accumulates gradients into every participating tensor that requires them.
 An op none of whose operands leads to such a tensor stays off the tape, and
 the linear maps compute no gradient for an operand that is off the tape.
 
-Forward matrix products are BLAS matrix-vector products, one per output row
-(``np.matmul`` over a unit row axis): per row and map when each map reads
-its own input, and per row over the flattened weights of a stack whose maps
-share one input. The arguments of each call depend only on the layer's
-shape, never on the batch extent, so a batched forward pass is bit-identical
-to running the same samples one by one. The model layer relies on that
-equivalence; it assumes BLAS returns the same bits for identical calls,
-which the bitwise tests check. Map i of a shared-input stack agrees with map
-i run alone to a few ulps of its terms' magnitude, not bitwise: BLAS may sum
-a map's terms in an order that depends on its neighbours. Gradients of the
-linear maps are BLAS matrix products: their summation order depends on the
-shapes, so they are not batch-independent, and nothing needs them to be. A
-run still replays byte for byte on the same machine.
+Forward matrix products are BLAS calls whose arguments depend only on the
+layer's shape, never on the batch extent. When each map of a stack reads its
+own input, a row makes one matrix-vector product per map (``np.matmul`` over a
+unit row axis). When every map reads one input, the batch is zero-padded to
+whole blocks of ROW_BLOCK rows, and each block makes one matrix product
+against the stack's flattened weights, in runs of whole maps; a batch-1 row
+is row 0 of a padded block. So a batched forward pass is bit-identical to
+running the same samples one by one, given a BLAS that returns the same bits
+for identical calls and whose rows of a matrix product depend neither on
+their place in the block nor on the other rows. The model layer relies on
+that equivalence, and the bitwise tests check both assumptions, also on one
+BLAS thread. A map too large for one thread's call (see GEMM_SPLIT_MULS) is
+split across threads by OpenBLAS: its rows stay batch-independent, but its
+bits may differ between thread counts. Map i of a shared-input stack agrees
+with map i run alone to a few ulps of its terms' magnitude, not bitwise:
+BLAS may sum a map's terms in an order that depends on its neighbours.
+Gradients of the linear maps are BLAS matrix products: their summation order
+depends on the shapes, so they are not batch-independent, and nothing needs
+them to be. A run still replays byte for byte on the same machine.
 """
 
 from __future__ import annotations
@@ -36,14 +42,22 @@ EPS_LOG = 1e-12  # additive guard inside cross-entropy logs
 # directory. 1 was the einsum forward, 2 the BLAS forward with a separate
 # all-experts probe, 3 one probe stack of p+1, 4 one gemv per row over a
 # shared-input stack's flattened weights, 5 one slot-major draw, 6 one op
-# each for the attention score and the combine.
-NUMERICS_VERSION = 6
+# each for the attention score and the combine, 7 one gemm per block of
+# ROW_BLOCK rows over a shared-input stack.
+NUMERICS_VERSION = 7
 
-# OpenBLAS splits one gemv across its threads from 115,200 x 4 weights up
-# (interface/gemv.c), which on a 2-core host can turn a sub-millisecond call
-# into a fixed 8 ms. A shared-input stack is read in runs of whole maps that
-# stay below this size; one map above it is one call, as it must be.
-GEMV_SPLIT_WEIGHTS = 115_200 * 4
+# Rows per matrix product of a shared-input stack. At the p = 64 gate on a
+# 2-core x86 host (OpenBLAS 0.3.31), blocks of 4 read a batch of 64 in about
+# 40% of the time of one gemv per row, and blocks of 2 and 8 took longer; a
+# batch-1 row took about 7 us more, the cost of its 3 zero rows.
+ROW_BLOCK = 4
+
+# OpenBLAS splits one gemm across its threads above 4 x 65,536 multiplies
+# (m·n·k, interface/gemm.c), and a split call's bits depend on the thread
+# count. A shared-input stack is read in runs of whole maps at or below this
+# size, so each call stays on one thread; one map above it is one call, as it
+# must be, and its bits may differ between thread counts.
+GEMM_SPLIT_MULS = 4 * 65_536
 
 ACTIVATIONS = ("identity", "tanh", "relu", "softmax")
 
@@ -278,27 +292,37 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor, mask: np.ndarray | None = N
     reads. A `mask`, a fixed array broadcasting to W's shape, multiplies W
     inside the op, and W's gradient by it, so masked entries neither act nor
     receive gradient. A per-map input is one BLAS matrix-vector product per
-    row and map; a shared input is one per row over the flattened (p·out,
-    in) weights, cut into runs of whole maps below GEMV_SPLIT_WEIGHTS.
-    Either call depends only on the layer's shape, never on the batch
-    extent, so batched and single-sample forwards are bit-identical (given a
-    BLAS that returns the same bits for identical calls). Map i equals a
-    stack of map i alone bitwise for per-map inputs, and to a few ulps of
-    its terms' magnitude for a shared input. The gradients are one BLAS
-    product over the flattened stack for a shared input, and a matmul over
-    the stack axis for per-map inputs.
+    row and map. A shared input is zero-padded to whole blocks of ROW_BLOCK
+    rows, each block one BLAS matrix product against the flattened (p·out,
+    in) weights, cut into runs of whole maps of at most GEMM_SPLIT_MULS
+    multiplies per call; a batch-1 row is row 0 of its block. Either call
+    depends only on the layer's shape, never on the batch extent, so batched
+    and single-sample forwards are bit-identical (given a BLAS that returns
+    the same bits for identical calls, and the same bits for a row of a
+    product wherever it sits in the block and whatever the other rows hold).
+    A single map above GEMM_SPLIT_MULS is one call that OpenBLAS splits
+    across threads: its rows stay batch-independent, but its bits may differ
+    between thread counts. Map i equals a stack of map i alone bitwise for
+    per-map inputs, and to a few ulps of its terms' magnitude for a shared
+    input. The gradients are one BLAS product over the flattened stack for a
+    shared input, and a matmul over the stack axis for per-map inputs.
     """
     if (weights.ndim != 3 or x.shape[-1] != weights.shape[2]
             or (x.ndim == 3 and x.shape[1] != weights.shape[0]) or x.ndim not in (2, 3)):
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weights shape {weights.shape}")
     w = weights.data if mask is None else weights.data * mask
-    if x.ndim == 2:  # each row against the flattened (p·a, k) weights, whole maps at a time
-        p, a, k = w.shape
-        flat, xs = w.reshape(-1, k), x.data[:, None, :]
-        rows = max(1, (GEMV_SPLIT_WEIGHTS - 1) // (a * k)) * a  # weight rows per call
+    if x.ndim == 2:  # blocks of ROW_BLOCK rows against the flattened (p·a, k) weights
+        n, (p, a, k) = x.shape[0], w.shape
+        xs = x.data
+        if n % ROW_BLOCK:  # zero rows pad the last block
+            xs = np.zeros((n - n % ROW_BLOCK + ROW_BLOCK, k))
+            xs[:n] = x.data
+        xs, flat = xs.reshape(-1, ROW_BLOCK, k), w.reshape(-1, k)
+        rows = max(1, GEMM_SPLIT_MULS // (ROW_BLOCK * a * k)) * a  # weight rows per call
         out = (xs @ flat.T if rows >= p * a else np.concatenate(
-            [xs @ flat[i:i + rows].T for i in range(0, p * a, rows)], axis=2)).reshape(-1, p, a)
+            [xs @ flat[i:i + rows].T for i in range(0, p * a, rows)], axis=2))
+        out = out.reshape(-1, p, a)[:n]
     else:
         out = np.matmul(x.data[:, :, None, :], w.transpose(0, 2, 1))[:, :, 0]
     out = out + bias.data
@@ -314,7 +338,7 @@ def linear(x: Tensor, weights: Tensor, bias: Tensor, mask: np.ndarray | None = N
             gw = (np.matmul(gp.transpose(0, 2, 1), x.data.transpose(1, 0, 2))
                   if weights._tracked() else None)
         if gw is not None and mask is not None:
-            gw = gw * mask
+            gw *= mask  # gw is a fresh product
         return (gx, gw, g.sum(axis=0) if bias._tracked() else None)
 
     return Tensor(out, _parents=(x, weights, bias), _backward_fn=back)

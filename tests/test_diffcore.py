@@ -506,8 +506,8 @@ def _check_forward_kernel(p, out, width, n, seed):
         for r in range(n):
             np.testing.assert_array_equal(
                 linear(Tensor(form[r:r + 1]), Tensor(w), Tensor(b)).data[0], stack[r])
-        for i in range(p):
-            xi = form if form.ndim == 2 else form[:, i]
+        for i in range(p):  # a per-map map i alone is a per-map stack of one
+            xi = form if form.ndim == 2 else form[:, i:i + 1]
             alone = linear(Tensor(xi), Tensor(w[i:i + 1]), Tensor(b[i:i + 1])).data[:, 0]
             if form.ndim == 2:
                 _assert_shared_map_close(stack[:, i], alone, xi, w[i], b[i])
@@ -515,22 +515,32 @@ def _check_forward_kernel(p, out, width, n, seed):
                 np.testing.assert_array_equal(stack[:, i], alone)
 
 
-def _guarded_forward_digest():
-    """sha256 of a shared-input forward that the gemv size guard cuts."""
-    rng = np.random.default_rng(GUARDED_CASE[-1])
-    p, out, width, n, _ = GUARDED_CASE
-    y = linear(Tensor(rng.normal(size=(n, width))), Tensor(rng.normal(size=(p, out, width))),
-               Tensor(rng.normal(size=(p, out)))).data
-    return hashlib.sha256(y.tobytes()).hexdigest()
+def _forward_digests():
+    """sha256 of each DIGEST_CASES shared-input forward."""
+    digests = []
+    for p, out, width, n, seed in DIGEST_CASES:
+        rng = np.random.default_rng(seed)
+        y = linear(Tensor(rng.normal(size=(n, width))), Tensor(rng.normal(size=(p, out, width))),
+                   Tensor(rng.normal(size=(p, out)))).data
+        digests.append(hashlib.sha256(y.tobytes()).hexdigest())
+    return digests
 
 
 # (p, out, in, n, seed): the model's p = 64 gate and probe shapes; a shape whose
-# maps move by ulps in a shared stack; a stack the gemv size guard cuts into
-# runs of 44 and 20 maps; and maps of 700 x 700 weights, each its own call,
-# which OpenBLAS runs on more than one thread when it has them
+# maps move by ulps in a shared stack; a stack the gemm size guard cuts into
+# runs of 6 maps; and maps of 700 x 700 weights, each its own call, which
+# OpenBLAS runs on more than one thread when it has them
 GUARDED_CASE = (64, 16, 640, 3, 5)
 KERNEL_CASES = [(1, 1, 1, 1, 0), (3, 5, 7, 17, 1), (64, 8, 6, 5, 2), (64, 4, 256, 7, 6),
                 (65, 4, 256, 7, 7), (8, 2, 8, 9, 8), GUARDED_CASE, (2, 700, 700, 3, 3)]
+# shared-input forwards whose bits must not depend on the BLAS thread count:
+# the guarded stack, the p = 64 gate read in one call, and p = 65 cut in two.
+# A lone map above the guard is left out: OpenBLAS splits it across threads.
+DIGEST_CASES = [GUARDED_CASE, (64, 4, 256, 7, 6), (65, 4, 256, 7, 7)]
+
+# (p, out, in) on both sides of the gemm size guard: one call over the stack,
+# runs of 64 maps and one, runs of 6, and maps each a threaded call of their own
+SHARED_SHAPES = [(64, 4, 256), (65, 4, 256), (64, 16, 640), (3, 96, 700)]
 
 
 class TestForwardKernel:
@@ -544,14 +554,32 @@ class TestForwardKernel:
     def test_kernel_cases(self, case):
         _check_forward_kernel(*case)
 
-    @pytest.mark.parametrize("limit, bounds", [(150, [0, 3, 6, 8]), (40, list(range(9)))])
-    def test_guard_reads_a_shared_stack_in_runs_of_whole_maps(self, monkeypatch, limit, bounds):
-        # maps of 3 x 16 weights: below 150 weights a run holds 3 maps, and a
-        # map above 40 is a call of its own. At this shape each run's bits
-        # differ from those of one call over all 8 maps.
+    @given(st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 13), st.integers(1, 23)),
+                     st.sampled_from(SHARED_SHAPES)),
+           st.integers(1, 17), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_rows_are_bitwise_their_batch_one_and_permuted_rows(self, shape, n, seed):
+        # n from 1 to 17 puts rows at every place of a block and pads 0 to 3 rows
+        rng = np.random.default_rng(seed)
+        p, out, width = shape
+        w, b = Tensor(rng.normal(size=(p, out, width))), Tensor(rng.normal(size=(p, out)))
+        x = rng.normal(size=(n, width))
+        y = linear(Tensor(x), w, b).data
+        order = rng.permutation(n)
+        assert linear(Tensor(x[order]), w, b).data.tobytes() == y[order].tobytes()
+        for r in range(n):
+            assert linear(Tensor(x[r:r + 1]), w, b).data.tobytes() == y[r:r + 1].tobytes()
+
+    @pytest.mark.parametrize("limit, step", [(7_000, 3), (1_000, 1)])
+    def test_guard_reads_a_shared_stack_in_runs_of_whole_maps(self, monkeypatch, limit, step):
+        # maps of 8 x 64 weights, 2,048 multiplies per block of 4 rows: at most
+        # 7,000 take 3 maps a run, and a map above 1,000 is a call of its own.
+        # At this shape one call over all 64 maps gives other bits than runs
+        # of a few maps, so a stack left whole fails.
         rng = np.random.default_rng(9)
-        x, w, b = rng.normal(size=(4, 16)), rng.normal(size=(8, 3, 16)), rng.normal(size=(8, 3))
-        monkeypatch.setattr(diffcore, "GEMV_SPLIT_WEIGHTS", limit)
+        x, w, b = rng.normal(size=(4, 64)), rng.normal(size=(64, 8, 64)), rng.normal(size=(64, 8))
+        bounds = list(range(0, 64, step)) + [64]
+        monkeypatch.setattr(diffcore, "GEMM_SPLIT_MULS", limit)
         y = linear(Tensor(x), Tensor(w), Tensor(b)).data
         for lo, hi in zip(bounds, bounds[1:]):
             run = linear(Tensor(x), Tensor(w[lo:hi]), Tensor(b[lo:hi])).data
@@ -561,13 +589,13 @@ class TestForwardKernel:
         # OpenBLAS reads its thread count when numpy loads: a fresh process
         code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_diffcore as t\n"
                 "for case in t.KERNEL_CASES: t._check_forward_kernel(*case)\n"
-                "print(t._guarded_forward_digest())")
+                "print(*t._forward_digests())")
         src = Path(diffcore.__file__).parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), str(src)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [_guarded_forward_digest()]
+        assert done.stdout.split() == _forward_digests()
 
 
 class TestLinearStack:
@@ -580,8 +608,8 @@ class TestLinearStack:
         x = rng.normal(size=(9, 11) if shared else (9, 5, 11))
         out = linear(Tensor(x), w, b).data
         assert out.shape == (9, 5, 3)
-        for i in range(5):
-            xi = x if shared else x[:, i]
+        for i in range(5):  # a per-map map i alone is a per-map stack of one
+            xi = x if shared else x[:, i:i + 1]
             alone = linear(Tensor(xi), Tensor(w.data[i:i + 1]), Tensor(b.data[i:i + 1])).data[:, 0]
             if shared:
                 _assert_shared_map_close(out[:, i], alone, xi, w.data[i], b.data[i])
@@ -809,7 +837,7 @@ def _openblas_core() -> str | None:
 # other shapes. On another core it skips, and another OpenBLAS build on this
 # core may fail it with no change to the code.
 NUMERICS_PINS = {4: ("SkylakeX", "6b0928a774453a99"), 5: ("SkylakeX", "b0318ce32fff4ee5"),
-                 6: ("SkylakeX", "22947a78abe385cc")}
+                 6: ("SkylakeX", "22947a78abe385cc"), 7: ("SkylakeX", "d3fec2ba88f1bea2")}
 
 
 class TestNumericsPin:
