@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .attribution import ESTIMATORS, ImportanceReport, _masked_forward, explain_ame
 from .granger import evaluate, fit
@@ -21,6 +20,7 @@ from .model import (TASKS, AmeConfig, AmeModel, Config, ConfigError, at_least, b
                     choice, forward, model_hash, setting, write_csv)
 
 LOG_ODDS_CLIP = 1e-9  # masking can saturate class probabilities
+BETACF_MAX_TERMS = 200  # the p-value's continued fraction needs at most ~50 up to df = 1e6
 
 KINDS = ("additive_regression", "informative_subset_classification", "noise_control")
 
@@ -160,6 +160,52 @@ def masking_drop(model: AmeModel, x: np.ndarray, picked: np.ndarray,
     return log_odds(q[:, :1]) - log_odds(q[:, 1:])
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with y = 1 - x given exactly.
+
+    The continued fraction (the `betacf` form, modified Lentz) converges fast
+    for x < (a + 1) / (a + b + 2); above that I_x(a, b) = 1 - I_y(b, a).
+    """
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    tiny = 1e-300  # keeps the Lentz denominators off zero
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or tiny)
+    h = d
+    for m in range(1, BETACF_MAX_TERMS):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d or tiny)
+            c = 1.0 + num / c or tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    return math.exp(log_front) * h / a
+
+
+def paired_p_value(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided paired t-test p-value, I_x(df/2, 1/2) at x = df / (df + t^2).
+
+    NaN below two pairs, 1.0 when the arms are allclose, 0.0 for a nonzero
+    mean difference without spread.
+    """
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    n = diff.size
+    if n < 2:
+        return float("nan")
+    if np.allclose(a, b):
+        return 1.0
+    var = float(np.var(diff, ddof=1))
+    if var == 0.0:
+        return 0.0  # not allclose, so the mean is nonzero: t is infinite
+    t2 = n * float(diff.mean()) ** 2 / var
+    if t2 == 0.0:
+        return 1.0
+    df = n - 1.0
+    return _betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
 def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
                      fraction: float, baseline_value: float = 0.0,
                      n: int = 100, seed: int = 0) -> dict:
@@ -185,10 +231,6 @@ def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
         picked[s, 1, rng.choice(p, size=m, replace=False)] = True
     informed, random_arm = masking_drop(model, x[:n], picked, baseline_value).T
 
-    if np.allclose(informed, random_arm):
-        p_value = 1.0
-    else:
-        p_value = float(stats.ttest_rel(informed, random_arm).pvalue)
     return {
         "n": n,
         "n_masked": m,
@@ -197,11 +239,23 @@ def masking_protocol(model: AmeModel, report: ImportanceReport, x: np.ndarray,
         "random_drop": float(random_arm.mean()),
         "informed_per_sample": informed,
         "random_per_sample": random_arm,
-        "p_value": p_value,
+        "p_value": paired_p_value(informed, random_arm),
     }
 
 
 # -- MGE vs estimate quality --------------------------------------------------
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rank correlation: Pearson's r of the average ranks. A
+    constant input has no ranking; callers flag that case before asking."""
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
 
 
 def mge_quality_protocol(named_models: list[tuple[str, AmeModel]], test: Dataset,
@@ -225,8 +279,8 @@ def mge_quality_protocol(named_models: list[tuple[str, AmeModel]], test: Dataset
                      "model_hash": model_hash(model)})
     mges = np.array([r["test_mge"] for r in rows])
     drops = np.array([r["logodds_drop"] for r in rows])
-    degenerate = bool(np.ptp(mges) < 1e-12)
-    spearman = float("nan") if degenerate else float(stats.spearmanr(mges, drops).statistic)
+    degenerate = bool(min(np.ptp(mges), np.ptp(drops)) < 1e-12)  # a constant column has no ranks
+    spearman = float("nan") if degenerate else spearman_rho(mges, drops)
     return {"rows": rows, "spearman": spearman, "degenerate": degenerate}
 
 

@@ -236,7 +236,8 @@ class TestCriterion5MgeQualityCorrelation:
         outcome = mge_quality_protocol(models, splits.test, fraction=0.25,
                                        baseline_value=0.0, n=100, seed=0)
         mges = [r["test_mge"] for r in outcome["rows"]]
-        assert not outcome["degenerate"], f"MGEs not distinct: {mges}"
+        drops = [r["logodds_drop"] for r in outcome["rows"]]
+        assert not outcome["degenerate"], f"MGEs {mges} or drops {drops} not distinct"
         assert outcome["spearman"] < 0.0, f"spearman {outcome['spearman']} (rows {outcome['rows']})"
         report("5 (MGE-quality correlation)",
                f"spearman {outcome['spearman']:.2f} over MGEs {[round(m, 3) for m in mges]}",

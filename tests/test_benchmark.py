@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
+from ame_lab import benchmark
 from ame_lab.attribution import ESTIMATORS, ImportanceReport, explain_ame
 from ame_lab.benchmark import (
     BenchmarkResult,
@@ -18,8 +22,10 @@ from ame_lab.benchmark import (
     masking_drop,
     masking_protocol,
     mge_quality_protocol,
+    paired_p_value,
     read_benchmark_csv,
     recall_at_k,
+    spearman_rho,
     sweep_single,
     timing_protocol,
     train_model,
@@ -240,6 +246,78 @@ class TestMasking:
         assert 0.0 <= out["p_value"] <= 1.0
 
 
+def samples_with_t(n, t, seed):
+    """Paired arms whose difference has t statistic close to t."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    z = (z - z.mean()) / z.std(ddof=1)
+    b = rng.standard_normal(n)
+    return b + z + t / math.sqrt(n), b
+
+
+class TestPairedPValue:
+    """scipy.stats is the independent oracle; the library computes the
+    p-value itself as a regularized incomplete beta."""
+
+    @given(n=st.integers(2, 2500), u=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_ttest_rel(self, n, u, seed):
+        # t from 1e-4 (p near 1) up to p of about 1e-300: t ~ 10^(300/df)
+        # for small df, 37 in the normal limit, and at most 1e8 so that the
+        # arms still carry it. Below 1e-4 at df = 1 scipy's own p-value loses
+        # digits (3e-9 relative at t = 1e-8); the closed form covers that.
+        t_hi = min(max(37.0, 10.0 ** (300 / (n - 1))), 1e8)
+        a, b = samples_with_t(n, 1e-4 * (t_hi / 1e-4) ** u, seed)
+        expected = float(stats.ttest_rel(a, b).pvalue)
+        got = paired_p_value(a, b)
+        if expected < 1e-300:
+            assert abs(got - expected) <= 1e-300
+        else:
+            assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @given(t=st.floats(1e-12, 1e12), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_two_pairs_closed_form(self, t, sign):
+        # df = 1 is Cauchy: p = 1 - (2/pi) atan|t| = (2/pi) atan(1/|t|)
+        a, b = sign * np.array([t + 1.0, t - 1.0]), np.zeros(2)
+        diff = a - b
+        t_data = diff.mean() / math.sqrt(np.var(diff, ddof=1) / 2)
+        assert paired_p_value(a, b) == pytest.approx(
+            2.0 / math.pi * math.atan(1.0 / abs(t_data)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", [([], []), ([1.0], [0.0]), ([2.0], [2.0])])
+    def test_fewer_than_two_pairs_is_nan(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(paired_p_value(np.array(a), np.array(b)))
+
+    def test_zero_spread_with_nonzero_mean_is_zero(self):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert paired_p_value(a, a - 0.5) == 0.0
+
+    def test_allclose_arms_give_one(self):
+        a = np.random.default_rng(2).standard_normal(50)
+        assert paired_p_value(a, a) == 1.0
+        assert paired_p_value(a, a + 1e-12) == 1.0
+
+    def test_zero_mean_difference_gives_one(self):
+        assert paired_p_value(np.array([1.0, -1.0, 2.0, -2.0]), np.zeros(4)) == 1.0
+
+
+class TestSpearmanRho:
+    @given(st.integers(3, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.lists(st.floats(-10, 10).map(lambda v: round(v, 1)), min_size=n, max_size=n))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_spearmanr_with_ties(self, columns):
+        a, b = (np.array(c, dtype=float) for c in columns)
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        expected = stats.spearmanr(a, b).statistic
+        assert spearman_rho(a, b) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
 class TestMgeQuality:
     def test_needs_three_models(self, trained):
         model, splits = trained
@@ -250,6 +328,18 @@ class TestMgeQuality:
         model, splits = trained
         out = mge_quality_protocol([("a", model), ("b", model), ("c", model)],
                                    splits.test, n=20)
+        assert out["degenerate"]
+        assert np.isnan(out["spearman"])
+
+    def test_constant_drops_flagged_degenerate(self, trained, monkeypatch):
+        # one model read three times gives equal drops; distinct MGEs must
+        # not hide that the drop column has no ranking
+        model, splits = trained
+        mges = iter([0.1, 0.2, 0.3])
+        monkeypatch.setattr(benchmark, "evaluate", lambda *_: {"mge": next(mges)})
+        out = mge_quality_protocol([("a", model), ("b", model), ("c", model)],
+                                   splits.test, n=20)
+        assert [r["test_mge"] for r in out["rows"]] == [0.1, 0.2, 0.3]
         assert out["degenerate"]
         assert np.isnan(out["spearman"])
 

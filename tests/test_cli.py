@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -972,3 +974,15 @@ class TestAtomicWrites:
         assert main(["sweep", "--config", path]) == 0
         assert "0 already complete" in capsys.readouterr().out
         assert [p.name for p in cells.iterdir()] == ["alpha_0.0_run_0.json"]
+
+
+class TestRunTimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only run-time dependency; scipy is a test oracle only
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import ame_lab.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = Path(cli.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
