@@ -201,7 +201,7 @@ ESTIMATORS = {
 # -- brute-force oracle ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig(Config):
     """Architecture and training settings for the oracle's probe MLPs."""
 
@@ -232,7 +232,6 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     gradient and update. A seed draws every probe's initial values and
     orders in the order of training the probes one after another.
     """
-    probe.check()
     if task not in TASKS:
         raise ConfigError(f"task must be 'regression' or 'classification', got {task!r}")
     _check_partition(feature_partition)

@@ -31,7 +31,7 @@ class ProtocolError(ValueError):
     """Raised when a protocol is run against an incompatible model or data."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec(Config):
     """Recipe for one dataset with known ground truth.
 
@@ -42,7 +42,7 @@ class SyntheticSpec(Config):
 
     kind: str = choice("additive_regression", KINDS)
     total_features: int = at_least(8, 1)
-    informative: list[int] = setting([0])
+    informative: list[int] = setting([0], lambda v: len(set(v)) == len(v), "distinct")
     weights: list[float] = setting([1.0])
     noise_scale: float = 0.1
     task: str = choice("", ("", *TASKS))  # "" takes the kind's; noise_control allows either
@@ -54,7 +54,7 @@ class SyntheticSpec(Config):
     def validate(self) -> None:
         derived = ("classification" if self.kind == "informative_subset_classification"
                    else "regression")
-        self.task = self.task or derived
+        object.__setattr__(self, "task", self.task or derived)
         if self.kind == "noise_control":
             return
         if self.task != derived:
@@ -91,7 +91,6 @@ class Splits:
 
 def generate(spec: SyntheticSpec) -> Splits:
     """Draw the three disjoint splits from one seeded stream."""
-    spec.check()
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_val + spec.n_test
     x = rng.standard_normal((total, spec.total_features))

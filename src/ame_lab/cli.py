@@ -2,11 +2,11 @@
 
 One JSON config describes a whole run; flags only override top-level
 scalars (seed, output directory, worker count). Every run writes its
-artifacts under <out_dir>/<run-id>/ where the run-id hashes the resolved
-config, so re-running the same config lands in the same place and sweeps
-can resume by skipping completed cells. `main` makes that directory, passes
-it to the command's runner and, once the runner has written its artifacts,
-echoes the resolved config there as config.json.
+artifacts under <out_dir>/<run-id>/ where the run-id hashes the config, its
+top-level seed already in each block, so re-running the same config lands in
+the same place and sweeps can resume by skipping completed cells. `main`
+makes that directory, passes it to the command's runner and, once the runner
+has written its artifacts, echoes the config there as config.json.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class InvariantError(RuntimeError):
     """An output failed its own validity check; the run must not exit 0."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(Config):
-    """Whole-run description; parsed strictly so configs stay replayable."""
+    """Whole-run description; parsed strictly so configs stay replayable. A
+    top-level seed replaces the seeds of the model, data and probe blocks."""
 
     model: AmeConfig = field(default_factory=AmeConfig)
     data: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -92,7 +93,11 @@ class RunConfig(Config):
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def validate(self) -> None:
-        """k against the model's groups, and the model against the data."""
+        """The top-level seed into each block; k against the model's groups, the
+        model against the data, and a benchmark's protocols against its task."""
+        if self.seed is not None:
+            for name in ("model", "data", "probe"):
+                object.__setattr__(self, name, replace(getattr(self, name), seed=self.seed))
         if not 1 <= self.k <= self.model.n_experts:
             raise ConfigError(f"k must lie in [1, {self.model.n_experts}] (groups), got {self.k}")
         if self.model.task != self.data.task:
@@ -105,15 +110,10 @@ class RunConfig(Config):
         if self.model.task == "classification" and self.model.num_classes != 2:
             raise ConfigError(
                 f"num_classes must be 2, the data's class count, got {self.model.num_classes}")
-
-
-def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Apply the top-level seed override to the nested seeds."""
-    if cfg.seed is not None:
-        cfg.model.seed = cfg.seed
-        cfg.data.seed = cfg.seed
-        cfg.probe.seed = cfg.seed
-    return cfg
+        masking = [p for p in self.protocols if p in ("masking", "mge_quality")]
+        if self.command == "benchmark" and self.model.task == "regression" and masking:
+            raise ConfigError(f"protocols {masking} need a classification task, "
+                              "but this benchmark's is 'regression'")
 
 
 def run_id(cfg: RunConfig) -> str:
@@ -356,8 +356,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"command: config says {cfg.command!r} but {args.command!r} was invoked")
         flags = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
-        cfg = resolve_config(replace(cfg, command=args.command,  # checks the flags too
-                                     **{k: v for k, v in flags.items() if v is not None}))
+        cfg = replace(cfg, command=args.command,  # checks the flags too
+                      **{k: v for k, v in flags.items() if v is not None})
         run_dir = Path(cfg.out_dir) / run_id(cfg)
         run_dir.mkdir(parents=True, exist_ok=True)
         RUNNERS[args.command](cfg, run_dir)

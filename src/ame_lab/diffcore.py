@@ -242,25 +242,24 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return Tensor(out, _parents=tuple(tensors), _backward_fn=back)
 
 
-def reduce_rows(ufunc, a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """ufunc.reduce(a, axis, keepdims=True) for np.add (a sum) or np.maximum
+def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, -1, keepdims=True) for np.add (a sum) or np.maximum
     (a max), bit for bit. A last axis of extent 1 or 2, such as a class axis,
     is reduced as columns: elementwise, so each row's result is independent
     of the batch extent, and without numpy's per-row reduction loop. numpy
     adds a row's terms to 0.0 in turn, so a sum adds 0.0 too, making a sum of
     -0.0s 0.0. A longer axis is numpy's reduction."""
-    axis %= a.ndim
-    if axis != a.ndim - 1 or not 1 <= a.shape[axis] <= 2:
-        return ufunc.reduce(a, axis=axis, keepdims=True)
-    out = ufunc(a[..., :1], a[..., 1:]) if a.shape[axis] == 2 else a[..., :1]
+    if not 1 <= a.shape[-1] <= 2:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = ufunc(a[..., :1], a[..., 1:]) if a.shape[-1] == 2 else a[..., :1]
     return out + 0.0 if ufunc is np.add else out
 
 
-def _softmax(z: np.ndarray, axis: int):
-    """Softmax of z along `axis`, and its map from output to input gradient."""
-    e = np.exp(z - reduce_rows(np.maximum, z, axis))
-    y = e / reduce_rows(np.add, e, axis)
-    return y, lambda g: y * (g - reduce_rows(np.add, g * y, axis))
+def _softmax(z: np.ndarray):
+    """Softmax of z over the last axis, and its map from output to input gradient."""
+    e = np.exp(z - reduce_rows(np.maximum, z))
+    y = e / reduce_rows(np.add, e)
+    return y, lambda g: y * (g - reduce_rows(np.add, g * y))
 
 
 def _activate(activation: str, z: np.ndarray):
@@ -272,15 +271,14 @@ def _activate(activation: str, z: np.ndarray):
     if activation == "relu":
         live = z > 0
         return np.where(live, z, 0.0), lambda g: g * live
-    return _softmax(z, z.ndim - 1)
+    return _softmax(z)
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along `axis`; rows land on the simplex."""
-    ax = axis if axis >= 0 else logits.ndim + axis
-    if not 0 <= ax < logits.ndim or logits.shape[ax] == 0:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {logits.shape}")
-    y, back = _softmax(logits.data, ax)
+def softmax(logits: Tensor) -> Tensor:
+    """Numerically stabilized softmax over the last axis; rows land on the simplex."""
+    if logits.ndim == 0 or logits.shape[-1] == 0:
+        raise DimensionError(f"softmax needs a non-empty last axis, got shape {logits.shape}")
+    y, back = _softmax(logits.data)
     return Tensor(y, _parents=(logits,), _backward_fn=lambda g: (back(g),))
 
 

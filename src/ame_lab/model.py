@@ -105,18 +105,15 @@ def _block(f):
 
 
 class Config:
-    """Base of the config dataclasses. A field is a `setting`, a plain field
-    (typed by its default, no rule), or a nested config block whose default
-    factory is its class, of which it must hold an instance. Construction
-    parses each field to its plain JSON value (`_parse`: numpy scalars,
-    fractions and ints for floats included), stores it back, checks its
-    rule, then runs `validate()`; `check()` does so again for a config
-    changed after it was built."""
+    """Base of the frozen config dataclasses. A field is a `setting`, a plain
+    field (typed by its default, no rule), or a nested config block whose
+    default factory is its class, of which it must hold an instance.
+    Construction parses each field to its plain JSON value (`_parse`: numpy
+    scalars, fractions and ints for floats included), stores it back, checks
+    its rule, then runs `validate()`. A config is never changed after that:
+    `dataclasses.replace` builds and checks a new one."""
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             block = _block(f)
@@ -131,7 +128,7 @@ class Config:
                 raise ConfigError(f"{f.name} must be {_type_name(like)}, got {value!r}") from None
             except ValueError:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
-            setattr(self, f.name, value)
+            object.__setattr__(self, f.name, value)
             if not (rule is None or rule(value)):
                 raise ConfigError(f"{f.name} must be {f.metadata['text']}, got {value!r}")
         self.validate()
@@ -176,7 +173,7 @@ def _check_partition(groups) -> None:
                           f"first {first}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmeConfig(Config):
     """Full architecture plus training description of one model.
 
@@ -361,7 +358,6 @@ def build_ame(config: AmeConfig) -> AmeModel:
     map's live inputs, so padded columns and masked probe blocks stay zero;
     biases are zero, and context vectors Gaussian/sqrt(gate_hidden), keeping
     initial attention near uniform."""
-    config.check()
     model = _zero_model(config)
     rng = np.random.default_rng(config.seed)
     width = model.gate_projection.weights.shape[2]
@@ -387,7 +383,7 @@ def combined_state(h: Tensor, c: Tensor) -> Tensor:
 def attention(projection: DenseLayer, context: Tensor, h_all: Tensor) -> Tensor:
     """Attention vector over experts, shape (n, p), rows on the simplex: gate
     i scores its projection of h_all against its context vector, context[i]."""
-    return softmax(map_dot(projection(h_all), context), axis=1)
+    return softmax(map_dot(projection(h_all), context))
 
 
 def group_inputs(model: AmeModel, x) -> np.ndarray:
@@ -419,7 +415,7 @@ def mix(model: AmeModel, h: Tensor, c: Tensor) -> AmeOutput:
     h_all = combined_state(h, c)
     a = attention(model.gate_projection, model.gate_context, h_all)
     combined = weighted_sum(a, c)
-    y = softmax(combined, axis=1) if model.config.task == "classification" else combined
+    y = softmax(combined) if model.config.task == "classification" else combined
     # Granger probes read h_all when read. Probe slot i+1's mask removes both
     # expert i's hidden state and its contribution, so it sees nothing of it.
     return AmeOutput(y=y, a=a, c=c, h_all=h_all, model=model)

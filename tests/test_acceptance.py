@@ -29,7 +29,7 @@ from ame_lab.benchmark import (
     mge_quality_protocol,
     train_model,
 )
-from ame_lab.cli import main as cli_main, resolve_config, run_id, RunConfig
+from ame_lab.cli import main as cli_main, run_id, RunConfig
 from ame_lab.diffcore import (
     clear_grads,
     finite_difference_grads,
@@ -293,16 +293,20 @@ class TestCriterion7SpeedOrdering:
                         batch_size=64, epochs=2, patience=12)
         model, _ = train_model(cfg, splits, epochs=2)
 
-        readout = explain_ame(model, splits.test.x, batch_size=1)
-        occlusion = explain_occlusion(model, splits.test.x, batch_size=1)
-        assert readout.forwards == n
-        assert readout.backwards == 0
-        assert occlusion.forwards == n * (p + 1)
-        assert readout.seconds < occlusion.seconds / 5.0, (
-            f"readout {readout.seconds:.2f}s vs occlusion {occlusion.seconds:.2f}s")
+        # each estimator's time is the least of 5 calls on the same rows, the two
+        # estimators called in turn, so a spell of a slowed machine neither
+        # decides the ordering nor falls on one estimator's calls only
+        readouts, occlusions = zip(*((explain_ame(model, splits.test.x, batch_size=1),
+                                      explain_occlusion(model, splits.test.x, batch_size=1))
+                                     for _ in range(5)))
+        assert all(r.forwards == n and r.backwards == 0 for r in readouts)
+        assert all(r.forwards == n * (p + 1) for r in occlusions)
+        readout = min(r.seconds for r in readouts)
+        occlusion = min(r.seconds for r in occlusions)
+        assert readout < occlusion / 5.0, f"readout {readout:.3f}s vs occlusion {occlusion:.3f}s"
         report("7 (speed ordering)",
-               f"readout {readout.seconds:.2f}s vs occlusion {occlusion.seconds:.2f}s "
-               f"({occlusion.seconds / readout.seconds:.0f}x)", started, 300.0)
+               f"readout {readout:.3f}s vs occlusion {occlusion:.3f}s "
+               f"({occlusion / readout:.1f}x, least of 5 calls each)", started, 300.0)
 
 
 class TestCriterion8OracleCrossCheck:
@@ -399,7 +403,7 @@ class TestCriterion9Replay:
             cfg_path = tmp_path / f"{command}_{out_name}.json"
             cfg_path.write_text(json.dumps(cfg))
             assert cli_main([command, "--config", str(cfg_path), *extra]) == 0
-            rid = run_id(resolve_config(RunConfig.from_dict(cfg)))
+            rid = run_id(RunConfig.from_dict(cfg))
             paths.append(tmp_path / out_name / rid)
         return paths
 
@@ -418,7 +422,7 @@ class TestCriterion9Replay:
 
         explain_cfg = dict(base, model_path=str(a.parent.parent / "first"))
         # reuse the trained model from the train replay above
-        train_rid = run_id(resolve_config(RunConfig.from_dict(base)))
+        train_rid = run_id(RunConfig.from_dict(base))
         explain_cfg["model_path"] = str(tmp_path / "first" / train_rid / "model.json")
         a, b = self._run_twice(tmp_path, "explain", explain_cfg)
         texts = [(p / "importance.csv").read_text() for p in (a, b)]

@@ -1,5 +1,6 @@
 """Tests for the importance estimators, normalizing transform, and oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -606,12 +607,10 @@ class TestProbeConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ProbeConfig(**{field: value})
 
-    def test_oracle_revalidates_a_changed_probe(self):
+    def test_a_built_probe_cannot_be_changed(self):
         probe = ProbeConfig()
-        probe.batch_size = 0
-        x, y = np.zeros((40, 2)), np.zeros((40, 1))
-        with pytest.raises(ConfigError, match="batch_size"):
-            granger_oracle((x, y), (x, y), [[0], [1]], probe, "regression")
+        with pytest.raises(dataclasses.FrozenInstanceError, match="batch_size"):
+            probe.batch_size = 0
 
     @pytest.mark.parametrize("field", ["task", "num_classes"])
     def test_task_and_class_count_are_not_probe_fields(self, field):

@@ -101,6 +101,11 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError, match="exceeds"):
             cls_spec(informative=[0, 1, 2, 3, 4], weights=[1.0] * 5)
 
+    @pytest.mark.parametrize("informative", [[0, 0], [0] * 9], ids=["twice", "nine_times"])
+    def test_repeated_informative_feature_rejected(self, informative):
+        with pytest.raises(ConfigError, match=r"^informative must be distinct, got \[0, 0"):
+            cls_spec(informative=informative, weights=[1.0] * len(informative))
+
     def test_weight_count_must_match(self):
         with pytest.raises(ConfigError, match="weights"):
             cls_spec(informative=[0], weights=[1.0, 2.0])

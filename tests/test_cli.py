@@ -18,7 +18,7 @@ from ame_lab.attribution import (ESTIMATORS, ProbeConfig, explain_ame,
                                  write_importance_csv, write_importance_json)
 from ame_lab.benchmark import (BenchmarkResult, SyntheticSpec, aggregate_sweep, sweep_single,
                                write_benchmark_csv, write_sweep_csv)
-from ame_lab.cli import RunConfig, informative_groups, main, resolve_config, run_id
+from ame_lab.cli import RunConfig, informative_groups, main, run_id
 from ame_lab.granger import TRAINING_LOG_COLUMNS, write_training_log
 from ame_lab.model import AmeConfig, build_ame, load_model, model_hash, model_to_dict, save_model
 
@@ -62,7 +62,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def run_dir_of(tmp_path, cfg):
-    return tmp_path / "runs" / run_id(resolve_config(RunConfig.from_dict(cfg)))
+    return tmp_path / "runs" / run_id(RunConfig.from_dict(cfg))
 
 
 class TestConfigParsing:
@@ -123,6 +123,15 @@ class TestConfigParsing:
         code = main(["train", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert "task" in capsys.readouterr().err
+
+    def test_repeated_informative_feature_is_a_config_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["data"].update(informative=[0, 0], weights=[1.0, 1.0])
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: informative must be distinct, got [0, 0]")
+        assert not (tmp_path / "runs").exists()
+        assert "informative (default: [0]; must be distinct)" in cli._field_reference()
 
     def test_model_output_width_must_match_the_data(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -290,8 +299,9 @@ class TestConfigParsing:
 
     def test_seed_flag_overrides_nested_seeds(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, seed=99))
-        resolve_config(cfg)
         assert cfg.model.seed == 99 and cfg.data.seed == 99
+        reseeded = replace(cfg, seed=3)  # as main applies --seed
+        assert (reseeded.model.seed, reseeded.data.seed, reseeded.probe.seed) == (3, 3, 3)
 
 
 class TestTrainCommand:
@@ -549,6 +559,24 @@ class TestBenchmarkCommand:
         assert "spearman" in metrics
         assert any(m.endswith("test_mge") for m in metrics)
 
+    @pytest.mark.parametrize("protocols, refused", [
+        (None, ["masking"]), (["recall", "mge_quality", "masking"], ["mge_quality", "masking"]),
+    ], ids=["default", "both"])
+    def test_regression_benchmark_refuses_the_masking_protocols_before_training(
+            self, tmp_path, capsys, monkeypatch, protocols, refused):
+        cfg = base_config(tmp_path) if protocols is None else base_config(
+            tmp_path, protocols=protocols)
+        cfg["model"]["task"] = "regression"
+        cfg["data"]["kind"] = "additive_regression"
+        monkeypatch.setattr(cli, "train_model", lambda *args, **kwargs: pytest.fail("trained"))
+        assert main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: protocols {refused} need a classification task")
+        assert not (tmp_path / "runs").exists()
+        # only a benchmark runs protocols; a regression benchmark may run the others
+        RunConfig.from_dict(dict(cfg, command="train"))
+        RunConfig.from_dict(dict(cfg, command="benchmark", protocols=["recall", "timing"]))
+
 
 class TestSweepCommand:
     def sweep_config(self, tmp_path):
@@ -714,7 +742,7 @@ class TestRunEpilogue:
         capsys.readouterr()
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
         run_dir = run_dir_of(tmp_path, cfg)
-        resolved = resolve_config(RunConfig.from_dict(dict(cfg, command=command)))
+        resolved = RunConfig.from_dict(dict(cfg, command=command))
         assert json.loads((run_dir / "config.json").read_text()) == resolved.to_dict()
         assert capsys.readouterr().out.endswith(f"artifacts in {run_dir}\n")
 
@@ -825,13 +853,17 @@ def run_configs(draw):
     data = draw(synthetic_specs())
     model = draw(model_configs(feature_partition=st.just([[i] for i in range(
         data.total_features)]), task=st.just(data.task), num_classes=st.just(2)))
+    command = draw(st.sampled_from([None, *cli.COMMANDS]))
+    # a regression benchmark refuses the two masking protocols
+    protocols = [p for p in cli.PROTOCOLS if command != "benchmark"
+                 or data.task == "classification" or p not in ("masking", "mge_quality")]
     return draw(st.builds(
         RunConfig, model=st.just(model), data=st.just(data),
-        command=st.sampled_from([None, *cli.COMMANDS]), out_dir=st.text(max_size=5),
+        command=st.just(command), out_dir=st.text(max_size=5),
         seed=st.none() | ints(0), model_path=st.none() | st.text(max_size=5),
         estimators=st.lists(st.sampled_from(sorted(ESTIMATORS)), min_size=1, max_size=3,
                             unique=True),
-        protocols=st.lists(st.sampled_from(cli.PROTOCOLS), max_size=4, unique=True),
+        protocols=st.lists(st.sampled_from(protocols), max_size=4, unique=True),
         fraction=reals(1e-6, 1.0), k=ints(1, model.n_experts), n=ints(1),
         alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
         runs=ints(1), baseline_value=reals(-1e3, 1e3), jobs=ints(1, 8)))
@@ -906,7 +938,7 @@ def artifact_writers(tmp_path):
     log = [{c: 0.25 for c in TRAINING_LOG_COLUMNS} for _ in range(10)]
     runs = [{"alpha": 0.1, "run": r, "seed": r, "test_main_loss": 0.5, "test_mge": 0.25,
              "test_metric": 0.75, "model_hash": "0123456789abcdef"} for r in range(3)]
-    run_cfg = resolve_config(RunConfig.from_dict(cfg))
+    run_cfg = RunConfig.from_dict(cfg)
     return {
         "model.json": lambda path: save_model(model, path),
         "config.json": lambda path: cli._write_config(run_cfg, path.parent),

@@ -1,6 +1,7 @@
 """Tests for the Granger-causal objective: targets, KL, blending, training."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -556,7 +557,7 @@ class TestTraining:
     def test_early_stopping_within_patience_of_best(self):
         x, y = linear_task(n=120)
         model = self.make_model()
-        model.config.patience = 2
+        model.config = replace(model.config, patience=2)
         rows = fit(model, (x[:80], y[:80]), (x[80:], y[80:]), epochs=60)
         val_rows = [r for r in rows if r["split"] == "val"]
         objective = [(1 - 0.1) * r["main_loss"] + 0.1 * r["mge"] + r["aux_loss_mean"]

@@ -165,10 +165,8 @@ class TestConfigParse:
         assert len({json.dumps(c.to_dict()) for c in configs}) == 1
         assert len({model_hash(build_ame(c)) for c in configs}) == 1
 
-    def test_a_value_set_after_construction_is_parsed_by_check(self):
-        cfg = small_config()
-        cfg.seed, cfg.alpha = np.int64(7), 1
-        cfg.check()
+    def test_a_value_given_to_replace_is_parsed(self):
+        cfg = dataclasses.replace(small_config(), seed=np.int64(7), alpha=1)
         assert (type(cfg.seed), type(cfg.alpha)) == (int, float)
 
 
