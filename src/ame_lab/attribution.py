@@ -14,7 +14,6 @@ auxiliary pathway against.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import time
@@ -205,7 +204,7 @@ ESTIMATORS = {
 class ProbeConfig(Config):
     """Architecture and training settings for the oracle's probe MLPs."""
 
-    hidden: list[int] = setting([8], lambda v: all(w >= 1 for w in v), "widths >= 1")
+    hidden: tuple[int, ...] = setting((8,), lambda v: all(w >= 1 for w in v), "widths >= 1")
     learning_rate: float = setting(0.01, lambda v: v > 0.0, "> 0")
     optimizer: str = choice("adam", dc.OPTIMIZERS)
     epochs: int = at_least(40, 1)
@@ -227,10 +226,11 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     softmax. `feature_partition` must split x's columns into groups the way
     `AmeConfig` requires; any other is a ConfigError.
 
-    The probes are one masked layer stack trained side by side; each has its
-    own minibatch order and batch-mean loss, so it gets exactly its own
-    gradient and update. A seed draws every probe's initial values and
-    orders in the order of training the probes one after another.
+    The probes are one masked layer stack trained side by side, each batch
+    one input they all read; each has its own batch-mean loss, so it gets
+    exactly its own gradient and update. The seed draws every probe's initial
+    values, then one minibatch order per epoch that all probes share, so the
+    order's noise cancels out of each error increase (common random numbers).
     """
     if task not in TASKS:
         raise ConfigError(f"task must be 'regression' or 'classification', got {task!r}")
@@ -252,19 +252,15 @@ def granger_oracle(train_xy: tuple[np.ndarray, np.ndarray],
     net = _probe_stack("probe", feature_partition, [width, *probe.hidden, out_dim], head_act)
 
     rng = np.random.default_rng(probe.seed)
-    streams = []  # probe j's minibatch orders continue from just after its init
     for j in range(p + 1):
         draw_slot(rng, net.layers, j, net.layers[0].mask[j, 0])
-        streams.append(copy.deepcopy(rng))
-        for _ in range(probe.epochs):
-            rng.permutation(n)
 
     params = net.parameters()
     opt = Optimizer(probe.optimizer, probe.learning_rate)
     for _ in range(probe.epochs):
-        orders = np.stack([s.permutation(n) for s in streams], axis=1)  # (n, p+1)
+        order = rng.permutation(n)  # one minibatch order, read by every probe
         for rows in batch_slices(n, probe.batch_size):
-            idx = orders[rows]  # probe j reads rows idx[:, j]
+            idx = order[rows]
             errors = aux_errors(net(Tensor(x_train[idx])), y_train[idx], task)
             (errors.sum() * (1.0 / idx.shape[0])).backward()  # sum of per-probe batch means
             dc.optimizer_step(opt, params)

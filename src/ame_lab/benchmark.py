@@ -42,8 +42,8 @@ class SyntheticSpec(Config):
 
     kind: str = choice("additive_regression", KINDS)
     total_features: int = at_least(8, 1)
-    informative: list[int] = setting([0], lambda v: len(set(v)) == len(v), "distinct")
-    weights: list[float] = setting([1.0])
+    informative: tuple[int, ...] = setting((0,), lambda v: len(set(v)) == len(v), "distinct")
+    weights: tuple[float, ...] = setting((1.0,))
     noise_scale: float = 0.1
     task: str = choice("", ("", *TASKS))  # "" takes the kind's; noise_control allows either
     n_train: int = at_least(1000, 1)
@@ -66,7 +66,7 @@ class SyntheticSpec(Config):
                 f"informative set size {len(self.informative)} exceeds "
                 f"{self.total_features} total features")
         if any(i < 0 or i >= self.total_features for i in self.informative):
-            raise ConfigError(f"informative indices out of range: {self.informative}")
+            raise ConfigError(f"informative indices out of range: {list(self.informative)}")
         if len(self.weights) != len(self.informative):
             raise ConfigError(
                 f"{len(self.weights)} weights for {len(self.informative)} informative features")

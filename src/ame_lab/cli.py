@@ -17,7 +17,7 @@ import contextlib
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -46,8 +46,8 @@ from .benchmark import (
     write_sweep_csv,
 )
 from .granger import evaluate, write_training_log
-from .model import (AmeConfig, Config, ConfigError, at_least, atomic_open, choice, load_model,
-                    model_hash, save_model, setting, write_csv)
+from .model import (AmeConfig, Config, ConfigError, _json_value, at_least, atomic_open, choice,
+                    load_model, model_hash, save_model, setting, write_csv)
 
 COMMANDS = ("train", "explain", "benchmark", "sweep", "oracle")
 
@@ -57,7 +57,7 @@ PROTOCOLS = ("masking", "mge_quality", "recall", "timing")
 ARCHITECTURE_FIELDS = ("feature_partition", "task", "num_classes", "expert_hidden",
                        "gate_hidden", "aux_hidden")
 
-DEFAULT_ALPHAS = [round(0.01 * i, 2) for i in range(11)]  # 0, 0.01, ..., 0.1
+DEFAULT_ALPHAS = tuple(round(0.01 * i, 2) for i in range(11))  # 0, 0.01, ..., 0.1
 
 
 class InvariantError(RuntimeError):
@@ -75,18 +75,19 @@ class RunConfig(Config):
     out_dir: str = "runs"
     seed: int | None = setting(None, lambda v: v >= 0, ">= 0", like=0)
     model_path: str | None = setting(None, like="")
-    estimators: list[str] = setting(["ame"], lambda v: v and len(set(v)) == len(v)
-                                    and set(v) <= set(ESTIMATORS),
-                                    f"one or more distinct of {sorted(ESTIMATORS)}")
-    protocols: list[str] = setting(["masking", "recall", "timing"],
-                                   lambda v: len(set(v)) == len(v) and set(v) <= set(PROTOCOLS),
-                                   f"any distinct of {list(PROTOCOLS)}")
+    estimators: tuple[str, ...] = setting(("ame",), lambda v: v and len(set(v)) == len(v)
+                                          and set(v) <= set(ESTIMATORS),
+                                          f"one or more distinct of {sorted(ESTIMATORS)}")
+    protocols: tuple[str, ...] = setting(("masking", "recall", "timing"),
+                                         lambda v: len(set(v)) == len(v)
+                                         and set(v) <= set(PROTOCOLS),
+                                         f"any distinct of {list(PROTOCOLS)}")
     fraction: float = setting(0.1, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     k: int = 1
     n: int = at_least(100, 1)
-    alphas: list[float] = setting(DEFAULT_ALPHAS, lambda v: v and len(set(v)) == len(v)
-                                  and all(0.0 <= a <= 1.0 for a in v),
-                                  "non-empty, distinct and in [0, 1]")
+    alphas: tuple[float, ...] = setting(DEFAULT_ALPHAS, lambda v: v and len(set(v)) == len(v)
+                                        and all(0.0 <= a <= 1.0 for a in v),
+                                        "non-empty, distinct and in [0, 1]")
     runs: int = at_least(5, 1)
     baseline_value: float = 0.0
     jobs: int = at_least(1, 1)
@@ -312,9 +313,8 @@ def _field_reference() -> str:
         for f in fields(cls):
             if f.name in ("model", "data", "probe"):
                 continue
-            default = f.default if f.default_factory is MISSING else f.default_factory()
             rule = f"; must be {f.metadata['text']}" if f.metadata.get("text") else ""
-            lines.append(f"    {f.name} (default: {default!r}{rule})")
+            lines.append(f"    {f.name} (default: {_json_value(f.default)!r}{rule})")
     return "\n".join(lines)
 
 

@@ -117,11 +117,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise DimensionError(f"item() needs a single element, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"

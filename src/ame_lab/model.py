@@ -19,7 +19,6 @@ of ops whatever the number of experts.
 from __future__ import annotations
 
 import base64
-import copy
 import csv
 import hashlib
 import json
@@ -28,7 +27,7 @@ import numbers
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
 
 
 def _type_name(like) -> str:
-    return f"list[{_type_name(like[0])}]" if isinstance(like, list) else type(like).__name__
+    return f"list[{_type_name(like[0])}]" if isinstance(like, tuple) else type(like).__name__
 
 
 _NUMBER = {int: numbers.Integral, float: numbers.Real}
@@ -56,14 +55,14 @@ _NUMBER = {int: numbers.Integral, float: numbers.Real}
 def _parse(value, like):
     """`value` as the plain value of the JSON type of `like` it stands for: a
     bool; an int, from any integral number but a bool; a finite float, from
-    any real number but a bool; a str; or a list whose items parse against
-    like[0]. Raises TypeError for a value of another type and ValueError for
-    a float that is not finite."""
+    any real number but a bool; a str; or, for a tuple `like`, a list or tuple
+    whose items parse against like[0], as a tuple. Raises TypeError for a
+    value of another type and ValueError for a float that is not finite."""
     kind = type(like)
-    if kind is list:
-        if not isinstance(value, list):
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
             raise TypeError
-        return [_parse(v, like[0]) for v in value]
+        return tuple(_parse(v, like[0]) for v in value)
     if type(value) is not kind:  # the slow ABC checks only for a value not yet plain
         if isinstance(value, bool) or not isinstance(value, _NUMBER.get(kind, kind)):
             raise TypeError
@@ -81,10 +80,8 @@ def setting(default, rule=None, text: str = "", like=None):
     `text` (shown by `ame-lab --help` and in refusals). The rule returns true
     when a value of the field's type is fine. A field that defaults to None may
     be None or of the type of `like`; any other field has the type of its
-    default."""
+    default. A JSON list field has a tuple default and holds a tuple."""
     meta = {"like": default if like is None else like, "rule": rule, "text": text}
-    if isinstance(default, list):
-        return field(default_factory=lambda: copy.deepcopy(default), metadata=meta)
     return field(default=default, metadata=meta)
 
 
@@ -109,9 +106,9 @@ class Config:
     field (typed by its default, no rule), or a nested config block whose
     default factory is its class, of which it must hold an instance.
     Construction parses each field to its plain JSON value (`_parse`: numpy
-    scalars, fractions and ints for floats included), stores it back, checks
-    its rule, then runs `validate()`. A config is never changed after that:
-    `dataclasses.replace` builds and checks a new one."""
+    scalars, fractions and ints for floats included; lists as tuples), stores
+    it back, checks its rule, then runs `validate()`. A config is never changed
+    after that: `dataclasses.replace` builds and checks a new one."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -130,14 +127,16 @@ class Config:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
             object.__setattr__(self, f.name, value)
             if not (rule is None or rule(value)):
-                raise ConfigError(f"{f.name} must be {f.metadata['text']}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {f.metadata['text']}, "
+                                  f"got {_json_value(value)!r}")
         self.validate()
 
     def validate(self) -> None:
         """The rules that span fields; none unless a subclass has some."""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config as JSON data: blocks as dicts, tuples as lists."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw):
@@ -151,6 +150,12 @@ class Config:
             raise ConfigError(f"unknown {cls.__name__} fields: {unknown}")
         return cls(**{name: value if blocks[name] is None else blocks[name].from_dict(value)
                       for name, value in raw.items()})
+
+
+def _json_value(value):
+    if isinstance(value, Config):
+        return value.to_dict()
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _check_partition(groups) -> None:
@@ -183,11 +188,13 @@ class AmeConfig(Config):
     predictors.
     """
 
-    feature_partition: list[list[int]] = setting(  # checked by validate()
-        [[0]], text="non-empty disjoint groups covering indices 0..n-1")
-    expert_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
+    feature_partition: tuple[tuple[int, ...], ...] = setting(  # checked by validate()
+        ((0,),), text="non-empty disjoint groups covering indices 0..n-1")
+    expert_hidden: tuple[int, ...] = setting((8,), lambda v: v and min(v) >= 1,
+                                             "one or more widths >= 1")
     gate_hidden: int = at_least(8, 1)
-    aux_hidden: list[int] = setting([8], lambda v: v and min(v) >= 1, "one or more widths >= 1")
+    aux_hidden: tuple[int, ...] = setting((8,), lambda v: v and min(v) >= 1,
+                                          "one or more widths >= 1")
     task: str = choice("regression", TASKS)
     num_classes: int = 2
     alpha: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")

@@ -102,7 +102,7 @@ class TestCriterion1Gradients:
         cfg = AmeConfig(feature_partition=[[0, 1], [2], [3, 4]], expert_hidden=[4],
                         gate_hidden=4, aux_hidden=[4], task="regression",
                         alpha=0.5, aux_weight=1.0, seed=7)
-        assert max(cfg.expert_hidden + cfg.aux_hidden + [cfg.gate_hidden]) <= 8
+        assert max(*cfg.expert_hidden, *cfg.aux_hidden, cfg.gate_hidden) <= 8
         model = build_ame(cfg)
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(4, 5)), rng.normal(size=(4, 1))

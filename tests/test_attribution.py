@@ -507,7 +507,9 @@ class TestGrangerOracle:
 
 def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
     """The oracle as p+1 separate networks trained one after another: an
-    independent reference for the stacked one. Returns (eps_excl, eps_all)."""
+    independent reference for the stacked one. The seed draws every network's
+    initial values, then one minibatch order per epoch that every network
+    reads. Returns (eps_excl, eps_all)."""
     x_train, y_train = train_xy
     x_held, y_held = heldout_xy
     out_dim = y_train.shape[1]
@@ -533,15 +535,13 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
             return dc.per_sample_cross_entropy(pred, Tensor(y))
         return dc.per_sample_mae(pred, Tensor(y))
 
-    def train_and_score(cols):
-        # a probe with no feature left reads one constant-zero column
-        x_tr = x_train[:, cols] if cols else np.zeros((x_train.shape[0], 1))
-        x_he = x_held[:, cols] if cols else np.zeros((x_held.shape[0], 1))
-        layers = build(x_tr.shape[1])
+    def inputs(cols):  # a probe with no feature left reads one constant-zero column
+        return tuple(x[:, cols] if cols else np.zeros((x.shape[0], 1)) for x in (x_train, x_held))
+
+    def train_and_score(layers, x_tr, x_he):
         params = [t for layer in layers for t in layer.parameters()]
         opt = Optimizer(probe.optimizer, probe.learning_rate)
-        for _ in range(probe.epochs):
-            order = rng.permutation(x_tr.shape[0])
+        for order in orders:
             for start in range(0, x_tr.shape[0], probe.batch_size):
                 idx = order[start:start + probe.batch_size]
                 errors(run(layers, x_tr[idx]), y_train[idx]).mean().backward()
@@ -550,10 +550,12 @@ def sequential_oracle(train_xy, heldout_xy, feature_partition, probe, task):
         return errors(run(layers, x_he), y_held).data
 
     all_features = sorted(i for group in feature_partition for i in group)
-    eps_all = train_and_score(all_features)
-    eps_excl = np.stack([train_and_score([i for i in all_features if i not in group])
-                         for group in feature_partition], axis=1)
-    return eps_excl, eps_all
+    kept = [all_features] + [[i for i in all_features if i not in group]
+                             for group in feature_partition]
+    probes = [(build(len(cols) or 1), *inputs(cols)) for cols in kept]  # every init first
+    orders = [rng.permutation(x_train.shape[0]) for _ in range(probe.epochs)]  # shared by all
+    eps_all, *eps_excl = (train_and_score(*args) for args in probes)
+    return np.stack(eps_excl, axis=1), eps_all
 
 
 class TestStackedOracleMatchesSequential:

@@ -891,6 +891,33 @@ class TestConfigRoundTrip:
         assert json.dumps(back.to_dict(), sort_keys=True) == text
 
 
+LIST_FIELDS = [(cls, f.name) for cls in (AmeConfig, SyntheticSpec, ProbeConfig, RunConfig)
+               for f in fields(cls) if isinstance(f.metadata.get("like"), (list, tuple))]
+
+
+class TestConfigListsAreFrozen:
+    """A list field holds a tuple: a built config's lists cannot be edited in
+    place past its checks, and its JSON still holds lists."""
+
+    def test_every_list_field_is_covered(self):
+        assert len(LIST_FIELDS) == 9
+
+    @pytest.mark.parametrize("cls, name", LIST_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in LIST_FIELDS])
+    def test_a_list_field_refuses_an_in_place_edit(self, tmp_path, cls, name):
+        run = RunConfig.from_dict(base_config(tmp_path))
+        cfg = {AmeConfig: run.model, SyntheticSpec: run.data, ProbeConfig: run.probe,
+               RunConfig: run}[cls]
+        value, before = getattr(cfg, name), cfg.to_dict()
+        for item in (value, value[0]) if isinstance(value[0], (list, tuple)) else (value,):
+            with pytest.raises(AttributeError):
+                item.append(item[0])
+            with pytest.raises(TypeError):
+                item[0] = item[0]
+        assert cfg.to_dict() == before
+        assert type(before[name]) is list
+
+
 class FailingFile:
     """A text file handle that writes `budget` characters, then raises."""
 

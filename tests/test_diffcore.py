@@ -168,11 +168,11 @@ class TestClassAxisReductions:
 class TestLosses:
     def test_mae_zero_when_equal(self):
         y = Tensor(np.arange(6.0).reshape(2, 3))
-        assert per_sample_mae(y, Tensor(y.data.copy())).mean().item() == 0.0
+        assert per_sample_mae(y, Tensor(y.data.copy())).mean().data.item() == 0.0
 
     def test_mae_hand_values(self):
-        assert per_sample_mae(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).mean().item() == 2.0
-        assert per_sample_mae(Tensor([[-1.0]]), Tensor([[1.0]])).mean().item() == 2.0
+        assert per_sample_mae(Tensor([[1.0, 3.0]]), Tensor([[0.0, 0.0]])).mean().data.item() == 2.0
+        assert per_sample_mae(Tensor([[-1.0]]), Tensor([[1.0]])).mean().data.item() == 2.0
 
     def test_mae_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -180,19 +180,20 @@ class TestLosses:
 
     def test_cross_entropy_perfect_prediction_is_tiny(self):
         onehot = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert per_sample_cross_entropy(onehot, Tensor(onehot.data.copy())).mean().item() <= 1e-11
+        loss = per_sample_cross_entropy(onehot, Tensor(onehot.data.copy())).mean()
+        assert loss.data.item() <= 1e-11
 
     def test_cross_entropy_uniform_is_log_k(self):
         k = 5
         probs = Tensor(np.full((3, k), 1.0 / k))
         targets = np.zeros((3, k))
         targets[np.arange(3), [0, 2, 4]] = 1.0
-        np.testing.assert_allclose(
-            per_sample_cross_entropy(probs, Tensor(targets)).mean().item(), math.log(k), atol=1e-9)
+        loss = per_sample_cross_entropy(probs, Tensor(targets)).mean()
+        np.testing.assert_allclose(loss.data.item(), math.log(k), atol=1e-9)
 
     def test_cross_entropy_hand_value(self):
         out = per_sample_cross_entropy(Tensor([[0.9, 0.1]]), Tensor([[1.0, 0.0]])).mean()
-        np.testing.assert_allclose(out.item(), -math.log(0.9), atol=1e-9)
+        np.testing.assert_allclose(out.data.item(), -math.log(0.9), atol=1e-9)
 
     def test_cross_entropy_rejects_negative_probs(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -241,7 +242,7 @@ class TestLosses:
             return (op(*leaves) * weights).sum()
 
         run().backward()
-        numeric = finite_difference_grads(lambda: run().item(), leaves)
+        numeric = finite_difference_grads(lambda: run().data.item(), leaves)
         assert max(relative_gradient_error(leaf.grad, fd)
                    for leaf, fd in zip(leaves, numeric)) <= 1e-4
 
@@ -342,7 +343,7 @@ class TestBackward:
         run().backward()
         analytic = [p.grad.copy() for p in params]
         clear_grads(params)
-        numeric = finite_difference_grads(lambda: run().item(), params)
+        numeric = finite_difference_grads(lambda: run().data.item(), params)
         worst = max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric))
         assert worst < 1e-4
 
@@ -377,7 +378,7 @@ class TestGradientCheckSmallNets:
         run().backward()
         analytic = [p.grad.copy() for p in params]
         clear_grads(params)
-        numeric = finite_difference_grads(lambda: run().item(), params)
+        numeric = finite_difference_grads(lambda: run().data.item(), params)
         worst = max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric))
         assert worst < 1e-4
 
@@ -630,7 +631,7 @@ class TestLinearStack:
 
         loss().backward()
         analytic = [p.grad.copy() for p in params]
-        numeric = finite_difference_grads(lambda: loss().item(), params)
+        numeric = finite_difference_grads(lambda: loss().data.item(), params)
         assert max(relative_gradient_error(a, n) for a, n in zip(analytic, numeric)) <= 1e-6
         assert not np.any(analytic[0][np.broadcast_to(mask == 0, (4, 2, 6))])
 
@@ -783,7 +784,7 @@ class TestMixOps:
         run().backward()
         analytic = [t.grad.copy() for t in params]
         clear_grads(params)
-        numeric = finite_difference_grads(lambda: run().item(), params)
+        numeric = finite_difference_grads(lambda: run().data.item(), params)
         assert max(relative_gradient_error(a, b) for a, b in zip(analytic, numeric)) < 1e-4
 
     @pytest.mark.parametrize("p,k", MIX_SHAPES)

@@ -206,9 +206,9 @@ class TestObjectiveNode:
     def test_alpha_endpoints(self, task):
         output, y = loss_inputs(task)
         plain = batch_losses(objective_of(task, 0.0), output, y)
-        assert plain.total.item() == plain.main
+        assert plain.total.data.item() == plain.main
         attentive = batch_losses(objective_of(task, 1.0), output, y)
-        assert attentive.total.item() == attentive.mge_value > 0.0
+        assert attentive.total.data.item() == attentive.mge_value > 0.0
 
     def test_zero_when_targets_match_attention(self):
         y = np.array([[1.0], [2.0]])
@@ -217,7 +217,7 @@ class TestObjectiveNode:
                              [y + shifts[:, :1], y - shifts[:, 1:]], y.copy())
         losses = batch_losses(objective_of(alpha=1.0), output, y)
         np.testing.assert_array_equal(losses.targets.omega, output.a.data)
-        assert losses.total.item() == 0.0
+        assert losses.total.data.item() == 0.0
 
     def test_mge_is_the_mean_of_per_sample_divergences(self):
         output, y = loss_inputs("classification")
@@ -229,7 +229,7 @@ class TestObjectiveNode:
         output, y = loss_inputs("regression")
         alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
         runs = [batch_losses(objective_of(alpha=a), output, y) for a in alphas]
-        slopes = np.diff([r.total.item() for r in runs]) / np.diff(alphas)
+        slopes = np.diff([r.total.data.item() for r in runs]) / np.diff(alphas)
         np.testing.assert_allclose(slopes, runs[0].mge_value - runs[0].main, atol=1e-12)
 
     def test_aux_term_is_scaled_mean_over_probes(self):
@@ -237,7 +237,7 @@ class TestObjectiveNode:
         losses = batch_losses(objective_of(beta=2.0), output, y)
         eps = np.column_stack([losses.targets.eps_all, losses.targets.eps_excl])
         np.testing.assert_allclose(losses.aux_mean, eps.mean(axis=0).mean(), rtol=1e-15)
-        np.testing.assert_allclose(losses.total.item(), losses.main + 2.0 * losses.aux_mean,
+        np.testing.assert_allclose(losses.total.data.item(), losses.main + 2.0 * losses.aux_mean,
                                    rtol=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -303,10 +303,11 @@ class TestObjectiveNode:
         losses = batch_losses(model, forward(model, x), y)
         total, main, targets = chain_total(forward(model, x), y, task, alpha, beta)
         assert grads(losses.total) == grads(total)
-        assert losses.main == main.item()
+        assert losses.main == main.data.item()
         for field in ("eps_excl", "eps_all", "delta_eps", "omega"):
             assert getattr(losses.targets, field).tobytes() == getattr(targets, field).tobytes()
-        np.testing.assert_allclose(losses.total.item(), total.item(), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(losses.total.data.item(), total.data.item(), rtol=1e-12,
+                                   atol=1e-15)
 
 
 class TestDetachedTargets:

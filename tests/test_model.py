@@ -112,7 +112,7 @@ class TestConfigValidation:
         ("feature_partition", [[0, True], [2], [3, 4]]),
         ("task", 1), ("aux_weight", True), ("learning_rate", [0.1]), ("seed", None),
         ("seed", np.float64(3.0)), ("seed", np.bool_(True)), ("alpha", np.bool_(False)),
-        ("gate_hidden", Fraction(4)), ("alpha", Decimal("0.1")), ("feature_partition", ([0],)),
+        ("gate_hidden", Fraction(4)), ("alpha", Decimal("0.1")), ("feature_partition", ({0},)),
     ])
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^{field} must be "):

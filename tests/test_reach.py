@@ -1,6 +1,7 @@
 """No library code that only tests reach: every module-level function, class
-and constant of `ame_lab` is referenced from the library, the `ame-lab`
-entry point or the benchmark harness, beyond its own definition."""
+and constant of `ame_lab`, and every method, property and class attribute of
+its classes, is referenced from the library, the `ame-lab` entry point or the
+benchmark harness, beyond its own definition."""
 
 import ast
 import re
@@ -20,11 +21,14 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def definitions(tree: ast.Module):
-    """(name, statement) for each module-level def, class and assigned name."""
-    for node in tree.body:
+def definitions(body: list[ast.stmt]):
+    """(name, statement) for each def, class and assigned name of `body`, and
+    of each of its classes' bodies in turn."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from definitions(node.body)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
@@ -55,7 +59,7 @@ def test_every_library_name_is_reached_beyond_the_tests():
     for tree in trees:
         reached.update(references(tree))
     unreached = [(path.name, node.lineno, name) for path, tree in zip(LIBRARY, trees)
-                 for name, node in definitions(tree)
-                 if not name.startswith("__")  # a dunder is package metadata, read by tools
+                 for name, node in definitions(tree.body)
+                 if not name.startswith("__")  # a dunder is package metadata or a protocol method
                  and reached[name] == references(node)[name]]
     assert sorted(name for *_, name in unreached) == sorted(TEST_ONLY), unreached
